@@ -527,11 +527,22 @@ def _rational_nth_root(c: Fraction, q: int) -> Fraction:
 
 
 def _integer_nth_root(v: int, q: int) -> int:
-    r = round(v ** (1.0 / q))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**q == v:
-            return cand
-    raise NoExactRootError(f"{v} is not an exact {q}-th power")
+    """Exact q-th root of an integer v >= 0, in integer arithmetic only."""
+    if q == 2:
+        r = math.isqrt(v)
+    elif v < 2:
+        r = v
+    else:
+        # Newton's iteration from above decreases to floor(v^(1/q))
+        r = 1 << -(-v.bit_length() // q)
+        while True:
+            s = ((q - 1) * r + v // r ** (q - 1)) // q
+            if s >= r:
+                break
+            r = s
+    if r**q != v:
+        raise NoExactRootError(f"{v} is not an exact {q}-th power")
+    return r
 
 
 def nth_root(p: MultiPoly, q: int) -> MultiPoly:

@@ -8,8 +8,8 @@ files (or standard input with "-") in the shared JSON schema.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import random
 import sys
 import time
@@ -43,14 +43,16 @@ def _read_text(path: str) -> str:
 def _read_poly(path: str) -> MultiPoly:
     try:
         return MultiPoly.from_json(_read_text(path))
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+            json.JSONDecodeError) as exc:
         raise UsageError(f"malformed polynomial JSON in {path}: {exc}") from exc
 
 
 def _read_potential(path: str) -> ToricPotential:
     try:
         return ToricPotential.from_json_dict(json.loads(_read_text(path)))
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+            json.JSONDecodeError) as exc:
         raise UsageError(f"malformed potential JSON in {path}: {exc}") from exc
 
 
@@ -101,12 +103,22 @@ def _timer(enabled: bool):
     return phases
 
 
+@contextlib.contextmanager
+def _engine_arguments():
+    """Report the engine's argument checks (ValueError) as usage errors."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_verify(args) -> int:
     p = _read_poly(args.poly)
     if args.n is not None and args.n != p.nvars:
         raise UsageError(f"--n {args.n} does not match polynomial nvars {p.nvars}")
     phase = _timer(args.timings)
-    result = ma_engine.verify_ma_star(p)
+    with _engine_arguments():
+        result = ma_engine.verify_ma_star(p)
     timings = phase("verify")
     sign = {1: "+", -1: "-", None: None}[result.sign]
     verdict = {
@@ -174,11 +186,13 @@ def cmd_axis(args) -> int:
 
 def cmd_continue(args) -> int:
     try:
-        cd = ma_engine.cauchy_data(args.epsilon, args.sigma, Fraction(args.r), args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        r = Fraction(args.r)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --r {args.r!r}: {exc}") from exc
     phase = _timer(args.timings)
-    p = ma_engine.taylor_continue_n2(cd, args.bound)
+    with _engine_arguments():
+        cd = ma_engine.cauchy_data(args.epsilon, args.sigma, r, args.k)
+        p = ma_engine.taylor_continue_n2(cd, args.bound)
     timings = phase("continue")
     inputs = {
         "k": args.k,
@@ -200,7 +214,8 @@ def cmd_continue(args) -> int:
 def cmd_scan_k(args) -> int:
     grid = _parse_grid(args.grid) if args.grid else list(ma_engine.DEFAULT_SCAN_GRID)
     phase = _timer(args.timings)
-    ks = sorted(ma_engine.feasible_k_scan_n2(args.k_max, grid))
+    with _engine_arguments():
+        ks = sorted(ma_engine.feasible_k_scan_n2(args.k_max, grid))
     timings = phase("scan")
     verdict = {"feasible_k": ks}
     _report("scan-k", {"k_max": args.k_max, "grid": [str(g) for g in grid]},
@@ -211,7 +226,8 @@ def cmd_scan_k(args) -> int:
 def cmd_classify_n1(args) -> int:
     grid = _parse_grid(args.grid)
     phase = _timer(args.timings)
-    sols = ma_engine.classify_n1(args.k_max, grid)
+    with _engine_arguments():
+        sols = ma_engine.classify_n1(args.k_max, grid)
     timings = phase("classify")
     verdict = {"solutions": [p.to_json_dict() for p in sols]}
     human = "\n".join(str(p) for p in sols) or "no solutions on this grid"
@@ -223,7 +239,8 @@ def cmd_classify_n1(args) -> int:
 def cmd_search_n2(args) -> int:
     grid = _parse_grid(args.grid)
     phase = _timer(args.timings)
-    sols = ma_engine.search_n2(grid, args.bound)
+    with _engine_arguments():
+        sols = ma_engine.search_n2(grid, args.bound)
     timings = phase("search")
     verdict = {"solutions": [p.to_json_dict() for p in sols]}
     human = "\n".join(str(p) for p in sols) or "no solutions on this grid"
@@ -245,11 +262,14 @@ def _parse_partition(text: str) -> tuple:
 def cmd_catalog(args) -> int:
     phase = _timer(args.timings)
     if args.action == "list":
-        records = cat.standard_catalog(args.max_n, args.K)
+        with _engine_arguments():
+            records = cat.standard_catalog(args.max_n, args.K)
     else:
         if not args.partition:
             raise UsageError("catalog gen requires --partition")
-        records = [cat.solution_record(_parse_partition(args.partition), args.K)]
+        part = _parse_partition(args.partition)
+        with _engine_arguments():
+            records = [cat.solution_record(part, args.K)]
     timings = phase("catalog")
     verdict = {"records": [r.to_json_dict() for r in records]}
     human = "\n".join(
@@ -262,10 +282,13 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_einstein_check(args) -> int:
+    if not args.step > 0:
+        raise UsageError(f"--step must be positive, got {args.step}")
     potential = _read_potential(args.potential)
     points = _sample_points(potential.nvars, args.points, args.seed)
     phase = _timer(args.timings)
-    fit = geometry.einstein_fit(potential, points, args.step)
+    with _engine_arguments():
+        fit = geometry.einstein_fit(potential, points, args.step)
     timings = phase("fit")
     passed = fit.max_residual < args.tol
     verdict = {
@@ -378,22 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    """Validated PKE_MA_THREADS value (0 = auto).
-
-    The scans are currently serial, so the cap only gates future
-    parallel fan-out; a malformed value is still a usage error.
-    """
-    raw = os.environ.get("PKE_MA_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"PKE_MA_THREADS must be a non-negative integer, got {raw!r}")
-    if cap < 0:
-        raise UsageError(f"PKE_MA_THREADS must be a non-negative integer, got {raw!r}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -401,7 +408,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        _thread_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,15 @@ Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
 are found by attempting Taylor continuation off the x2 = 0 axis, and
 every produced candidate is re-verified symbolically.
+
+The continuation never expands the full two-variable residual while it
+runs.  Order h needs only the x2^h coefficient of the residual, which
+comes from x2-series products truncated at degree h (lower-order
+coefficients are kept between orders), and P_{h+1} follows from it by
+one exact division by a closed-form probe factor of the axis data.  A
+branch is rejected early only on a coefficient that no later order can
+change, so the early rejection is itself a certificate; acceptance still
+requires the full symbolic residual to vanish.
 """
 
 from __future__ import annotations
@@ -275,11 +284,6 @@ def _lift_univariate(p: MultiPoly, x2_power: int) -> MultiPoly:
     return MultiPoly(2, {(e[0], x2_power): c for e, c in p.terms.items()})
 
 
-def _x2_coefficient(p: MultiPoly, h: int) -> MultiPoly:
-    """Coefficient of x2^h as a univariate polynomial in x1."""
-    return MultiPoly(1, {(e[0],): c for e, c in p.terms.items() if e[1] == h})
-
-
 def _n2_residual(p: MultiPoly, eq_sign: int) -> MultiPoly:
     """det M - eq_sign*P^3 for the two-variable log-type equation."""
     m = log_ma_matrix(p)
@@ -287,37 +291,178 @@ def _n2_residual(p: MultiPoly, eq_sign: int) -> MultiPoly:
     return det - eq_sign * p**3
 
 
+def _convolve(f, g, i: int) -> MultiPoly:
+    """x2^i coefficient of the product of two x2-series.
+
+    A series is given by a function from the x2-exponent to the
+    coefficient, a univariate polynomial in x1.
+    """
+    total = MultiPoly.zero(1)
+    for j in range(i + 1):
+        a = f(j)
+        if not a.is_zero():
+            b = g(i - j)
+            if not b.is_zero():
+                total = total + a * b
+    return total
+
+
+def _convolve_square(f, i: int) -> MultiPoly:
+    """x2^i coefficient of the square of an x2-series."""
+    total = MultiPoly.zero(1)
+    for j in range((i + 1) // 2):
+        a = f(j)
+        if not a.is_zero():
+            b = f(i - j)
+            if not b.is_zero():
+                total = total + a * b
+    total = total + total
+    if i % 2 == 0:
+        mid = f(i // 2)
+        if not mid.is_zero():
+            total = total + mid * mid
+    return total
+
+
+def _series(lookahead: int):
+    """Memoize entry i of a derived series once P_0..P_{i+lookahead} exist."""
+
+    def wrap(compute):
+        def entry(self, i):
+            memo = self._memo.setdefault(compute.__name__, {})
+            value = memo.get(i)
+            if value is None:
+                value = compute(self, i)
+                if i + lookahead < len(self.coeffs):
+                    memo[i] = value
+            return value
+
+        return entry
+
+    return wrap
+
+
+class _ResidualSeries:
+    """x2-coefficients of det M - eq_sign*P^3 for P = sum_j coeffs[j]*x2^j.
+
+    With M the log-type matrix of P (see log_ma_matrix) the residual is
+    M11*M22 - x1*x2*N^2 - eq_sign*P^3, where
+    M11 = x1*(P*P_11 - P_1^2) + P*P_1, M22 = x2*(P*P_22 - P_2^2) + P*P_2
+    and N = P*P_12 - P_1*P_2 (subscripts 1, 2 are partials in x1, x2).
+    Every product is truncated at the x2-degree asked for.  Coefficients
+    past the end of the list count as zero, and the list only grows, so
+    an entry of a derived series is final, and kept, once every P_j it
+    reads is present: the x2^h coefficient then costs O(h) univariate
+    products on top of those kept from lower orders.
+    """
+
+    def __init__(self, coeffs: list, eq_sign: int):
+        self.coeffs = list(coeffs)
+        self.eq_sign = eq_sign
+        self._memo = {}
+
+    def p(self, i: int) -> MultiPoly:
+        return self.coeffs[i] if i < len(self.coeffs) else MultiPoly.zero(1)
+
+    @_series(lookahead=0)
+    def p_1(self, i):
+        return self.p(i).partial_derivative(0)
+
+    @_series(lookahead=0)
+    def p_11(self, i):
+        return self.p_1(i).partial_derivative(0)
+
+    @_series(lookahead=1)
+    def p_2(self, i):
+        return self.p(i + 1) * (i + 1)
+
+    @_series(lookahead=2)
+    def p_22(self, i):
+        return self.p(i + 2) * ((i + 1) * (i + 2))
+
+    @_series(lookahead=1)
+    def p_12(self, i):
+        return self.p_1(i + 1) * (i + 1)
+
+    @_series(lookahead=0)
+    def m11(self, i):
+        x1 = MultiPoly.variable(1, 0)
+        hess = _convolve(self.p, self.p_11, i) - _convolve_square(self.p_1, i)
+        return x1 * hess + _convolve(self.p, self.p_1, i)
+
+    @_series(lookahead=1)
+    def m22(self, i):
+        entry = _convolve(self.p, self.p_2, i)
+        if i:
+            # the factor x2 of x2*(P*P_22 - P_2^2) shifts its index by one
+            entry = (
+                entry
+                + _convolve(self.p, self.p_22, i - 1)
+                - _convolve_square(self.p_2, i - 1)
+            )
+        return entry
+
+    @_series(lookahead=1)
+    def n(self, i):
+        return _convolve(self.p, self.p_12, i) - _convolve(self.p_1, self.p_2, i)
+
+    @_series(lookahead=0)
+    def square(self, i):
+        return _convolve_square(self.p, i)
+
+    def order(self, h: int) -> MultiPoly:
+        """The x2^h coefficient of the residual, exact."""
+        cube = _convolve(self.square, self.p, h)
+        residual = _convolve(self.m11, self.m22, h) - self.eq_sign * cube
+        if h:
+            x1 = MultiPoly.variable(1, 0)
+            residual = residual - x1 * _convolve_square(self.n, h - 1)
+        return residual
+
+
+def _probe_factor(p0: MultiPoly) -> MultiPoly:
+    """m = P0*[(P0*P0'' - P0'^2)*x1 + P0*P0'] for the axis polynomial P0.
+
+    For h >= 1 the x2^h coefficient of the residual is affine in P_{h+1}
+    with linear coefficient (h+1)^2*m: P_{h+1} enters at that order only
+    through P*P_2 and x2*P*P_22 inside M22, multiplied by the x2-free
+    part of M11.
+    """
+    d1 = p0.partial_derivative(0)
+    d2 = d1.partial_derivative(0)
+    x1 = MultiPoly.variable(1, 0)
+    return p0 * ((p0 * d2 - d1 * d1) * x1 + p0 * d1)
+
+
 def _continue_with_sign(
-    cd: CauchyData, degree_bound: int, eq_sign: int
+    cd: CauchyData, degree_bound: int, eq_sign: int, probe: MultiPoly
 ) -> Optional[MultiPoly]:
-    coeffs = [cd.P0, cd.P1]
+    series = _ResidualSeries([cd.P0, cd.P1], eq_sign)
+    # the x2^0 coefficient involves only P0 and P1, so no later order can
+    # cancel it: a nonzero value certifies that this sign is inconsistent
+    if not series.order(0).is_zero():
+        return None
     degree_cap = 3 * degree_bound + 6
-    p0_lifted = _lift_univariate(cd.P0, 0)
     for h in range(1, degree_bound):
-        base = sum(
-            (_lift_univariate(c, j) for j, c in enumerate(coeffs)),
-            MultiPoly.zero(2),
-        )
-        t = _x2_coefficient(_n2_residual(base, eq_sign), h)
-        # the Z-linear coefficient at order h only involves the x2-free
-        # part of the expansion, so the probe can use P0 alone; the
-        # probe's own residual at Z=0 vanishes identically
-        probe = p0_lifted + _lift_univariate(MultiPoly.one(1), h + 1)
-        c = _x2_coefficient(_n2_residual(probe, eq_sign), h)
-        if c.is_zero():
+        t = series.order(h)
+        if probe.is_zero():
             if not t.is_zero():
                 return None
             nxt = MultiPoly.zero(1)
         else:
             try:
-                nxt = exact_divide(-t, c)
+                nxt = exact_divide(-t, probe) * Fraction(1, (h + 1) ** 2)
             except NotDivisibleError:
                 return None
-        if nxt.degree() != float("-inf") and nxt.degree() > degree_cap:
+        if nxt.degree() > degree_cap:
             return None
-        coeffs.append(nxt)
+        series.coeffs.append(nxt)
+    # x2^bound is the first order the loop does not force; the candidate
+    # has no x2^(bound+1) term, so this coefficient is final for it
+    if not series.order(degree_bound).is_zero():
+        return None
     candidate = sum(
-        (_lift_univariate(c, j) for j, c in enumerate(coeffs)),
+        (_lift_univariate(c, j) for j, c in enumerate(series.coeffs)),
         MultiPoly.zero(2),
     )
     if not _n2_residual(candidate, eq_sign).is_zero():
@@ -329,15 +474,22 @@ def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiP
     """Reconstruct the two-variable solution from its Cauchy data.
 
     The solution is written as sum_h P_h(x1)*x2^h and the residual of
-    the equation is forced to vanish order by order in x2; each order
-    determines P_{h+1} by one exact polynomial division.  Returns None
-    (inconsistent) when a division fails or the final residual is
-    nonzero, i.e. when no polynomial solution matches the data.
+    the equation is forced to vanish order by order in x2.  Order h
+    needs only the x2^h coefficient of the residual, computed from
+    products truncated at x2-degree h, and it is t + (h+1)^2*m*P_{h+1}
+    with m the closed-form probe factor of P0; so each order determines
+    P_{h+1} by one exact division by m, shared by both signs of the
+    equation.  Returns None (inconsistent) when a division fails, when
+    the x2^0 coefficient (fixed by P0, P1 alone) or the first unforced
+    x2^bound coefficient is nonzero, or when the full symbolic residual
+    of the candidate is nonzero.  The two early rejections are
+    certificates: each is a coefficient of that final residual.
     """
     if degree_bound < max(2, cd.k):
         raise ValueError("degree_bound must be at least max(2, k)")
+    probe = _probe_factor(cd.P0)
     for eq_sign in (1, -1):
-        result = _continue_with_sign(cd, degree_bound, eq_sign)
+        result = _continue_with_sign(cd, degree_bound, eq_sign, probe)
         if result is not None:
             return result
     return None

@@ -214,6 +214,26 @@ def test_root_roundtrip_on_random_polys():
             assert recovered ** q == power
 
 
+def test_square_root_of_integer_beyond_float_precision():
+    # the float estimate of this root is off by 3
+    v = 10**17 + 3
+    assert nth_root(MultiPoly.constant(1, v * v), 2) == MultiPoly.constant(1, v)
+    base = MultiPoly.constant(1, v) + x(1, 0)
+    assert nth_root(base ** 2, 2) == base
+
+
+def test_roots_of_integers_beyond_float_range():
+    # 10**400 overflows a float
+    big = 10**400
+    assert nth_root(MultiPoly.constant(1, big), 2) == MultiPoly.constant(1, 10**200)
+    cube = MultiPoly.constant(1, Fraction(10**402, 27))
+    assert nth_root(cube, 3) == MultiPoly.constant(1, Fraction(10**134, 3))
+    with pytest.raises(NoExactRootError):
+        nth_root(MultiPoly.constant(1, big + 1), 2)
+    with pytest.raises(NoExactRootError):
+        nth_root(MultiPoly.constant(1, big), 3)
+
+
 # ---------------------------------------------------------------------------
 # binomial profiles
 

@@ -178,16 +178,68 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert MultiPoly.from_json_dict(doc["verdict"]["witness"]) is not None
 
 
-def test_bad_thread_cap_is_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PKE_MA_THREADS", "many")
-    path = write_poly(tmp_path, solution_n1())
+def test_verify_constant_term_not_unit_is_usage_error(tmp_path, capsys):
+    p = MultiPoly.constant(1, 2) + MultiPoly.variable(1, 0)
+    path = write_poly(tmp_path, p)
     assert main(["verify", "--poly", path]) == EXIT_USAGE
+    assert "constant term" in capsys.readouterr().err
 
 
-def test_explicit_thread_cap_accepted(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PKE_MA_THREADS", "4")
-    path = write_poly(tmp_path, solution_n1())
-    assert main(["verify", "--poly", path]) == EXIT_OK
+def test_verify_zero_denominator_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "zero_den.json"
+    path.write_text(
+        '{"nvars": 1, "terms": [{"exp": [0], "num": "1", "den": "0"}]}',
+        encoding="utf-8",
+    )
+    assert main(["verify", "--poly", str(path)]) == EXIT_USAGE
+    assert "malformed polynomial" in capsys.readouterr().err
+
+
+def test_potential_zero_denominator_is_usage_error(tmp_path, capsys):
+    doc = space_form_potential(8, 1).to_json_dict()
+    doc["k_den"] = 0
+    path = tmp_path / "zero_den.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["einstein-check", "--potential", str(path)]) == EXIT_USAGE
+    assert "malformed potential" in capsys.readouterr().err
+
+
+def test_continue_bad_arguments_are_usage_errors(capsys):
+    assert main(["continue", "--k", "5", "--r", "1", "--bound", "3"]) == EXIT_USAGE
+    assert main(["continue", "--k", "2", "--r", "1/0"]) == EXIT_USAGE
+    assert main(["continue", "--k", "2", "--r", "0"]) == EXIT_USAGE
+    assert "degree_bound" in capsys.readouterr().err
+
+
+def test_scan_k_bad_arguments_are_usage_errors(capsys):
+    assert main(["scan-k", "--k-max", "0"]) == EXIT_USAGE
+    assert main(["scan-k", "--k-max", "2", "--grid", "0,1"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "k_max" in err and "r must be nonzero" in err
+
+
+def test_search_n2_bound_below_k_is_usage_error(capsys):
+    assert main(["search-n2", "--grid", "1", "--bound", "2"]) == EXIT_USAGE
+    assert "degree_bound" in capsys.readouterr().err
+
+
+def test_classify_n1_bad_k_max_is_usage_error(capsys):
+    assert main(["classify-n1", "--grid", "1,2", "--k-max", "0"]) == EXIT_USAGE
+    assert "k_max" in capsys.readouterr().err
+
+
+def test_catalog_bad_power_is_usage_error(capsys):
+    assert main(["catalog", "gen", "--partition", "1", "--K", "0"]) == EXIT_USAGE
+    assert main(["catalog", "list", "--K", "-1"]) == EXIT_USAGE
+    assert "K must be a positive integer" in capsys.readouterr().err
+
+
+def test_einstein_check_bad_sampling_is_usage_error(tmp_path, capsys):
+    path = write_potential(tmp_path, space_form_potential(8, 1))
+    assert main(["einstein-check", "--potential", path, "--points", "2"]) == EXIT_USAGE
+    assert main(["einstein-check", "--potential", path, "--step", "0"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "sample points" in err and "--step" in err
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

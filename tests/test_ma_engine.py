@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
+from toricpke import algebra
 from toricpke.algebra import (
     MultiPoly,
     NoExactRootError,
@@ -15,6 +16,9 @@ from toricpke.catalog import canonicalize, partitions, product_solution
 from toricpke.ma_engine import (
     ExponentRatio,
     ProfileMismatchError,
+    _n2_residual,
+    _probe_factor,
+    _ResidualSeries,
     axis_profile_check,
     cauchy_data,
     classify_flat,
@@ -280,6 +284,133 @@ def test_continuation_stable_under_degree_bound():
         cd = cauchy_data(eps, sig, r, k)
         results = {taylor_continue_n2(cd, b) for b in (6, 8, 10)}
         assert len(results) == 1
+
+
+def x2_slice(p, h):
+    """Coefficient of x2^h of a two-variable polynomial, as a poly in x1."""
+    return MultiPoly(1, {(e[0],): c for e, c in p.terms.items() if e[1] == h})
+
+
+def lift(coeffs):
+    """sum_j coeffs[j](x1) * x2^j as a two-variable polynomial."""
+    return MultiPoly(2, {
+        (e[0], j): c for j, p in enumerate(coeffs) for e, c in p.terms.items()
+    })
+
+
+def sympy_residual_coefficients(coeffs, eq_sign, upto):
+    """x2^h coefficients, h <= upto, of det M - eq_sign*P^3 via sympy."""
+    import sympy
+
+    x1, x2 = sympy.symbols("x1 x2")
+    p = sum(
+        sympy.Rational(c.numerator, c.denominator) * x1 ** e[0] * x2 ** j
+        for j, cj in enumerate(coeffs)
+        for e, c in cj.terms.items()
+    )
+    xs = (x1, x2)
+    m = sympy.Matrix(2, 2, lambda a, b: (
+        (p * sympy.diff(p, xs[a], xs[b]) - sympy.diff(p, xs[a]) * sympy.diff(p, xs[b]))
+        * xs[a]
+        + (p * sympy.diff(p, xs[a]) if a == b else 0)
+    ))
+    residual = sympy.Poly(sympy.expand(m.det() - eq_sign * p**3), x1, x2)
+    out = []
+    for h in range(upto + 1):
+        terms = {}
+        for (e1, e2), c in residual.terms():
+            if e2 == h:
+                terms[(e1,)] = Fraction(int(c.p), int(c.q))
+        out.append(MultiPoly(1, terms))
+    return out
+
+
+def test_order_coefficient_matches_sympy_expansion():
+    # the series grows one coefficient at a time, as in the continuation,
+    # and every order up to the bound is checked after each step, so
+    # entries kept from a shorter list are checked too
+    rng = random.Random(53)
+    bound = 5
+    for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, 2, 2), (1, -1, HALF, 4),
+                           (-1, -1, Fraction(-3, 2), 1)):
+        cd = cauchy_data(eps, sig, Fraction(r), k)
+        extra = [random_poly(rng, 1, 3, 3) for _ in range(2)]
+        for eq_sign in (1, -1):
+            series = _ResidualSeries([cd.P0, cd.P1], eq_sign)
+            for step in range(len(extra) + 1):
+                if step:
+                    series.coeffs.append(extra[step - 1])
+                expected = sympy_residual_coefficients(series.coeffs, eq_sign, bound)
+                for h in range(bound + 1):
+                    assert series.order(h) == expected[h]
+
+
+def test_order_zero_fixes_the_equation_sign():
+    # the x2^0 coefficient is eps*(sigma - eq_sign)*(1 + x1/r)^(3k)
+    for eps in (1, -1):
+        for sig in (1, -1):
+            cd = cauchy_data(eps, sig, Fraction(-2, 3), 3)
+            for eq_sign in (1, -1):
+                order0 = _ResidualSeries([cd.P0, cd.P1], eq_sign).order(0)
+                assert order0.is_zero() == (eq_sign == sig)
+
+
+def test_closed_form_probe_matches_full_expansion():
+    for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, HALF, 2), (1, -1, -2, 1),
+                           (-1, -1, Fraction(2, 3), 5)):
+        cd = cauchy_data(eps, sig, Fraction(r), k)
+        m = _probe_factor(cd.P0)
+        for h in range(1, 9):
+            probe = lift([cd.P0] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
+            for eq_sign in (1, -1):
+                full = x2_slice(_n2_residual(probe, eq_sign), h)
+                assert m * (h + 1) ** 2 == full
+
+
+CONTINUATION_GRID = [
+    Fraction(s) * v
+    for v in (1, 2, 3, HALF, Fraction(3, 2), Fraction(2, 3))
+    for s in (1, -1)
+]
+
+
+def test_continuation_succeeds_exactly_for_k2_and_k3():
+    for k in range(1, 7):
+        for r in CONTINUATION_GRID:
+            for eps in (1, -1):
+                for sig in (1, -1):
+                    p = taylor_continue_n2(cauchy_data(eps, sig, r, k), max(6, k + 2))
+                    # dP/dx2 on the axis is sigma*(r/k)*(1 + x1/r)^2, so
+                    # the x2 coefficient inside the power carries eps*sigma
+                    s = eps * sig
+                    if k == 2:
+                        expected = eps * (
+                            (MultiPoly.one(2) + x(2, 0) * (1 / r)) ** 2
+                            * (MultiPoly.one(2) + x(2, 1) * (s * r / 4)) ** 2
+                        )
+                    elif k == 3:
+                        expected = eps * (
+                            MultiPoly.one(2) + x(2, 0) * (1 / r) + x(2, 1) * (s * r / 9)
+                        ) ** 3
+                    else:
+                        expected = None
+                    assert p == expected, (k, r, eps, sig)
+
+
+def test_feasible_scan_term_pair_budget(monkeypatch):
+    # deterministic work gate: the truncated continuation multiplies
+    # about 0.16M term pairs here; expanding the whole residual at every
+    # order took 3.1M
+    pairs = [0]
+    mul_terms = algebra.mul_terms
+
+    def counting(a, b):
+        pairs[0] += len(a) * len(b)
+        return mul_terms(a, b)
+
+    monkeypatch.setattr(algebra, "mul_terms", counting)
+    assert feasible_k_scan_n2(6) == {2, 3}
+    assert 0 < pairs[0] <= 600_000
 
 
 # ---------------------------------------------------------------------------
