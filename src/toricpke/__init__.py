@@ -1,11 +1,14 @@
 """Exact verification and classification of toric para-Kahler-Einstein
 Monge-Ampere solutions, with numeric Einstein cross-checks.
 
-The hot polynomial-multiplication kernel is compiled (Cython) when the
-extension built; toricpke.KERNEL_BACKEND reports which one is active.
+Polynomials hold integer numerators over one common denominator, and
+there is one multiplication kernel, in pure Python: it multiplies large
+dense products by Kronecker substitution (one big-int product) and small
+or sparse ones by a schoolbook loop over term pairs.
+toricpke.KERNEL_BACKEND names it ("python").
 """
 
-from toricpke._kernel import BACKEND as KERNEL_BACKEND
+from toricpke._pykernel import BACKEND as KERNEL_BACKEND
 from toricpke.algebra import (
     BinomialProfile,
     MultiPoly,

@@ -1,23 +1,39 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials are immutable maps from exponent tuples to Fractions; all
-arithmetic is exact.  The module also provides polynomial matrices with
-two independent determinant routes (fraction-free elimination and
-cofactor expansion), exact division, exact q-th roots and recognition of
-binomial powers eps*(1 + t/r)^k of univariate polynomials.
+A polynomial is stored as integer numerators over one positive common
+denominator: a map from exponent tuples to nonzero ints, and a
+denominator whose gcd with all the numerators is 1.  That form is unique,
+so equality and hashing compare it directly, and sums and products run on
+ints, with one gcd per result instead of one per coefficient.  Products
+go through ``mul_terms`` (see toricpke._pykernel), which multiplies large
+dense term maps by Kronecker substitution and small or sparse ones by a
+schoolbook loop.  The public API takes and returns Fractions.
+
+The module also provides polynomial matrices with two independent
+determinant routes (fraction-free elimination and cofactor expansion),
+exact division, exact q-th roots and recognition of binomial powers
+eps*(1 + t/r)^k of univariate polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from toricpke._kernel import mul_terms
+from toricpke._pykernel import mul_terms
 
 Scalar = Fraction
+
+# Coefficients are written and read in decimal chunks of this many digits,
+# below CPython's default limit on int <-> str conversion (4300 digits).
+_DECIMAL_CHUNK = 4000
+# JSON coefficient strings longer than this are rejected, which bounds the
+# parse work of a hostile input.
+MAX_COEFF_DIGITS = 100_000
 
 
 class NotDivisibleError(ArithmeticError):
@@ -32,12 +48,59 @@ class NotBinomialPowerError(ArithmeticError):
     """Raised when a univariate polynomial is not eps*(1 + t/r)^k."""
 
 
+# evaluate returns the value of a constant polynomial as a Fraction, as
+# for an exact point; Fractions are immutable, so one per value serves
+# every call at a float point
+_constant_value = functools.lru_cache(maxsize=1024)(Fraction)
+
+
 def _as_scalar(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
         return Fraction(c)
     raise TypeError(f"expected rational scalar, got {type(c).__name__}")
+
+
+def _int_to_str(v: int) -> str:
+    """Decimal digits of v, of any length."""
+    if v.bit_length() < 3 * _DECIMAL_CHUNK:
+        return str(v)
+    chunks = []
+    rest = abs(v)
+    base = 10**_DECIMAL_CHUNK
+    while rest >= base:
+        rest, low = divmod(rest, base)
+        chunks.append(str(low).zfill(_DECIMAL_CHUNK))
+    chunks.append(str(rest))
+    return ("-" if v < 0 else "") + "".join(reversed(chunks))
+
+
+def _str_to_int(text) -> int:
+    """Parse a JSON integer, of up to MAX_COEFF_DIGITS digits."""
+    if not isinstance(text, str):
+        return int(text)
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if len(digits) > MAX_COEFF_DIGITS:
+        raise ValueError(f"integer of {len(digits)} digits exceeds {MAX_COEFF_DIGITS}")
+    if len(digits) <= _DECIMAL_CHUNK:
+        return int(text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer literal of {len(digits)} characters")
+    head = len(digits) % _DECIMAL_CHUNK or _DECIMAL_CHUNK
+    v = int(digits[:head])
+    base = 10**_DECIMAL_CHUNK
+    for i in range(head, len(digits), _DECIMAL_CHUNK):
+        v = v * base + int(digits[i:i + _DECIMAL_CHUNK])
+    return -v if text[0] == "-" else v
+
+
+def fraction_to_str(c: Fraction) -> str:
+    """str(c) for a rational of any size: "num" or "num/den"."""
+    if c.denominator == 1:
+        return _int_to_str(c.numerator)
+    return f"{_int_to_str(c.numerator)}/{_int_to_str(c.denominator)}"
 
 
 def grlex_key(exp: tuple) -> tuple:
@@ -48,16 +111,18 @@ def grlex_key(exp: tuple) -> tuple:
 class MultiPoly:
     """Sparse exact polynomial in nvars variables.
 
-    Immutable; zero coefficients are never stored.  Equality and hashing
-    compare the term maps exactly.
+    Immutable; stored as nonzero integer numerators (``_terms``) over one
+    positive denominator (``_den``) coprime to them all, so the stored
+    form is unique and equality and hashing compare it exactly.
     """
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_den", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
             raise ValueError("nvars must be positive")
-        clean = {}
+        coeffs = {}
+        den = 1
         if terms:
             for exp, coeff in dict(terms).items():
                 exp = tuple(exp)
@@ -65,9 +130,12 @@ class MultiPoly:
                     raise ValueError(f"bad exponent tuple {exp} for nvars={nvars}")
                 c = _as_scalar(coeff)
                 if c:
-                    clean[exp] = c
+                    coeffs[exp] = c
+                    den = math.lcm(den, c.denominator)
+        clean = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *args):
@@ -81,7 +149,11 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: _as_scalar(c)})
+        c = _as_scalar(c)
+        if nvars < 1:
+            raise ValueError("nvars must be positive")
+        terms = {(0,) * nvars: c.numerator} if c else {}
+        return cls._raw(nvars, terms, c.denominator)
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
@@ -93,22 +165,34 @@ class MultiPoly:
         if not 0 <= i < nvars:
             raise IndexError(f"variable index {i} out of range for nvars={nvars}")
         exp = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {exp: Fraction(1)})
+        return cls._raw(nvars, {exp: 1}, 1)
 
     @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "MultiPoly":
-        # internal: terms already normalized (tuples, nonzero Fractions)
+    def _raw(cls, nvars: int, terms: dict, den: int) -> "MultiPoly":
+        # internal: terms and den already in lowest terms, no zero values
         p = cls.__new__(cls)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_den", den)
         object.__setattr__(p, "_hash", None)
         return p
+
+    @classmethod
+    def _reduced(cls, nvars: int, terms: dict, den: int) -> "MultiPoly":
+        # internal: nonzero numerators over den > 0, common factors allowed
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {e: c // g for e, c in terms.items()}
+        return cls._raw(nvars, terms, den)
 
     # -- basic queries ------------------------------------------------
 
     @property
     def terms(self) -> dict:
-        return dict(self._terms)
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -125,15 +209,15 @@ class MultiPoly:
         return max(e[i] for e in self._terms)
 
     def coefficient(self, exp: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+        return Fraction(self._terms.get(tuple(exp), 0), self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.nvars, Fraction(0))
+        return self.coefficient((0,) * self.nvars)
 
     def leading_term(self) -> tuple:
         """(exponent, coefficient) of the grlex-largest term."""
         exp = max(self._terms, key=grlex_key)
-        return exp, self._terms[exp]
+        return exp, Fraction(self._terms[exp], self._den)
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self._terms)
@@ -150,19 +234,35 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        if d1 == d2:
+            out = dict(self._terms)
+            add = other._terms.items()
+        else:
+            # over the common denominator lcm(d1, d2)
+            m1, m2 = d2 // g, d1 // g
+            out = {e: c * m1 for e, c in self._terms.items()}
+            add = ((e, c * m2) for e, c in other._terms.items())
+        get = out.get
+        for exp, c in add:
+            s = get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
-                out.pop(exp, None)
-        return MultiPoly._raw(self.nvars, out)
+                del out[exp]
+        den = d1 // g * d2
+        # with coprime denominators the sum is already in lowest terms
+        if g == 1:
+            return MultiPoly._raw(self.nvars, out, den)
+        return MultiPoly._reduced(self.nvars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw(self.nvars, {e: -c for e, c in self._terms.items()})
+        return MultiPoly._raw(
+            self.nvars, {e: -c for e, c in self._terms.items()}, self._den
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -176,18 +276,27 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_scalar(other)
-            if not c:
+            num, den = other.numerator, other.denominator
+            if not num:
                 return MultiPoly.zero(self.nvars)
-            return MultiPoly._raw(
-                self.nvars, {e: c * v for e, v in self._terms.items()}
-            )
+            g = math.gcd(self._den, num)
+            num //= g
+            out = self._terms
+            if num != 1:
+                out = {e: c * num for e, c in out.items()}
+            # gcd(den/g, num/g) = 1, so only the scalar's denominator can
+            # share a factor with the new numerators
+            if den == 1:
+                return MultiPoly._raw(self.nvars, out, self._den // g)
+            return MultiPoly._reduced(self.nvars, out, self._den // g * den)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
         if not self._terms or not other._terms:
             return MultiPoly.zero(self.nvars)
-        return MultiPoly._raw(self.nvars, mul_terms(self._terms, other._terms))
+        return MultiPoly._reduced(
+            self.nvars, mul_terms(self._terms, other._terms), self._den * other._den
+        )
 
     __rmul__ = __mul__
 
@@ -210,12 +319,16 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (
+            self.nvars == other.nvars
+            and self._den == other._den
+            and self._terms == other._terms
+        )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
+            h = hash((self.nvars, self._den, frozenset(self._terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -229,9 +342,8 @@ class MultiPoly:
         for exp, c in self._terms.items():
             e = exp[i]
             if e:
-                new = exp[:i] + (e - 1,) + exp[i + 1:]
-                out[new] = out.get(new, Fraction(0)) + c * e
-        return MultiPoly(self.nvars, out)
+                out[exp[:i] + (e - 1,) + exp[i + 1:]] = c * e
+        return MultiPoly._reduced(self.nvars, out, self._den)
 
     def scale_vars(self, factors) -> "MultiPoly":
         """Substitute x_i -> factors[i] * x_i; all factors must be nonzero."""
@@ -240,13 +352,21 @@ class MultiPoly:
             raise ValueError("need one factor per variable")
         if any(f == 0 for f in factors):
             raise ValueError("scale factors must be nonzero")
+        if not self._terms:
+            return self
+        # over the common denominator prod q_i^deg_i, the term c*x^e of a
+        # factor p_i/q_i gains prod p_i^e_i * q_i^(deg_i - e_i)
+        scales = [
+            (f.numerator, f.denominator, self.degree_in(i))
+            for i, f in enumerate(factors)
+        ]
         out = {}
         for exp, c in self._terms.items():
-            for i, e in enumerate(exp):
-                if e:
-                    c = c * factors[i] ** e
+            for (p, q, d), e in zip(scales, exp):
+                c *= p**e * q ** (d - e)
             out[exp] = c
-        return MultiPoly._raw(self.nvars, out)
+        den = self._den * math.prod(q**d for _, q, d in scales)
+        return MultiPoly._reduced(self.nvars, out, den)
 
     def substitute(self, args: list["MultiPoly"]) -> "MultiPoly":
         """Full substitution x_i -> args[i]; all args share one nvars."""
@@ -268,7 +388,7 @@ class MultiPoly:
                 if e:
                     term = term * power(i, e)
             result = result + term
-        return result
+        return result * Fraction(1, self._den)
 
     def restrict_to_axis(self, i: int) -> "MultiPoly":
         """Set x_j = 0 for all j != i; returns a univariate polynomial."""
@@ -276,38 +396,68 @@ class MultiPoly:
             raise IndexError(f"variable index {i} out of range")
         out = {}
         for exp, c in self._terms.items():
-            if all(e == 0 for j, e in enumerate(exp) if j != i):
+            if not any(exp[:i]) and not any(exp[i + 1:]):
                 out[(exp[i],)] = c
-        return MultiPoly(1, out)
+        return MultiPoly._reduced(1, out, self._den)
 
     def evaluate(self, point):
-        """Evaluate at a point; the numeric type of the inputs is preserved."""
+        """Evaluate at a point; the numeric type of the inputs is preserved.
+
+        At int or Fraction points the value is an exact Fraction.  At
+        float points each coefficient enters as the float num/den and the
+        terms are summed in storage order; a constant polynomial stays a
+        Fraction.
+        """
         if len(point) != self.nvars:
             raise ValueError("need one value per variable")
-        total = None
-        for exp, c in self._terms.items():
-            v = c
-            for i, e in enumerate(exp):
-                if e:
-                    v = v * point[i] ** e
-            total = v if total is None else total + v
-        if total is None:
+        terms = self._terms
+        if not terms:
             return 0 * point[0] if point else 0
+        den = self._den
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            total = 0
+            for exp, c in terms.items():
+                for v, e in zip(point, exp):
+                    if e:
+                        c = c * v**e
+                total += c
+            return Fraction(total, den)
+        if len(terms) == 1:
+            ((exp, c),) = terms.items()
+            if not any(exp):
+                return _constant_value(c, den)
+        total = None
+        for exp, c in terms.items():
+            v = c / den
+            for x, e in zip(point, exp):
+                if e:
+                    v = v * x**e
+            total = v if total is None else total + v
         return total
 
     # -- serialization and printing -----------------------------------
 
     def sorted_terms(self) -> list:
-        return sorted(self._terms.items(), key=lambda t: grlex_key(t[0]))
+        """(exponent, Fraction) pairs in grlex order."""
+        den = self._den
+        return [
+            (e, Fraction(self._terms[e], den))
+            for e in sorted(self._terms, key=grlex_key)
+        ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
-                for exp, c in self.sorted_terms()
-            ],
-        }
+        terms = []
+        for exp in sorted(self._terms, key=grlex_key):
+            c = self._terms[exp]
+            g = math.gcd(c, self._den)
+            terms.append(
+                {
+                    "exp": list(exp),
+                    "num": _int_to_str(c // g),
+                    "den": _int_to_str(self._den // g),
+                }
+            )
+        return {"nvars": self.nvars, "terms": terms}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -318,7 +468,7 @@ class MultiPoly:
         terms = {}
         for t in data["terms"]:
             exp = tuple(int(e) for e in t["exp"])
-            terms[exp] = Fraction(int(t["num"]), int(t["den"]))
+            terms[exp] = Fraction(_str_to_int(t["num"]), _str_to_int(t["den"]))
         return cls(nvars, terms)
 
     @classmethod
@@ -336,13 +486,13 @@ class MultiPoly:
                 if e
             )
             if not mono:
-                parts.append(str(c))
+                parts.append(fraction_to_str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{c}*{mono}")
+                parts.append(f"{fraction_to_str(c)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
@@ -463,7 +613,11 @@ def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     Single-divisor reduction under the grlex order: for a true multiple
     the leading term of the remainder is always reducible, so an
     irreducible leading term certifies non-divisibility.  The remainder
-    front is kept in a heap so each step is logarithmic.
+    front is kept in a heap so each step is logarithmic.  The division
+    runs on integer numerators: b is split into its content times a
+    primitive polynomial B, and by Gauss's lemma a polynomial quotient
+    by B has integer coefficients, so a step whose coefficient is not a
+    multiple of B's leading coefficient also certifies non-divisibility.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -473,8 +627,12 @@ def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return MultiPoly.zero(nv)
     if b.is_constant():
         return a * (1 / b.constant_term())
-    lead_exp, lead_c = b.leading_term()
-    b_rest = [(e, c) for e, c in b.terms.items() if e != lead_exp]
+    lead_exp = max(b._terms, key=grlex_key)
+    content = math.gcd(*b._terms.values())
+    if b._terms[lead_exp] < 0:
+        content = -content
+    lead_c = b._terms[lead_exp] // content
+    b_rest = [(e, c // content) for e, c in b._terms.items() if e != lead_exp]
     rem = dict(a._terms)
     quotient = {}
     heap = [_heap_key(e) for e in rem]
@@ -486,9 +644,9 @@ def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if rc is None:
             continue  # stale entry, already cancelled
         qexp = tuple(re - le for re, le in zip(rexp, lead_exp))
-        if any(e < 0 for e in qexp):
+        qc, r = divmod(rc, lead_c)
+        if r or any(e < 0 for e in qexp):
             raise NotDivisibleError(f"{a} is not divisible by {b}")
-        qc = rc / lead_c
         quotient[qexp] = qc
         for be, bc in b_rest:
             e2 = tuple(q + e for q, e in zip(qexp, be))
@@ -502,7 +660,12 @@ def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
                     rem[e2] = cur
                 else:
                     del rem[e2]
-    return MultiPoly(nv, quotient)
+    # a = A/den_a and b = content*B/den_b with A = Q*B, so a/b = Q*den_b/(den_a*content)
+    den = a._den * content
+    scale = b._den if den > 0 else -b._den
+    return MultiPoly._reduced(
+        nv, {e: c * scale for e, c in quotient.items()}, abs(den)
+    )
 
 
 def divides(b: MultiPoly, a: MultiPoly) -> bool:
@@ -519,7 +682,7 @@ def _rational_nth_root(c: Fraction, q: int) -> Fraction:
         return Fraction(0)
     if c < 0:
         if q % 2 == 0:
-            raise NoExactRootError(f"no real {q}-th root of {c}")
+            raise NoExactRootError(f"no real {q}-th root of {fraction_to_str(c)}")
         return -_rational_nth_root(-c, q)
     num = _integer_nth_root(c.numerator, q)
     den = _integer_nth_root(c.denominator, q)
@@ -541,7 +704,7 @@ def _integer_nth_root(v: int, q: int) -> int:
                 break
             r = s
     if r**q != v:
-        raise NoExactRootError(f"{v} is not an exact {q}-th power")
+        raise NoExactRootError(f"{_int_to_str(v)} is not an exact {q}-th power")
     return r
 
 
@@ -577,7 +740,7 @@ def nth_root(p: MultiPoly, q: int) -> MultiPoly:
         exp = min(diff._terms, key=grlex_key)
         if sum(exp) > bound:
             raise NoExactRootError(f"not an exact {q}-th power")
-        coeff = diff._terms[exp] / lead_factor
+        coeff = diff.coefficient(exp) / lead_factor
         root = root + MultiPoly(nv, {exp: coeff})
 
 
@@ -599,7 +762,9 @@ def binomial_profile(p: MultiPoly) -> BinomialProfile:
         raise ValueError("binomial_profile expects a univariate polynomial")
     c0 = p.constant_term()
     if c0 not in (1, -1):
-        raise NotBinomialPowerError(f"constant term {c0} is not +-1")
+        raise NotBinomialPowerError(
+            f"constant term {fraction_to_str(c0)} is not +-1"
+        )
     epsilon = 1 if c0 == 1 else -1
     deg = p.degree()
     if deg == float("-inf") or deg < 1:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from toricpke import catalog as cat
 from toricpke import geometry, ma_engine
-from toricpke.algebra import MultiPoly
+from toricpke.algebra import MultiPoly, fraction_to_str
 from toricpke.geometry import DomainError, ToricPotential
 
 EXIT_OK = 0
@@ -144,11 +145,11 @@ def cmd_classify_flat(args) -> int:
     if result.is_solution:
         verdict = {
             "is_solution": True,
-            "coeffs": [str(c) for c in result.coeffs],
-            "coeff_product": str(result.coeff_product),
+            "coeffs": [fraction_to_str(c) for c in result.coeffs],
+            "coeff_product": fraction_to_str(result.coeff_product),
         }
         human = "linear solution, coefficients " + ", ".join(
-            str(c) for c in result.coeffs
+            fraction_to_str(c) for c in result.coeffs
         )
     else:
         verdict = {"is_solution": False}
@@ -175,12 +176,13 @@ def cmd_axis(args) -> int:
     verdict = {
         "matches": True,
         "epsilon": prof.epsilon,
-        "r": str(prof.r),
+        "r": fraction_to_str(prof.r),
         "k": prof.k,
     }
     _report("axis", {"axis": args.axis, "poly": p.to_json_dict()}, verdict,
             timings, args.json,
-            f"axis {args.axis}: epsilon={prof.epsilon} r={prof.r} k={prof.k}")
+            f"axis {args.axis}: epsilon={prof.epsilon} r={fraction_to_str(prof.r)} "
+            f"k={prof.k}")
     return EXIT_OK
 
 
@@ -317,6 +319,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: an argument parser is a web of reference cycles,
+# so each rebuilt one waits for the cyclic garbage collector, and that runs
+# only after enough other allocations; when the engine allocates little,
+# discarded parsers pile up.
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricpke",

@@ -160,11 +160,14 @@ def ma_lhs_log(q: MultiPoly, method: str = "auto") -> MultiPoly:
     det_a = determinant_cofactor(a)
     adj_a = adjugate(a)
     grad = [q.partial_derivative(i) for i in range(n)]
+    # sum_alpha (sum_beta grad_beta*adj[beta, alpha]) * (x_alpha*grad_alpha):
+    # one large product per column instead of one per entry
     correction = MultiPoly.zero(n)
     for alpha in range(n):
-        col = MultiPoly.variable(n, alpha) * grad[alpha]
+        row = MultiPoly.zero(n)
         for beta in range(n):
-            correction = correction + grad[beta] * adj_a[beta, alpha] * col
+            row = row + grad[beta] * adj_a[beta, alpha]
+        correction = correction + row * (MultiPoly.variable(n, alpha) * grad[alpha])
     return q * det_a - correction
 
 

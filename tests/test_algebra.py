@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import naive_mul, naive_pow, random_nonzero_poly, random_poly
 from toricpke.algebra import (
+    MAX_COEFF_DIGITS,
     BinomialProfile,
     MultiPoly,
     NoExactRootError,
@@ -135,6 +136,13 @@ def test_divide_reports_non_divisible():
     with pytest.raises(NotDivisibleError):
         exact_divide(a, b)
     assert not divides(b, a)
+
+
+def test_divide_reports_a_non_integral_quotient_coefficient():
+    # the leading terms divide, but 3/2 is not an integer coefficient of a
+    # quotient by the primitive 1 + 2*x, and the rest cancels exactly
+    with pytest.raises(NotDivisibleError):
+        exact_divide(MultiPoly.one(1) + x(1, 0) * 3, MultiPoly.one(1) + x(1, 0) * 2)
 
 
 def test_zero_dividend():
@@ -305,6 +313,196 @@ def test_additive_inverse_and_zero(a):
 
 
 # ---------------------------------------------------------------------------
+# both kernel paths against independent oracles (property-based)
+#
+# Exponents are dense (a small box, so large products take the Kronecker
+# path) or spread out (a box far larger than the term pairs, so products
+# take the schoolbook path); coefficients mix signs and denominators.
+
+DENSE_DEGREE = {1: 40, 2: 6, 3: 3, 4: 2}
+
+
+def wide_poly(rng, nvars, spread):
+    top = 10**4 if spread else DENSE_DEGREE[nvars]
+    terms = {}
+    for _ in range(rng.randint(0, 40)):
+        exp = tuple(rng.randint(0, top) for _ in range(nvars))
+        terms[exp] = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 60))
+    return MultiPoly(nvars, terms)
+
+
+# drawing 40 terms one value at a time makes hypothesis itself the bottleneck,
+# so each example draws a seeded generator and a shape instead
+wide_pairs = st.builds(
+    lambda rng, nvars, spread: (
+        wide_poly(rng, nvars, spread),
+        wide_poly(rng, nvars, spread),
+        wide_poly(rng, 1, False),
+    ),
+    st.randoms(use_true_random=False),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+)
+
+
+def to_sympy(p):
+    # sympy's sparse ring, so that spread-out exponents stay cheap
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import grlex
+    from sympy.polys.rings import ring
+
+    field = ring(f"x1:{p.nvars + 1}", QQ, grlex)[0]
+    return field.from_dict(
+        {e: QQ(c.numerator, c.denominator) for e, c in p.terms.items()}
+    )
+
+
+def from_sympy(poly, nvars):
+    return MultiPoly(
+        nvars,
+        {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in poly.items()},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_pairs)
+def test_wide_products_and_sums_match_oracles(triple):
+    a, b, _ = triple
+    n = a.nvars
+    product = a * b
+    assert product == naive_mul(a, b)
+    assert product == from_sympy(to_sympy(a) * to_sympy(b), n)
+    assert a + b == from_sympy(to_sympy(a) + to_sympy(b), n)
+    assert a - b == from_sympy(to_sympy(a) - to_sympy(b), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_pairs, small_fraction)
+def test_wide_exact_divide_matches_sympy(triple, d):
+    a, b, _ = triple
+    if b.is_zero():
+        return
+    n = a.nvars
+    assert exact_divide(naive_mul(a, b), b) == a
+    # a single divisor is a Groebner basis of its ideal, so sympy's
+    # remainder vanishes exactly when b divides c
+    for c in (a * b, a * b + d):
+        quotient, remainder = to_sympy(c).div(to_sympy(b))
+        if not remainder:
+            assert exact_divide(c, b) == from_sympy(quotient, n)
+        else:
+            with pytest.raises(NotDivisibleError):
+                exact_divide(c, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_pairs)
+def test_stored_form_is_canonical(triple):
+    a, b, extra = triple
+    n = a.nvars
+    c = extra.substitute([MultiPoly.variable(n, n - 1)])
+    assert a * 3 * THIRD == a
+    assert (a * b - b * a).is_zero()
+    routes = [
+        (a + b) * c,
+        a * c + b * c,
+        MultiPoly(n, ((a + b) * c).terms),
+        MultiPoly.from_json(((a + b) * c).to_json()),
+    ]
+    assert all(r == routes[0] and hash(r) == hash(routes[0]) for r in routes)
+    assert hash(a * 3 * THIRD) == hash(a)
+
+
+def test_both_kernel_paths_are_taken(monkeypatch):
+    from toricpke import _pykernel
+
+    dense = (MultiPoly.one(3) + x(3, 0) * HALF - x(3, 1) * 7 + x(3, 2) * THIRD) ** 6
+    spread = MultiPoly.one(3) + x(3, 0) ** 5000 * 3 - x(3, 1) ** 7000 * HALF
+    calls = []
+    for name in ("_kronecker", "_schoolbook"):
+
+        def counted(*args, name=name, fn=getattr(_pykernel, name)):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(_pykernel, name, counted)
+    assert dense * dense == naive_mul(dense, dense)
+    assert spread * dense == naive_mul(spread, dense)
+    assert calls == ["_kronecker", "_schoolbook"]
+
+
+def test_kronecker_slots_hold_the_coefficient_bound(monkeypatch):
+    # 16 * m**2 is the bound the slot width is taken from, with bit length
+    # 64; the middle coefficients reach it exactly, with either sign
+    from toricpke import _pykernel
+
+    m = 2**30 - 1
+    a = MultiPoly(1, {(i,): m for i in range(16)})
+    b = MultiPoly(1, {(i,): -m for i in range(16)})
+    calls = []
+    kronecker = _pykernel._kronecker
+
+    def counted(*args):
+        calls.append(args[-1])
+        return kronecker(*args)
+
+    monkeypatch.setattr(_pykernel, "_kronecker", counted)
+    assert (16 * m * m).bit_length() == 64
+    assert a * a == naive_mul(a, a)
+    assert a * b == naive_mul(a, b)
+    assert calls == [9, 9]
+
+
+# ---------------------------------------------------------------------------
+# large exponents and coefficients
+
+
+def test_exponents_never_carry_into_the_next_variable():
+    p = x(2, 0) ** 40000
+    assert p * p == MultiPoly(2, {(80000, 0): 1})
+
+
+def test_box_sparse_product_takes_the_schoolbook_path(monkeypatch):
+    # the degree box of these products has about 10**17 slots
+    from toricpke import _pykernel
+
+    def no_dense_box(*args):
+        raise AssertionError("dense box built for a sparse product")
+
+    monkeypatch.setattr(_pykernel, "_kronecker", no_dense_box)
+    m = x(4, 0) * x(4, 1) * x(4, 2) * x(4, 3)
+    square = (MultiPoly.one(4) + m**9000) ** 2
+    assert square.terms == {
+        (0, 0, 0, 0): 1,
+        (9000,) * 4: 2,
+        (18000,) * 4: 1,
+    }
+    # over a hundred term pairs, still far fewer than the box
+    wide = sum((m ** (900 * j) * (j + 1) for j in range(12)), MultiPoly.zero(4))
+    assert wide * wide == naive_mul(wide, wide)
+
+
+def test_json_roundtrip_of_ten_thousand_digit_coefficients():
+    c = 9 * 10**9999 + 71
+    digits = "9" + "0" * 9997 + "71"
+    p = MultiPoly.one(2) - x(2, 0) * c + x(2, 1) * Fraction(1, c)
+    doc = p.to_json_dict()
+    assert [t["num"] for t in doc["terms"]] == ["1", "1", "-" + digits]
+    assert doc["terms"][1]["den"] == digits
+    assert MultiPoly.from_json(p.to_json()) == p
+    assert str(p).startswith("1 + 1/" + digits[:10])
+
+
+def test_json_rejects_coefficients_beyond_the_digit_cap():
+    doc = {"nvars": 1, "terms": [{"exp": [0], "num": "7" * (MAX_COEFF_DIGITS + 1),
+                                  "den": "1"}]}
+    with pytest.raises(ValueError):
+        MultiPoly.from_json_dict(doc)
+    doc["terms"][0]["num"] = "7" * MAX_COEFF_DIGITS
+    assert MultiPoly.from_json_dict(doc).constant_term() % 10 == 7
+
+
+# ---------------------------------------------------------------------------
 # representation details
 
 
@@ -324,6 +522,26 @@ def test_equality_and_hash_by_term_map():
     b = MultiPoly.one(1) + x(1, 0) * 2 + x(1, 0) ** 2
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_kernel_output_types_are_exact():
+    a = MultiPoly.one(2) + x(2, 0) * THIRD
+    out = (a * a).terms
+    for exp, coeff in out.items():
+        assert isinstance(exp, tuple) and len(exp) == 2
+        assert isinstance(coeff, Fraction)
+
+
+def test_cancelling_products_drop_zero_terms():
+    a = MultiPoly.one(1) + x(1, 0)
+    b = MultiPoly.one(1) - x(1, 0)
+    out = ((a * b) * (a * b)).terms
+    assert out == {(0,): 1, (2,): -2, (4,): 1}
+    assert all(c != 0 for c in out.values())
+
+
+def test_zero_operand_through_multipoly():
+    assert (MultiPoly.zero(2) * MultiPoly.one(2)).is_zero()
 
 
 def test_json_roundtrip_and_grlex_order():

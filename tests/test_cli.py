@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricpke.algebra import MultiPoly
+from toricpke.algebra import MAX_COEFF_DIGITS, MultiPoly
 from toricpke.catalog import product_solution
 from toricpke.cli import (
     EXIT_DOMAIN,
@@ -15,6 +15,7 @@ from toricpke.cli import (
     main,
 )
 from toricpke.geometry import space_form_potential
+from toricpke.ma_engine import ma_lhs_log
 
 HALF = Fraction(1, 2)
 
@@ -189,6 +190,57 @@ def test_verify_zero_denominator_is_usage_error(tmp_path, capsys):
     path = tmp_path / "zero_den.json"
     path.write_text(
         '{"nvars": 1, "terms": [{"exp": [0], "num": "1", "den": "0"}]}',
+        encoding="utf-8",
+    )
+    assert main(["verify", "--poly", str(path)]) == EXIT_USAGE
+    assert "malformed polynomial" in capsys.readouterr().err
+
+
+def test_verify_large_exponent_is_refuted(tmp_path, capsys):
+    # P**4 reaches exponent 80000 in every variable
+    m = MultiPoly.one(4)
+    for i in range(4):
+        m = m * MultiPoly.variable(4, i)
+    path = write_poly(tmp_path, MultiPoly.one(4) + m ** 20000)
+    assert main(["verify", "--poly", path]) == EXIT_REFUTED
+    assert "not a solution" in capsys.readouterr().out
+
+
+def test_verify_json_with_coefficients_beyond_str_limit(tmp_path, capsys):
+    # the witness has coefficients of about 6000 digits, more than the
+    # 4300 that int <-> str converts by default
+    c = 10**2000 + 7
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    p = MultiPoly.one(2) + (x1 + x2 + x1 * x2) * c
+    path = write_poly(tmp_path, p)
+    assert main(["verify", "--poly", path, "--json"]) == EXIT_REFUTED
+    doc = json.loads(capsys.readouterr().out)
+    assert MultiPoly.from_json_dict(doc["inputs"]["poly"]) == p
+    witness = MultiPoly.from_json_dict(doc["verdict"]["witness"])
+    assert max(len(t["num"]) for t in doc["verdict"]["witness"]["terms"]) > 4300
+    assert witness == ma_lhs_log(p)
+
+
+def test_flat_and_axis_reports_beyond_str_limit(tmp_path, capsys):
+    c = 10**5000 + 3
+    digits = "1" + "0" * 4999 + "3"
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    flat = write_poly(tmp_path, x1 * c + x2 * Fraction(1, c))
+    assert main(["classify-flat", "--poly", flat, "--json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"]["coeffs"] == [digits, "1/" + digits]
+    t = MultiPoly.variable(1, 0)
+    axis = write_poly(tmp_path, (MultiPoly.one(1) + t * Fraction(1, c)) ** 2, "a.json")
+    assert main(["axis", "--poly", axis]) == EXIT_OK
+    assert f"r={digits} k=2" in capsys.readouterr().out
+
+
+def test_coefficient_beyond_digit_cap_is_usage_error(tmp_path, capsys):
+    digits = "1" * (MAX_COEFF_DIGITS + 1)
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"nvars": 1, "terms": [{"exp": [0], "num": "1", "den": "1"}, '
+        '{"exp": [1], "num": "%s", "den": "1"}]}' % digits,
         encoding="utf-8",
     )
     assert main(["verify", "--poly", str(path)]) == EXIT_USAGE

@@ -413,6 +413,24 @@ def test_feasible_scan_term_pair_budget(monkeypatch):
     assert 0 < pairs[0] <= 600_000
 
 
+def test_rank_one_correction_term_pair_budget(monkeypatch):
+    # deterministic work gate: summing grad_beta*adj[beta, alpha] over beta
+    # before the product with x_alpha*grad_alpha multiplies about 3.2M
+    # term pairs on (2,1,1); one product per matrix entry took 5.6M
+    p = product_solution((2, 1, 1))
+    expected = (p ** 3 * p).terms
+    pairs = [0]
+    mul_terms = algebra.mul_terms
+
+    def counting(a, b):
+        pairs[0] += len(a) * len(b)
+        return mul_terms(a, b)
+
+    monkeypatch.setattr(algebra, "mul_terms", counting)
+    assert ma_lhs_log(p).terms == expected
+    assert 0 < pairs[0] <= 3_400_000
+
+
 # ---------------------------------------------------------------------------
 # scans and searches
 
