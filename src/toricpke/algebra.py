@@ -76,18 +76,23 @@ def _int_to_str(v: int) -> str:
     return ("-" if v < 0 else "") + "".join(reversed(chunks))
 
 
-def _str_to_int(text) -> int:
-    """Parse a JSON integer, of up to MAX_COEFF_DIGITS digits."""
-    if not isinstance(text, str):
-        return int(text)
-    text = text.strip()
+def json_int(value) -> int:
+    """A JSON integer (not a bool) or a decimal string as an int, never truncated.
+
+    Strings of more than MAX_COEFF_DIGITS digits are rejected.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not isinstance(value, str):
+        raise ValueError(f"expected an integer or a decimal string, got {value!r:.40}")
+    text = value.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
     if len(digits) > MAX_COEFF_DIGITS:
         raise ValueError(f"integer of {len(digits)} digits exceeds {MAX_COEFF_DIGITS}")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer literal {text!r:.40}")
     if len(digits) <= _DECIMAL_CHUNK:
         return int(text)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid integer literal of {len(digits)} characters")
     head = len(digits) % _DECIMAL_CHUNK or _DECIMAL_CHUNK
     v = int(digits[:head])
     base = 10**_DECIMAL_CHUNK
@@ -464,11 +469,11 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        nvars = int(data["nvars"])
+        nvars = json_int(data["nvars"])
         terms = {}
         for t in data["terms"]:
-            exp = tuple(int(e) for e in t["exp"])
-            terms[exp] = Fraction(_str_to_int(t["num"]), _str_to_int(t["den"]))
+            exp = tuple(json_int(e) for e in t["exp"])
+            terms[exp] = Fraction(json_int(t["num"]), json_int(t["den"]))
         return cls(nvars, terms)
 
     @classmethod
@@ -561,7 +566,10 @@ def determinant(m: PolyMatrix) -> MultiPoly:
 
 
 def determinant_cofactor(m: PolyMatrix) -> MultiPoly:
-    """Determinant by first-row cofactor expansion (independent oracle)."""
+    """Determinant by first-row cofactor expansion, the log-type route's.
+
+    It shares no code with determinant; tests check each against the other.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
     return _cofactor_det(m.entries)
@@ -666,14 +674,6 @@ def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return MultiPoly._reduced(
         nv, {e: c * scale for e, c in quotient.items()}, abs(den)
     )
-
-
-def divides(b: MultiPoly, a: MultiPoly) -> bool:
-    try:
-        exact_divide(a, b)
-        return True
-    except NotDivisibleError:
-        return False
 
 
 def _rational_nth_root(c: Fraction, q: int) -> Fraction:

@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from toricpke.algebra import MultiPoly, PolyMatrix, Scalar
+from toricpke.algebra import MultiPoly, PolyMatrix, Scalar, json_int
 
 P_ZERO_TOL = 1e-9
 DEFAULT_STEP = 1e-3
 
 
 class DomainError(ArithmeticError):
-    """Evaluation hit a zero of P or of det g."""
+    """Evaluation hit a zero of P or of det g, or left the float range."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class ToricPotential:
         return cls(
             data["kind"],
             MultiPoly.from_json_dict(data["P"]),
-            Fraction(int(data.get("k_num", 1)), int(data.get("k_den", 1))),
+            Fraction(json_int(data.get("k_num", 1)), json_int(data.get("k_den", 1))),
         )
 
 
@@ -232,8 +232,15 @@ def einstein_fit(potential: ToricPotential, points, step: float = DEFAULT_STEP) 
     for xi, eta in points:
         xi = [float(v) for v in xi]
         eta = [float(v) for v in eta]
-        g = [[float(v) for v in row] for row in ev.metric(xi, eta)]
-        ric = ricci_numeric(potential, xi, eta, step)
+        try:
+            g = [[float(v) for v in row] for row in ev.metric(xi, eta)]
+            ric = ricci_numeric(potential, xi, eta, step)
+        except OverflowError as exc:
+            raise DomainError(f"value beyond float range: {exc}") from exc
+        # an overflow that float arithmetic turns into inf or nan would
+        # slip through max() below and read as a perfect fit
+        if not all(math.isfinite(v) for row in g + ric for v in row):
+            raise DomainError("metric or Ricci value beyond float range")
         samples.append((g, ric))
         for i in range(n):
             for j in range(n):

@@ -9,7 +9,8 @@ solution of the normalized equation when the log-type left side equals
 Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
 are found by attempting Taylor continuation off the x2 = 0 axis, and
-every produced candidate is re-verified symbolically.
+the continuation accepts a candidate only through verify_ma_star, so
+every produced candidate is verified symbolically, once.
 
 The continuation never expands the full two-variable residual while it
 runs.  Order h needs only the x2^h coefficient of the residual, which
@@ -18,7 +19,7 @@ coefficients are kept between orders), and P_{h+1} follows from it by
 one exact division by a closed-form probe factor of the axis data.  A
 branch is rejected early only on a coefficient that no later order can
 change, so the early rejection is itself a certificate; acceptance still
-requires the full symbolic residual to vanish.
+requires the full symbolic left side to equal the signed P^2.
 """
 
 from __future__ import annotations
@@ -136,24 +137,18 @@ def log_ma_matrix(q: MultiPoly) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-def ma_lhs_log(q: MultiPoly, method: str = "auto") -> MultiPoly:
-    """The log-type left side det[...]/Q^(n-1), exact.
+def ma_lhs_log(q: MultiPoly) -> MultiPoly:
+    """The log-type left side det M/Q^(n-1), exact, with M = log_ma_matrix(Q).
 
-    method "direct" computes the full determinant and divides by
-    Q^(n-1); "rank1" expands the determinant of Q*A - c*q^T with the
-    matrix determinant lemma (A the flat-type matrix of Q), avoiding the
-    large determinant.  Both routes agree exactly; "auto" picks by size.
+    M = Q*A - c*g^T with A the flat-type matrix of Q (toric_hessian_matrix),
+    g the gradient of Q and c = x o g, so the matrix determinant lemma gives
+    det M = Q^(n-1)*(Q*det A - g^T*adj(A)*c) for every Q, singular A
+    included.  The left side is the bracket, which needs neither M's
+    determinant nor a division.
     """
     if q.constant_term() not in (1, -1):
         raise ValueError("log-type candidate needs constant term +-1")
     n = q.nvars
-    if method == "auto":
-        method = "direct" if n <= 2 else "rank1"
-    if method == "direct":
-        det = determinant(log_ma_matrix(q))
-        return exact_divide(det, q ** (n - 1))
-    if method != "rank1":
-        raise ValueError(f"unknown method {method!r}")
     a = toric_hessian_matrix(q)
     # entries of A have low degree; cofactor expansion avoids the term
     # swell of fraction-free intermediates here
@@ -171,14 +166,10 @@ def ma_lhs_log(q: MultiPoly, method: str = "auto") -> MultiPoly:
     return q * det_a - correction
 
 
-def verify_ma_star(p: MultiPoly, method: str = "auto") -> MAResult:
+def verify_ma_star(p: MultiPoly) -> MAResult:
     """Exact check that the log-type left side equals +-P^n."""
-    n = p.nvars
-    try:
-        lhs = ma_lhs_log(p, method)
-    except NotDivisibleError:
-        return MAResult(False, None, MultiPoly.zero(n))
-    rhs = p**n
+    lhs = ma_lhs_log(p)
+    rhs = p**p.nvars
     if lhs == rhs:
         return MAResult(True, 1, lhs)
     if lhs == -rhs:
@@ -285,13 +276,6 @@ def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
 def _lift_univariate(p: MultiPoly, x2_power: int) -> MultiPoly:
     """Embed a univariate polynomial in x1 as a 2-variable one times x2^h."""
     return MultiPoly(2, {(e[0], x2_power): c for e, c in p.terms.items()})
-
-
-def _n2_residual(p: MultiPoly, eq_sign: int) -> MultiPoly:
-    """det M - eq_sign*P^3 for the two-variable log-type equation."""
-    m = log_ma_matrix(p)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return det - eq_sign * p**3
 
 
 def _convolve(f, g, i: int) -> MultiPoly:
@@ -468,7 +452,7 @@ def _continue_with_sign(
         (_lift_univariate(c, j) for j, c in enumerate(series.coeffs)),
         MultiPoly.zero(2),
     )
-    if not _n2_residual(candidate, eq_sign).is_zero():
+    if verify_ma_star(candidate).sign != eq_sign:
         return None
     return candidate
 
@@ -482,11 +466,13 @@ def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiP
     products truncated at x2-degree h, and it is t + (h+1)^2*m*P_{h+1}
     with m the closed-form probe factor of P0; so each order determines
     P_{h+1} by one exact division by m, shared by both signs of the
-    equation.  Returns None (inconsistent) when a division fails, when
-    the x2^0 coefficient (fixed by P0, P1 alone) or the first unforced
-    x2^bound coefficient is nonzero, or when the full symbolic residual
-    of the candidate is nonzero.  The two early rejections are
-    certificates: each is a coefficient of that final residual.
+    equation.  A candidate is returned only when verify_ma_star gives it
+    the sign its orders were forced for, so callers need not verify it
+    again.  Returns None (inconsistent) when a division fails, when the
+    x2^0 coefficient (fixed by P0, P1 alone) or the first unforced
+    x2^bound coefficient is nonzero, or when verify_ma_star rejects the
+    candidate.  The two early rejections are certificates: each is a
+    coefficient of the candidate's residual det M - eq_sign*P^3.
     """
     if degree_bound < max(2, cd.k):
         raise ValueError("degree_bound must be at least max(2, k)")
@@ -525,8 +511,7 @@ def feasible_k_scan_n2(k_max: int, r_grid=DEFAULT_SCAN_GRID) -> set:
             for epsilon in (1, -1):
                 for sigma in (1, -1):
                     cd = cauchy_data(epsilon, sigma, r, k)
-                    p = taylor_continue_n2(cd, bound)
-                    if p is not None and verify_ma_star(p).is_solution:
+                    if taylor_continue_n2(cd, bound) is not None:
                         found = True
                         break
                 if found:
@@ -562,9 +547,9 @@ def _poly_sort_key(p: MultiPoly):
 def search_n2(r_grid, degree_bound: int = 6, k_max: int = 6) -> list:
     """Two-variable solutions reachable from the Cauchy families.
 
-    Composes the feasibility scan, Taylor continuation and exact
-    re-verification over the grid; results are deduplicated up to the
-    sign normalizations of the catalog module.
+    Composes the feasibility scan and the Taylor continuation, which
+    verifies what it returns, over the grid; results are deduplicated
+    up to the sign normalizations of the catalog module.
     """
     from toricpke.catalog import canonicalize
 
@@ -579,7 +564,7 @@ def search_n2(r_grid, degree_bound: int = 6, k_max: int = 6) -> list:
                 for sigma in (1, -1):
                     cd = cauchy_data(epsilon, sigma, r, k)
                     p = taylor_continue_n2(cd, degree_bound)
-                    if p is None or not verify_ma_star(p).is_solution:
+                    if p is None:
                         continue
                     rep = canonicalize(p)
                     reps.setdefault(rep, rep)

@@ -1,14 +1,17 @@
-"""Shared helpers: a naive expansion oracle and random polynomial builders.
+"""Shared helpers: reference oracles and random polynomial builders.
 
 The naive oracle multiplies term maps with plain dictionary loops and
 Fraction arithmetic, fully independent of the packed-kernel code path, so
 it can serve as a cross-check for every derived expansion in the tests.
+The direct log-type oracle expands the full determinant of the log-type
+matrix and divides by Q^(n-1), a route the engine itself does not take.
 """
 
 import random
 from fractions import Fraction
 
-from toricpke.algebra import MultiPoly
+from toricpke.algebra import MultiPoly, determinant, exact_divide
+from toricpke.ma_engine import log_ma_matrix
 
 
 def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -19,6 +22,18 @@ def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             exp = tuple(x + y for x, y in zip(ea, eb))
             acc[exp] = acc.get(exp, Fraction(0)) + ca * cb
     return MultiPoly(a.nvars, acc)
+
+
+def direct_lhs_log(q: MultiPoly) -> MultiPoly:
+    """Log-type left side det M/Q^(n-1) by Bareiss elimination of M itself."""
+    return exact_divide(determinant(log_ma_matrix(q)), q ** (q.nvars - 1))
+
+
+def n2_residual(p: MultiPoly, eq_sign: int) -> MultiPoly:
+    """det M - eq_sign*P^3 for the two-variable log-type equation."""
+    m = log_ma_matrix(p)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return det - eq_sign * p**3
 
 
 def naive_pow(a: MultiPoly, k: int) -> MultiPoly:

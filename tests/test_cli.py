@@ -247,6 +247,73 @@ def test_coefficient_beyond_digit_cap_is_usage_error(tmp_path, capsys):
     assert "malformed polynomial" in capsys.readouterr().err
 
 
+def one_plus_x1_doc():
+    return {"nvars": 1, "terms": [{"exp": [0], "num": "1", "den": "1"},
+                                  {"exp": [1], "num": "1", "den": "1"}]}
+
+
+def assert_json_poly_is_usage_error(tmp_path, capsys, doc):
+    """report and verify both reject doc as malformed, never truncating it."""
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("report", "verify"):
+        assert main([command, "--poly", str(path)]) == EXIT_USAGE
+        assert "malformed polynomial" in capsys.readouterr().err
+
+
+def test_fractional_exponent_is_usage_error(tmp_path, capsys):
+    doc = one_plus_x1_doc()
+    doc["terms"][1]["exp"] = [1.9]
+    assert_json_poly_is_usage_error(tmp_path, capsys, doc)
+
+
+def test_fractional_numerator_is_usage_error(tmp_path, capsys):
+    doc = one_plus_x1_doc()
+    doc["terms"][1]["num"] = 1.5
+    assert_json_poly_is_usage_error(tmp_path, capsys, doc)
+
+
+def test_boolean_exponent_is_usage_error(tmp_path, capsys):
+    doc = one_plus_x1_doc()
+    doc["terms"][1]["exp"] = [True]
+    assert_json_poly_is_usage_error(tmp_path, capsys, doc)
+
+
+def test_fractional_nvars_is_usage_error(tmp_path, capsys):
+    doc = {"nvars": 2.7, "terms": [{"exp": [0, 0], "num": "1", "den": "1"}]}
+    assert_json_poly_is_usage_error(tmp_path, capsys, doc)
+
+
+def test_json_integers_and_decimal_strings_both_parse(tmp_path, capsys):
+    doc = {"nvars": 1, "terms": [{"exp": [0], "num": 1, "den": 1},
+                                 {"exp": ["2"], "num": "-3", "den": " 4 "}]}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["report", "--poly", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "1 - 3/4*x1^2"
+
+
+def test_fractional_potential_exponent_is_usage_error(tmp_path, capsys):
+    doc = space_form_potential(8, 1).to_json_dict()
+    doc["k_num"] = 1.5
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["einstein-check", "--potential", str(path)]) == EXIT_USAGE
+    assert "malformed potential" in capsys.readouterr().err
+
+
+def test_einstein_check_beyond_float_range_is_domain_error(tmp_path, capsys):
+    from toricpke.geometry import ToricPotential
+
+    # 10**400 does not convert to a float; 10**307*x1**3 does, and its
+    # values overflow to inf inside the float arithmetic instead
+    t = MultiPoly.variable(1, 0)
+    for p in (MultiPoly.one(1) + t * 10**400, MultiPoly.one(1) + t**3 * 10**307):
+        path = write_potential(tmp_path, ToricPotential("log", p, 1))
+        assert main(["einstein-check", "--potential", path]) == EXIT_DOMAIN
+        assert "float range" in capsys.readouterr().err
+
+
 def test_potential_zero_denominator_is_usage_error(tmp_path, capsys):
     doc = space_form_potential(8, 1).to_json_dict()
     doc["k_den"] = 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import COEFF_POOL, direct_lhs_log, n2_residual, random_poly
 from toricpke import algebra
 from toricpke.algebra import (
     MultiPoly,
@@ -16,7 +16,6 @@ from toricpke.catalog import canonicalize, partitions, product_solution
 from toricpke.ma_engine import (
     ExponentRatio,
     ProfileMismatchError,
-    _n2_residual,
     _probe_factor,
     _ResidualSeries,
     axis_profile_check,
@@ -121,12 +120,57 @@ def test_log_lhs_affine_gives_constant():
     assert ma_lhs_log(q) == MultiPoly.constant(1, 2)
 
 
+def random_log_candidate(rng, nvars):
+    """Random Q with Q(0) = +-1 and a linear term in every variable.
+
+    A Q free of some variable has a zero log-type left side, so the
+    linear terms keep most samples from being trivial.
+    """
+    p = random_poly(rng, nvars, 3 if nvars <= 2 else 2, 2 * nvars)
+    q = p - MultiPoly.constant(nvars, p.constant_term())
+    q = q + MultiPoly.constant(nvars, rng.choice((1, -1)))
+    for i in range(nvars):
+        q = q + x(nvars, i) * rng.choice(COEFF_POOL)
+    return q
+
+
 def test_log_lhs_direct_and_rank1_agree():
     rng = random.Random(19)
-    for _ in range(10):
-        p = random_poly(rng, 3, 2, 4)
-        q = p - MultiPoly.constant(3, p.constant_term()) + MultiPoly.one(3)
-        assert ma_lhs_log(q, method="direct") == ma_lhs_log(q, method="rank1")
+    for nvars in (1, 2, 3, 4):
+        for _ in range(10):
+            q = random_log_candidate(rng, nvars)
+            assert ma_lhs_log(q) == direct_lhs_log(q)
+    for q in (symmetric_cube(), split_square(), product_solution((2, 1))):
+        assert ma_lhs_log(q) == direct_lhs_log(q)
+
+
+def test_log_lhs_matches_sympy_determinant():
+    import sympy
+
+    rng = random.Random(23)
+    for nvars in (1, 2, 3):
+        xs = sympy.symbols(f"x1:{nvars + 1}")
+        for _ in range(4):
+            q = random_log_candidate(rng, nvars)
+            qs = sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([v**e for v, e in zip(xs, exp)])
+                for exp, c in q.terms.items()
+            )
+            m = sympy.Matrix(nvars, nvars, lambda a, b: (
+                (qs * sympy.diff(qs, xs[a], xs[b])
+                 - sympy.diff(qs, xs[a]) * sympy.diff(qs, xs[b])) * xs[a]
+                + (qs * sympy.diff(qs, xs[a]) if a == b else 0)
+            ))
+            quotient, remainder = sympy.div(
+                sympy.expand(m.det()), sympy.expand(qs ** (nvars - 1)), *xs
+            )
+            assert remainder == 0
+            expected = MultiPoly(nvars, {
+                exp: Fraction(int(c.p), int(c.q))
+                for exp, c in sympy.Poly(quotient, *xs).terms()
+            })
+            assert ma_lhs_log(q) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +407,7 @@ def test_closed_form_probe_matches_full_expansion():
         for h in range(1, 9):
             probe = lift([cd.P0] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
             for eq_sign in (1, -1):
-                full = x2_slice(_n2_residual(probe, eq_sign), h)
+                full = x2_slice(n2_residual(probe, eq_sign), h)
                 assert m * (h + 1) ** 2 == full
 
 
