@@ -219,11 +219,6 @@ class MultiPoly:
     def constant_term(self) -> Fraction:
         return self.coefficient((0,) * self.nvars)
 
-    def leading_term(self) -> tuple:
-        """(exponent, coefficient) of the grlex-largest term."""
-        exp = max(self._terms, key=grlex_key)
-        return exp, Fraction(self._terms[exp], self._den)
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self._terms)
 

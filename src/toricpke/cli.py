@@ -12,6 +12,7 @@ import contextlib
 import functools
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -41,20 +42,24 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_poly(path: str) -> MultiPoly:
+def _read_json(path: str, what: str, from_json_dict):
+    # json.loads raises RecursionError on deeply nested arrays
     try:
-        return MultiPoly.from_json(_read_text(path))
+        return from_json_dict(json.loads(_read_text(path)))
     except (ValueError, KeyError, TypeError, ZeroDivisionError,
-            json.JSONDecodeError) as exc:
-        raise UsageError(f"malformed polynomial JSON in {path}: {exc}") from exc
+            RecursionError) as exc:
+        raise UsageError(f"malformed {what} JSON in {path}: {exc}") from exc
+
+
+def _read_poly(path: str, nvars=None) -> MultiPoly:
+    p = _read_json(path, "polynomial", MultiPoly.from_json_dict)
+    if nvars is not None and nvars != p.nvars:
+        raise UsageError(f"--n {nvars} does not match polynomial nvars {p.nvars}")
+    return p
 
 
 def _read_potential(path: str) -> ToricPotential:
-    try:
-        return ToricPotential.from_json_dict(json.loads(_read_text(path)))
-    except (ValueError, KeyError, TypeError, ZeroDivisionError,
-            json.JSONDecodeError) as exc:
-        raise UsageError(f"malformed potential JSON in {path}: {exc}") from exc
+    return _read_json(path, "potential", ToricPotential.from_json_dict)
 
 
 def _parse_grid(text: str) -> list:
@@ -114,9 +119,7 @@ def _engine_arguments():
 
 
 def cmd_verify(args) -> int:
-    p = _read_poly(args.poly)
-    if args.n is not None and args.n != p.nvars:
-        raise UsageError(f"--n {args.n} does not match polynomial nvars {p.nvars}")
+    p = _read_poly(args.poly, args.n)
     phase = _timer(args.timings)
     with _engine_arguments():
         result = ma_engine.verify_ma_star(p)
@@ -136,9 +139,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify_flat(args) -> int:
-    p = _read_poly(args.poly)
-    if args.n is not None and args.n != p.nvars:
-        raise UsageError(f"--n {args.n} does not match polynomial nvars {p.nvars}")
+    p = _read_poly(args.poly, args.n)
     phase = _timer(args.timings)
     result = ma_engine.classify_flat(p)
     timings = phase("classify")
@@ -408,10 +409,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """Rewrite "--r -1/2" as "--r=-1/2", and likewise for --grid.
+
+    argparse before Python 3.13 takes "-1/2" or "-1/2,3" for an option.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--r", "--grid") and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

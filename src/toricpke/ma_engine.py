@@ -2,9 +2,10 @@
 
 The flat-type operator is det[(d^2 D0/dx_i dx_j)x_i + (d D0/dx_j)d_ij];
 the log-type operator divides the analogous determinant built from
-Q*Q_ab - Q_a*Q_b by Q^(n-1).  A polynomial P with P(0) = +-1 is a
-solution of the normalized equation when the log-type left side equals
-+-P^n exactly.
+Q*Q_ab - Q_a*Q_b by Q^(n-1), which ma_lhs_log does without a division,
+as one bordered cofactor determinant.  A polynomial P with P(0) = +-1
+is a solution of the normalized equation when the log-type left side
+equals +-P^n exactly.
 
 Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
@@ -37,7 +38,7 @@ from toricpke.algebra import (
     NotDivisibleError,
     PolyMatrix,
     Scalar,
-    adjugate,
+    adjugate,  # noqa: F401  re-bound by perfbench/tracing.py
     binomial_power,
     binomial_profile,
     determinant,
@@ -141,29 +142,24 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
     """The log-type left side det M/Q^(n-1), exact, with M = log_ma_matrix(Q).
 
     M = Q*A - c*g^T with A the flat-type matrix of Q (toric_hessian_matrix),
-    g the gradient of Q and c = x o g, so the matrix determinant lemma gives
-    det M = Q^(n-1)*(Q*det A - g^T*adj(A)*c) for every Q, singular A
-    included.  The left side is the bracket, which needs neither M's
+    g the gradient of Q and c = x o g, so det M = Q^(n-1)*(Q*det A -
+    g^T*adj(A)*c) for every Q, singular A included.  By the Schur
+    complement the bracket is the determinant of A bordered by the column
+    c and the row (g^T, Q), so the left side needs neither M's
     determinant nor a division.
     """
     if q.constant_term() not in (1, -1):
         raise ValueError("log-type candidate needs constant term +-1")
     n = q.nvars
-    a = toric_hessian_matrix(q)
-    # entries of A have low degree; cofactor expansion avoids the term
-    # swell of fraction-free intermediates here
-    det_a = determinant_cofactor(a)
-    adj_a = adjugate(a)
     grad = [q.partial_derivative(i) for i in range(n)]
-    # sum_alpha (sum_beta grad_beta*adj[beta, alpha]) * (x_alpha*grad_alpha):
-    # one large product per column instead of one per entry
-    correction = MultiPoly.zero(n)
-    for alpha in range(n):
-        row = MultiPoly.zero(n)
-        for beta in range(n):
-            row = row + grad[beta] * adj_a[beta, alpha]
-        correction = correction + row * (MultiPoly.variable(n, alpha) * grad[alpha])
-    return q * det_a - correction
+    rows = [
+        row + [MultiPoly.variable(n, i) * grad[i]]
+        for i, row in enumerate(toric_hessian_matrix(q).entries)
+    ]
+    rows.append(grad + [q])
+    # entries have low degree; cofactor expansion avoids the term swell of
+    # fraction-free intermediates here
+    return determinant_cofactor(PolyMatrix(rows))
 
 
 def verify_ma_star(p: MultiPoly) -> MAResult:
@@ -503,24 +499,17 @@ def feasible_k_scan_n2(k_max: int, r_grid=DEFAULT_SCAN_GRID) -> set:
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    feasible = set()
-    for k in range(1, k_max + 1):
-        bound = max(6, k + 2)
-        found = False
-        for r in r_grid:
-            for epsilon in (1, -1):
-                for sigma in (1, -1):
-                    cd = cauchy_data(epsilon, sigma, r, k)
-                    if taylor_continue_n2(cd, bound) is not None:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            feasible.add(k)
-    return feasible
+    return {
+        k
+        for k in range(1, k_max + 1)
+        if any(
+            taylor_continue_n2(cauchy_data(epsilon, sigma, r, k), max(6, k + 2))
+            is not None
+            for r in r_grid
+            for epsilon in (1, -1)
+            for sigma in (1, -1)
+        )
+    }
 
 
 def classify_n1(k_max: int, r_grid) -> list:
@@ -554,7 +543,7 @@ def search_n2(r_grid, degree_bound: int = 6, k_max: int = 6) -> list:
     from toricpke.catalog import canonicalize
 
     ks = sorted(feasible_k_scan_n2(k_max))
-    reps = {}
+    reps = set()
     for r in r_grid:
         r = Fraction(r)
         if r == 0:
@@ -564,8 +553,6 @@ def search_n2(r_grid, degree_bound: int = 6, k_max: int = 6) -> list:
                 for sigma in (1, -1):
                     cd = cauchy_data(epsilon, sigma, r, k)
                     p = taylor_continue_n2(cd, degree_bound)
-                    if p is None:
-                        continue
-                    rep = canonicalize(p)
-                    reps.setdefault(rep, rep)
+                    if p is not None:
+                        reps.add(canonicalize(p))
     return sorted(reps, key=_poly_sort_key)

@@ -366,3 +366,24 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("sys.stdin", io.StringIO(solution_n1().to_json()))
     assert main(["verify", "--poly", "-"]) == EXIT_OK
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["verify", "--poly", str(path)]) == EXIT_USAGE
+    assert "malformed polynomial" in capsys.readouterr().err
+    assert main(["einstein-check", "--potential", str(path)]) == EXIT_USAGE
+    assert "malformed potential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, command", [
+    ("--r", "-1/2", ["continue", "--k", "2"]),
+    ("--grid", "-1/2,2", ["classify-n1"]),
+], ids=["r", "grid"])
+def test_negative_rational_as_separate_argument(capsys, option, value, command):
+    reports = []
+    for argv in ([option, value], [f"{option}={value}"]):
+        assert main(command + argv + ["--json"]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]

@@ -458,11 +458,9 @@ def test_feasible_scan_term_pair_budget(monkeypatch):
 
 
 def test_rank_one_correction_term_pair_budget(monkeypatch):
-    # deterministic work gate: summing grad_beta*adj[beta, alpha] over beta
-    # before the product with x_alpha*grad_alpha multiplies about 3.2M
-    # term pairs on (2,1,1); one product per matrix entry took 5.6M
-    p = product_solution((2, 1, 1))
-    expected = (p ** 3 * p).terms
+    # deterministic work gate: cofactor expansion of the flat-type matrix
+    # bordered by the column x o grad Q and the row (grad Q, Q) multiplies
+    # 1,537,532 term pairs on (2,1,1) and 1,282,860 on (1,1,1,1)
     pairs = [0]
     mul_terms = algebra.mul_terms
 
@@ -471,8 +469,12 @@ def test_rank_one_correction_term_pair_budget(monkeypatch):
         return mul_terms(a, b)
 
     monkeypatch.setattr(algebra, "mul_terms", counting)
-    assert ma_lhs_log(p).terms == expected
-    assert 0 < pairs[0] <= 3_400_000
+    for part, budget in (((2, 1, 1), 1_700_000), ((1, 1, 1, 1), 1_410_000)):
+        p = product_solution(part)
+        expected = (p ** p.nvars).terms
+        pairs[0] = 0
+        assert ma_lhs_log(p).terms == expected
+        assert 0 < pairs[0] <= budget, part
 
 
 # ---------------------------------------------------------------------------
