@@ -471,10 +471,6 @@ class MultiPoly:
             terms[exp] = Fraction(json_int(t["num"]), json_int(t["den"]))
         return cls(nvars, terms)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MultiPoly":
-        return cls.from_json_dict(json.loads(text))
-
     def __str__(self):
         if not self._terms:
             return "0"
@@ -769,8 +765,7 @@ def binomial_profile(p: MultiPoly) -> BinomialProfile:
     if c1 == 0:
         raise NotBinomialPowerError("vanishing linear coefficient")
     r = epsilon * Fraction(k) / c1
-    candidate = epsilon * (MultiPoly.one(1) + MultiPoly.variable(1, 0) * (1 / r)) ** k
-    if candidate != p:
+    if binomial_power(1, 0, epsilon, r, k) != p:
         raise NotBinomialPowerError("expansion mismatch: not a binomial power")
     return BinomialProfile(epsilon, r, k)
 

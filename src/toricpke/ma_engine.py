@@ -11,7 +11,9 @@ Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
 are found by attempting Taylor continuation off the x2 = 0 axis, and
 the continuation accepts a candidate only through verify_ma_star, so
-every produced candidate is verified symbolically, once.
+every produced candidate is verified symbolically, once.  The n=2
+search attempts every exponent on its own grid; it does not run the
+feasibility scan first.
 
 The continuation never expands the full two-variable residual while it
 runs.  Order h needs only the x2^h coefficient of the residual, which
@@ -246,7 +248,7 @@ def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
         expected = (
             Fraction(eps) ** (n - 2)
             * (r / k)
-            * (MultiPoly.one(1) + MultiPoly.variable(1, 0) * (1 / r)) ** (k * (n - 2) + 2)
+            * binomial_power(1, 0, 1, r, k * (n - 2) + 2)
         )
         if qt != expected and qt != -expected:
             raise ProfileMismatchError(
@@ -265,7 +267,7 @@ def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
     if k < 1:
         raise ValueError("k must be a positive integer")
     p0 = binomial_power(1, 0, epsilon, r, k)
-    p1 = sigma * (r / k) * (MultiPoly.one(1) + MultiPoly.variable(1, 0) * (1 / r)) ** 2
+    p1 = sigma * (r / k) * binomial_power(1, 0, 1, r, 2)
     return CauchyData(p0, p1, epsilon, sigma, r, k)
 
 
@@ -536,23 +538,31 @@ def _poly_sort_key(p: MultiPoly):
 def search_n2(r_grid, degree_bound: int = 6, k_max: int = 6) -> list:
     """Two-variable solutions reachable from the Cauchy families.
 
-    Composes the feasibility scan and the Taylor continuation, which
-    verifies what it returns, over the grid; results are deduplicated
-    up to the sign normalizations of the catalog module.
+    Attempts the Taylor continuation, which verifies what it returns,
+    for every k = 1..k_max and every sign branch on the grid itself, so
+    no separate feasibility scan runs first.  A k above degree_bound is
+    continued to degree k, and a solution found there means the bound
+    was too small: that raises the same ValueError as
+    taylor_continue_n2.  Results are deduplicated up to the sign
+    normalizations of the catalog module.
     """
     from toricpke.catalog import canonicalize
 
-    ks = sorted(feasible_k_scan_n2(k_max))
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
     reps = set()
     for r in r_grid:
         r = Fraction(r)
         if r == 0:
             continue
-        for k in ks:
+        for k in range(1, k_max + 1):
             for epsilon in (1, -1):
                 for sigma in (1, -1):
                     cd = cauchy_data(epsilon, sigma, r, k)
-                    p = taylor_continue_n2(cd, degree_bound)
-                    if p is not None:
-                        reps.add(canonicalize(p))
+                    p = taylor_continue_n2(cd, max(degree_bound, k))
+                    if p is None:
+                        continue
+                    if k > degree_bound:
+                        raise ValueError("degree_bound must be at least max(2, k)")
+                    reps.add(canonicalize(p))
     return sorted(reps, key=_poly_sort_key)

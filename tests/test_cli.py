@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, determinism, JSON round trips."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import toricpke
 from toricpke.algebra import MAX_COEFF_DIGITS, MultiPoly
 from toricpke.catalog import product_solution
 from toricpke.cli import (
@@ -12,9 +17,10 @@ from toricpke.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
-from toricpke.geometry import space_form_potential
+from toricpke.geometry import ToricPotential, space_form_potential
 from toricpke.ma_engine import ma_lhs_log
 
 HALF = Fraction(1, 2)
@@ -387,3 +393,69 @@ def test_negative_rational_as_separate_argument(capsys, option, value, command):
         assert main(command + argv + ["--json"]) == EXIT_OK
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--gri", "-1/2"], EXIT_USAGE),
+    (["--gri=-1/2"], EXIT_USAGE),
+    (["--grid", "1", "--k-m", "2"], EXIT_USAGE),
+    (["--grid", "-1/2"], EXIT_OK),
+], ids=["gri", "gri=", "k-m", "grid"])
+def test_only_full_option_names_parse(capsys, argv, code):
+    assert main(["classify-n1"] + argv) == code
+
+
+def test_every_subcommand_reports_through_one_path(tmp_path, capsys):
+    poly = write_poly(tmp_path, solution_n1())
+    flat = write_poly(tmp_path, MultiPoly.variable(1, 0), "flat.json")
+    pot = write_potential(tmp_path, space_form_potential(8, 1))
+    runs = {
+        "verify": ["--poly", poly],
+        "classify-flat": ["--poly", flat],
+        "axis": ["--poly", poly],
+        "continue": ["--k", "2", "--r", "2"],
+        "scan-k": ["--k-max", "1", "--grid", "2"],
+        "classify-n1": ["--grid", "2"],
+        "search-n2": ["--grid", "2"],
+        "catalog": ["gen", "--partition", "1"],
+        "einstein-check": ["--potential", pot, "--points", "3"],
+        "report": ["--poly", poly],
+    }
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(runs) == set(sub.choices)
+    for command, argv in runs.items():
+        assert main([command] + argv + ["--json"]) == EXIT_OK, command
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"command", "inputs", "verdict", "timings"}
+        assert doc["command"] == command
+        assert doc["timings"] == {}
+        assert main([command] + argv + ["--json", "--timings"]) == EXIT_OK
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        assert list(timings) == [command]
+        ms = timings[command]
+        assert isinstance(ms, (int, float)) and not isinstance(ms, bool)
+        assert ms >= 0
+
+
+def test_process_exit_codes(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(toricpke.__file__))}
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    pot = ToricPotential("poly", MultiPoly.variable(1, 0) ** 2)
+    perturbed = solution_n1() + MultiPoly.variable(1, 0) * Fraction(1, 100)
+    cases = [
+        (["verify", "--poly", write_poly(tmp_path, solution_n1())], EXIT_OK),
+        (["verify", "--poly", write_poly(tmp_path, perturbed, "p.json")],
+         EXIT_REFUTED),
+        (["verify", "--poly", str(bad)], EXIT_USAGE),
+        (["einstein-check", "--potential", write_potential(tmp_path, pot),
+          "--step", "0.05"], EXIT_DOMAIN),
+    ]
+    for argv, code in cases:
+        proc = subprocess.run([sys.executable, "-m", "toricpke.cli"] + argv,
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert bool(proc.stdout) == (code in (EXIT_OK, EXIT_REFUTED))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import COEFF_POOL, direct_lhs_log, n2_residual, random_poly
-from toricpke import algebra
+from toricpke import algebra, ma_engine
 from toricpke.algebra import (
     MultiPoly,
     NoExactRootError,
@@ -17,6 +17,7 @@ from toricpke.ma_engine import (
     ExponentRatio,
     ProfileMismatchError,
     _probe_factor,
+    _poly_sort_key,
     _ResidualSeries,
     axis_profile_check,
     cauchy_data,
@@ -528,3 +529,44 @@ def test_search_n2_returns_both_families():
 
 def test_search_n2_empty_grid():
     assert search_n2([]) == []
+
+
+def scan_filtered_search(r_grid, degree_bound, ks):
+    """search_n2 as it was: continue only the k of a prior feasibility scan."""
+    reps = set()
+    for r in r_grid:
+        if r == 0:
+            continue
+        for k in ks:
+            for eps in (1, -1):
+                for sig in (1, -1):
+                    p = taylor_continue_n2(cauchy_data(eps, sig, r, k), degree_bound)
+                    if p is not None:
+                        reps.add(canonicalize(p))
+    return sorted(reps, key=_poly_sort_key)
+
+
+def test_search_n2_matches_the_scan_filtered_search():
+    ks = sorted(feasible_k_scan_n2(6))
+    grids = ([], [Fraction(0)], [Fraction(1)], [HALF, Fraction(-3)],
+             [Fraction(-2, 3), Fraction(0), Fraction(3, 2)])
+    for grid in grids:
+        for bound in (0, 1, 2, 3, 5, 8):
+            outcomes = []
+            for search in (lambda: search_n2(grid, bound),
+                           lambda: scan_filtered_search(grid, bound, ks)):
+                try:
+                    outcomes.append(search())
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (grid, bound)
+
+
+def test_search_n2_runs_no_feasibility_scan(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("search_n2 ran the feasibility scan")
+
+    monkeypatch.setattr(ma_engine, "feasible_k_scan_n2", no_scan)
+    assert len(search_n2([Fraction(2)])) == 2
+    with pytest.raises(ValueError, match="degree_bound"):
+        search_n2([Fraction(2)], 2)
