@@ -467,7 +467,11 @@ class MultiPoly:
         nvars = json_int(data["nvars"])
         terms = {}
         for t in data["terms"]:
+            if not isinstance(t["exp"], list):
+                raise ValueError(f"exponent must be a JSON list, got {t['exp']!r:.40}")
             exp = tuple(json_int(e) for e in t["exp"])
+            if exp in terms:
+                raise ValueError(f"exponent {list(exp)} repeats")
             terms[exp] = Fraction(json_int(t["num"]), json_int(t["den"]))
         return cls(nvars, terms)
 
@@ -765,15 +769,15 @@ def binomial_profile(p: MultiPoly) -> BinomialProfile:
     if c1 == 0:
         raise NotBinomialPowerError("vanishing linear coefficient")
     r = epsilon * Fraction(k) / c1
-    if binomial_power(1, 0, epsilon, r, k) != p:
+    if binomial_power(epsilon, r, k) != p:
         raise NotBinomialPowerError("expansion mismatch: not a binomial power")
     return BinomialProfile(epsilon, r, k)
 
 
-def binomial_power(nvars: int, i: int, epsilon: int, r, k: int) -> MultiPoly:
-    """Build eps*(1 + x_i/r)^k as an nvars-variable polynomial."""
+def binomial_power(epsilon: int, r, k: int) -> MultiPoly:
+    """Build eps*(1 + x/r)^k as a univariate polynomial."""
     r = _as_scalar(r)
     if r == 0:
         raise ValueError("r must be nonzero")
-    base = MultiPoly.one(nvars) + MultiPoly.variable(nvars, i) * (1 / r)
+    base = MultiPoly.one(1) + MultiPoly.variable(1, 0) * (1 / r)
     return epsilon * base**k

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from toricpke import catalog as cat
 from toricpke import geometry, ma_engine
-from toricpke.algebra import MultiPoly, fraction_to_str
+from toricpke.algebra import MAX_COEFF_DIGITS, MultiPoly, fraction_to_str
 from toricpke.geometry import DomainError, ToricPotential
 
 EXIT_OK = 0
@@ -67,11 +67,33 @@ def _read_potential(path: str) -> ToricPotential:
     return _read_json(path, "potential", ToricPotential.from_json_dict)
 
 
-def _parse_grid(text: str) -> list:
+_RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)")
+
+
+def _parse_r(token: str, what: str) -> Fraction:
+    """A nonzero r given as an integer, p/q or a plain decimal.
+
+    Exponent notation and more than MAX_COEFF_DIGITS digits are rejected,
+    so the value costs work bounded by the length of the token.
+    """
+    text = token.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise UsageError(f"bad {what} {token!r:.40}: expected an integer, "
+                         "p/q or a plain decimal")
+    digits = sum(ch.isdigit() for ch in text)
+    if digits > MAX_COEFF_DIGITS:
+        raise UsageError(f"bad {what}: {digits} digits exceed {MAX_COEFF_DIGITS}")
     try:
-        values = [Fraction(tok) for tok in text.split(",") if tok.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad grid {text!r}: {exc}") from exc
+        value = Fraction(text)
+    except ZeroDivisionError as exc:
+        raise UsageError(f"bad {what} {token!r:.40}: {exc}") from exc
+    if value == 0:
+        raise UsageError(f"bad {what} {token!r:.40}: r must be nonzero")
+    return value
+
+
+def _parse_grid(text: str) -> list:
+    values = [_parse_r(tok, "grid value") for tok in text.split(",") if tok.strip()]
     if not values:
         raise UsageError("empty grid")
     return values
@@ -144,11 +166,8 @@ def cmd_axis(args):
 
 
 def cmd_continue(args):
-    try:
-        r = Fraction(args.r)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad --r {args.r!r}: {exc}") from exc
-    cd = ma_engine.cauchy_data(args.epsilon, args.sigma, r, args.k)
+    cd = ma_engine.cauchy_data(args.epsilon, args.sigma, _parse_r(args.r, "--r"),
+                               args.k)
     p = ma_engine.taylor_continue_n2(cd, args.bound)
     inputs = {
         "k": args.k,

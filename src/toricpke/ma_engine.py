@@ -15,14 +15,16 @@ every produced candidate is verified symbolically, once.  The n=2
 search attempts every exponent on its own grid; it does not run the
 feasibility scan first.
 
-The continuation never expands the full two-variable residual while it
-runs.  Order h needs only the x2^h coefficient of the residual, which
-comes from x2-series products truncated at degree h (lower-order
-coefficients are kept between orders), and P_{h+1} follows from it by
-one exact division by a closed-form probe factor of the axis data.  A
-branch is rejected early only on a coefficient that no later order can
-change, so the early rejection is itself a certificate; acceptance still
-requires the full symbolic left side to equal the signed P^2.
+The Cauchy data fix the equation's sign, and the four sign branches
+(eps, sigma) of one (r, k) are images of a single one, so the n=2
+drivers continue only eps = sigma = 1.  The continuation never expands
+the full two-variable residual while it runs.  Order h needs only the
+x2^h coefficient of the residual, which comes from x2-series products
+truncated at degree h (lower-order coefficients are kept between
+orders), and P_{h+1} follows from it by one exact division by a
+closed-form probe factor of the axis data.  Every rejection is a
+certificate; acceptance requires the full symbolic left side to equal
+sigma*P^2.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
         expected = (
             Fraction(eps) ** (n - 2)
             * (r / k)
-            * binomial_power(1, 0, 1, r, k * (n - 2) + 2)
+            * binomial_power(1, r, k * (n - 2) + 2)
         )
         if qt != expected and qt != -expected:
             raise ProfileMismatchError(
@@ -266,8 +268,8 @@ def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
         raise ValueError("r must be nonzero")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    p0 = binomial_power(1, 0, epsilon, r, k)
-    p1 = sigma * (r / k) * binomial_power(1, 0, 1, r, 2)
+    p0 = binomial_power(epsilon, r, k)
+    p1 = sigma * (r / k) * binomial_power(1, r, 2)
     return CauchyData(p0, p1, epsilon, sigma, r, k)
 
 
@@ -405,41 +407,40 @@ class _ResidualSeries:
         return residual
 
 
-def _probe_factor(p0: MultiPoly) -> MultiPoly:
-    """m = P0*[(P0*P0'' - P0'^2)*x1 + P0*P0'] for the axis polynomial P0.
+def _probe_factor(cd: CauchyData) -> MultiPoly:
+    """m = P0*[(P0*P0'' - P0'^2)*x1 + P0*P0'] = eps*(k/r)*(1 + x1/r)^(3k-2).
 
     For h >= 1 the x2^h coefficient of the residual is affine in P_{h+1}
     with linear coefficient (h+1)^2*m: P_{h+1} enters at that order only
     through P*P_2 and x2*P*P_22 inside M22, multiplied by the x2-free
-    part of M11.
+    part of M11.  m is never zero.
     """
-    d1 = p0.partial_derivative(0)
-    d2 = d1.partial_derivative(0)
-    x1 = MultiPoly.variable(1, 0)
-    return p0 * ((p0 * d2 - d1 * d1) * x1 + p0 * d1)
+    return (cd.k / cd.r) * binomial_power(cd.epsilon, cd.r, 3 * cd.k - 2)
 
 
-def _continue_with_sign(
-    cd: CauchyData, degree_bound: int, eq_sign: int, probe: MultiPoly
-) -> Optional[MultiPoly]:
-    series = _ResidualSeries([cd.P0, cd.P1], eq_sign)
-    # the x2^0 coefficient involves only P0 and P1, so no later order can
-    # cancel it: a nonzero value certifies that this sign is inconsistent
-    if not series.order(0).is_zero():
-        return None
-    degree_cap = 3 * degree_bound + 6
+def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiPoly]:
+    """Reconstruct the two-variable solution from its Cauchy data.
+
+    The solution is written as sum_h P_h(x1)*x2^h and the residual
+    det M - sigma*P^3 is forced to vanish order by order in x2; the sign
+    is sigma because the residual's x2^0 coefficient for sign s is
+    eps*(sigma - s)*(1 + x1/r)^(3k).  Order h is t + (h+1)^2*m*P_{h+1},
+    t computed from products truncated at x2-degree h and m the probe
+    factor, so P_{h+1} is one exact division by m.  Returns None when a
+    division fails, when the first unforced x2^bound coefficient is
+    nonzero, or when verify_ma_star does not give the candidate the sign
+    sigma: each is a certificate.  A returned candidate is verified.
+    The branches are images of one, P_{eps,sigma}(x1, x2) =
+    eps*P_{1,1}(x1, eps*sigma*x2), failures included.
+    """
+    if degree_bound < max(2, cd.k):
+        raise ValueError("degree_bound must be at least max(2, k)")
+    probe = _probe_factor(cd)
+    series = _ResidualSeries([cd.P0, cd.P1], cd.sigma)
     for h in range(1, degree_bound):
-        t = series.order(h)
-        if probe.is_zero():
-            if not t.is_zero():
-                return None
-            nxt = MultiPoly.zero(1)
-        else:
-            try:
-                nxt = exact_divide(-t, probe) * Fraction(1, (h + 1) ** 2)
-            except NotDivisibleError:
-                return None
-        if nxt.degree() > degree_cap:
+        try:
+            nxt = exact_divide(-series.order(h), probe) * Fraction(1, (h + 1) ** 2)
+        except NotDivisibleError:
             return None
         series.coeffs.append(nxt)
     # x2^bound is the first order the loop does not force; the candidate
@@ -450,36 +451,9 @@ def _continue_with_sign(
         (_lift_univariate(c, j) for j, c in enumerate(series.coeffs)),
         MultiPoly.zero(2),
     )
-    if verify_ma_star(candidate).sign != eq_sign:
+    if verify_ma_star(candidate).sign != cd.sigma:
         return None
     return candidate
-
-
-def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiPoly]:
-    """Reconstruct the two-variable solution from its Cauchy data.
-
-    The solution is written as sum_h P_h(x1)*x2^h and the residual of
-    the equation is forced to vanish order by order in x2.  Order h
-    needs only the x2^h coefficient of the residual, computed from
-    products truncated at x2-degree h, and it is t + (h+1)^2*m*P_{h+1}
-    with m the closed-form probe factor of P0; so each order determines
-    P_{h+1} by one exact division by m, shared by both signs of the
-    equation.  A candidate is returned only when verify_ma_star gives it
-    the sign its orders were forced for, so callers need not verify it
-    again.  Returns None (inconsistent) when a division fails, when the
-    x2^0 coefficient (fixed by P0, P1 alone) or the first unforced
-    x2^bound coefficient is nonzero, or when verify_ma_star rejects the
-    candidate.  The two early rejections are certificates: each is a
-    coefficient of the candidate's residual det M - eq_sign*P^3.
-    """
-    if degree_bound < max(2, cd.k):
-        raise ValueError("degree_bound must be at least max(2, k)")
-    probe = _probe_factor(cd.P0)
-    for eq_sign in (1, -1):
-        result = _continue_with_sign(cd, degree_bound, eq_sign, probe)
-        if result is not None:
-            return result
-    return None
 
 
 DEFAULT_SCAN_GRID = (
@@ -495,9 +469,10 @@ DEFAULT_SCAN_GRID = (
 def feasible_k_scan_n2(k_max: int, r_grid=DEFAULT_SCAN_GRID) -> set:
     """Exponents k whose Cauchy data admits a consistent continuation.
 
-    Every sign branch and every grid value of r is attempted; a k is
-    feasible when at least one branch continues to a verified polynomial
-    solution.
+    A k is feasible when, for some grid value of r, the branch
+    eps = sigma = 1 continues to a verified polynomial solution.  The
+    other three sign branches are images of that one (see
+    taylor_continue_n2), so they would give the same answer.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
@@ -505,11 +480,8 @@ def feasible_k_scan_n2(k_max: int, r_grid=DEFAULT_SCAN_GRID) -> set:
         k
         for k in range(1, k_max + 1)
         if any(
-            taylor_continue_n2(cauchy_data(epsilon, sigma, r, k), max(6, k + 2))
-            is not None
+            taylor_continue_n2(cauchy_data(1, 1, r, k), max(6, k + 2)) is not None
             for r in r_grid
-            for epsilon in (1, -1)
-            for sigma in (1, -1)
         )
     }
 
@@ -525,7 +497,7 @@ def classify_n1(k_max: int, r_grid) -> list:
             if r == 0:
                 continue
             for epsilon in (1, -1):
-                p = binomial_power(1, 0, epsilon, r, k)
+                p = binomial_power(epsilon, r, k)
                 if verify_ma_star(p).is_solution and p not in found:
                     found.append(p)
     return sorted(found, key=_poly_sort_key)
@@ -535,34 +507,33 @@ def _poly_sort_key(p: MultiPoly):
     return (p.degree(), sorted(p.terms.items()))
 
 
-def search_n2(r_grid, degree_bound: int = 6, k_max: int = 6) -> list:
+SEARCH_K_MAX = 6
+
+
+def search_n2(r_grid, degree_bound: int = 6) -> list:
     """Two-variable solutions reachable from the Cauchy families.
 
     Attempts the Taylor continuation, which verifies what it returns,
-    for every k = 1..k_max and every sign branch on the grid itself, so
-    no separate feasibility scan runs first.  A k above degree_bound is
-    continued to degree k, and a solution found there means the bound
-    was too small: that raises the same ValueError as
-    taylor_continue_n2.  Results are deduplicated up to the sign
-    normalizations of the catalog module.
+    for every k = 1..SEARCH_K_MAX on the grid itself, so no separate
+    feasibility scan runs first.  Only the branch eps = sigma = 1 is
+    continued: the other three are its images under P -> -P and
+    x2 -> -x2, which the catalog module's canonicalize maps back to the
+    same representative.  A k above degree_bound is continued to degree
+    k, and a solution found there means the bound was too small: that
+    raises the same ValueError as taylor_continue_n2.
     """
     from toricpke.catalog import canonicalize
 
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
     reps = set()
     for r in r_grid:
         r = Fraction(r)
         if r == 0:
             continue
-        for k in range(1, k_max + 1):
-            for epsilon in (1, -1):
-                for sigma in (1, -1):
-                    cd = cauchy_data(epsilon, sigma, r, k)
-                    p = taylor_continue_n2(cd, max(degree_bound, k))
-                    if p is None:
-                        continue
-                    if k > degree_bound:
-                        raise ValueError("degree_bound must be at least max(2, k)")
-                    reps.add(canonicalize(p))
+        for k in range(1, SEARCH_K_MAX + 1):
+            p = taylor_continue_n2(cauchy_data(1, 1, r, k), max(degree_bound, k))
+            if p is None:
+                continue
+            if k > degree_bound:
+                raise ValueError("degree_bound must be at least max(2, k)")
+            reps.add(canonicalize(p))
     return sorted(reps, key=_poly_sort_key)

@@ -158,7 +158,7 @@ def test_criterion_04_n1_classification():
     ]
     sols = classify_n1(6, grid)
     expected = {
-        binomial_power(1, 0, eps, Fraction(2 * s), 2)
+        binomial_power(eps, Fraction(2 * s), 2)
         for eps in (1, -1)
         for s in (1, -1)
     }

@@ -266,7 +266,7 @@ def test_profile_rejects_non_binomial():
 )
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_profile_roundtrip(epsilon, r, k):
-    p = binomial_power(1, 0, epsilon, r, k)
+    p = binomial_power(epsilon, r, k)
     assert binomial_profile(p) == BinomialProfile(epsilon, r, k)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,22 @@ def test_fractional_exponent_is_usage_error(tmp_path, capsys):
     assert_json_poly_is_usage_error(tmp_path, capsys, doc)
 
 
+def test_repeated_exponent_is_usage_error(tmp_path, capsys):
+    # read as a sum this is 1 + x1 + x1^2/2, which is not a solution; a
+    # later term overwriting the earlier one gave the solution (1 + x1/2)^2
+    doc = one_plus_x1_doc()
+    doc["terms"] += [{"exp": [2], "num": "1", "den": "4"},
+                     {"exp": [2], "num": "1", "den": "4"}]
+    assert_json_poly_is_usage_error(tmp_path, capsys, doc)
+
+
+def test_exponent_that_is_not_a_list_is_usage_error(tmp_path, capsys):
+    # a string would be read digit by digit: "10" as (1, 0)
+    doc = {"nvars": 2, "terms": [{"exp": [0, 0], "num": "1", "den": "1"},
+                                 {"exp": "10", "num": "1", "den": "1"}]}
+    assert_json_poly_is_usage_error(tmp_path, capsys, doc)
+
+
 def test_fractional_numerator_is_usage_error(tmp_path, capsys):
     doc = one_plus_x1_doc()
     doc["terms"][1]["num"] = 1.5
@@ -381,6 +398,36 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
     assert "malformed polynomial" in capsys.readouterr().err
     assert main(["einstein-check", "--potential", str(path)]) == EXIT_USAGE
     assert "malformed potential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["continue", "--k", "2", "--r", "1e1000000"],
+    ["scan-k", "--k-max", "2", "--grid", "1e1000000"],
+    ["search-n2", "--grid", "1,1e1000000"],
+    ["classify-n1", "--grid", "1e1000000"],
+    ["continue", "--k", "2", "--r", "1" * (MAX_COEFF_DIGITS + 1)],
+    ["classify-n1", "--grid", "1/" + "3" * (MAX_COEFF_DIGITS + 1)],
+], ids=["r-exp", "scan-exp", "search-exp", "n1-exp", "r-digits", "grid-digits"])
+def test_rational_argument_gets_bounded_work(capsys, argv):
+    # Fraction("1e1000000") alone is a million-digit integer
+    start = time.perf_counter()
+    assert main(argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert "bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan-k", "--k-max", "2"], ["search-n2"], ["classify-n1"],
+], ids=["scan-k", "search-n2", "classify-n1"])
+def test_zero_grid_value_is_usage_error(capsys, command):
+    assert main(command + ["--grid", "0,1"]) == EXIT_USAGE
+    assert "r must be nonzero" in capsys.readouterr().err
+
+
+def test_plain_decimal_and_negative_rational_r_still_parse(capsys):
+    for argv in (["--r", "0.5"], ["--r=-1/2"]):
+        assert main(["continue", "--k", "2"] + argv) == EXIT_OK
+        assert "reconstructed solution" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("option, value, command", [

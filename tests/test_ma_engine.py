@@ -404,7 +404,7 @@ def test_closed_form_probe_matches_full_expansion():
     for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, HALF, 2), (1, -1, -2, 1),
                            (-1, -1, Fraction(2, 3), 5)):
         cd = cauchy_data(eps, sig, Fraction(r), k)
-        m = _probe_factor(cd.P0)
+        m = _probe_factor(cd)
         for h in range(1, 9):
             probe = lift([cd.P0] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
             for eq_sign in (1, -1):
@@ -442,10 +442,48 @@ def test_continuation_succeeds_exactly_for_k2_and_k3():
                     assert p == expected, (k, r, eps, sig)
 
 
+def test_sign_branches_are_images_of_one_branch():
+    # -P solves with sign -sigma and x2 -> -x2 flips det M, so
+    # P_{eps,sigma}(x1, x2) = eps*P_{1,1}(x1, eps*sigma*x2), failures included
+    for k in range(1, 7):
+        bound = max(6, k + 2)
+        for r in CONTINUATION_GRID:
+            p11 = taylor_continue_n2(cauchy_data(1, 1, r, k), bound)
+            for eps in (1, -1):
+                for sig in (1, -1):
+                    p = taylor_continue_n2(cauchy_data(eps, sig, r, k), bound)
+                    if p11 is None:
+                        assert p is None, (k, r, eps, sig)
+                    else:
+                        assert p == eps * p11.scale_vars([1, eps * sig]), (k, r, eps, sig)
+
+
+def all_branch_scan(k_max, r_grid):
+    """feasible_k_scan_n2 as it was: every (eps, sigma) branch of every r."""
+    return {
+        k
+        for k in range(1, k_max + 1)
+        if any(
+            taylor_continue_n2(cauchy_data(eps, sig, r, k), max(6, k + 2)) is not None
+            for r in r_grid
+            for eps in (1, -1)
+            for sig in (1, -1)
+        )
+    }
+
+
+def test_one_branch_scan_matches_the_all_branch_scan():
+    grids = (ma_engine.DEFAULT_SCAN_GRID, [HALF, Fraction(-3)],
+             [Fraction(-2, 3), Fraction(3, 2)])
+    for grid in grids:
+        assert feasible_k_scan_n2(6, grid) == all_branch_scan(6, grid), grid
+
+
 def test_feasible_scan_term_pair_budget(monkeypatch):
-    # deterministic work gate: the truncated continuation multiplies
-    # about 0.16M term pairs here; expanding the whole residual at every
-    # order took 3.1M
+    # deterministic work gate: continuing one sign branch per (r, k)
+    # multiplies 32,676 term pairs here; all four branches, each tried
+    # with both equation signs, took 155,748, and expanding the whole
+    # residual at every order took 3.1M
     pairs = [0]
     mul_terms = algebra.mul_terms
 
@@ -455,7 +493,7 @@ def test_feasible_scan_term_pair_budget(monkeypatch):
 
     monkeypatch.setattr(algebra, "mul_terms", counting)
     assert feasible_k_scan_n2(6) == {2, 3}
-    assert 0 < pairs[0] <= 600_000
+    assert 0 < pairs[0] <= 40_000
 
 
 def test_rank_one_correction_term_pair_budget(monkeypatch):
@@ -498,7 +536,7 @@ def test_classify_n1_finds_only_the_quadratics():
     grid = [Fraction(v) for v in (1, -1, 2, -2, 3, -3)] + [HALF, -HALF]
     sols = classify_n1(6, grid)
     expected = {
-        binomial_power(1, 0, eps, Fraction(s * 2), 2)
+        binomial_power(eps, Fraction(s * 2), 2)
         for eps in (1, -1)
         for s in (1, -1)
     }
