@@ -32,6 +32,10 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
+# Largest --k, --k-max or --bound: the continuation's work grows faster
+# than linearly in the order, and at 32 no command takes a second.
+MAX_ORDER = 32
+
 
 class UsageError(Exception):
     pass
@@ -97,6 +101,20 @@ def _parse_grid(text: str) -> list:
     if not values:
         raise UsageError("empty grid")
     return values
+
+
+def _order(text: str) -> int:
+    """argparse type of --k, --k-max and --bound: an integer <= MAX_ORDER.
+
+    Lower bounds stay with the engine, which names the one it needs.
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"{value} exceeds MAX_ORDER = {MAX_ORDER}")
+    return value
 
 
 def _sample_points(n: int, count: int, seed: int) -> list:
@@ -184,10 +202,8 @@ def cmd_continue(args):
 
 
 def cmd_scan_k(args):
-    grid = _parse_grid(args.grid) if args.grid else list(ma_engine.DEFAULT_SCAN_GRID)
-    ks = sorted(ma_engine.feasible_k_scan_n2(args.k_max, grid))
-    return (EXIT_OK, {"k_max": args.k_max, "grid": [str(g) for g in grid]},
-            {"feasible_k": ks}, f"feasible k: {ks}")
+    ks = sorted(ma_engine.feasible_k_scan_n2(args.k_max))
+    return (EXIT_OK, {"k_max": args.k_max}, {"feasible_k": ks}, f"feasible k: {ks}")
 
 
 def cmd_classify_n1(args):
@@ -291,23 +307,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--axis", type=int, default=1, help="1-based axis index")
 
     sp = command("continue", cmd_continue, "two-variable Cauchy continuation")
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_order, required=True)
     sp.add_argument("--r", required=True)
     sp.add_argument("--epsilon", type=int, default=1, choices=(1, -1))
     sp.add_argument("--sigma", type=int, default=1, choices=(1, -1))
-    sp.add_argument("--bound", type=int, default=6)
+    sp.add_argument("--bound", type=_order, default=6)
 
     sp = command("scan-k", cmd_scan_k, "feasible exponent scan (n=2)")
-    sp.add_argument("--k-max", type=int, default=6)
-    sp.add_argument("--grid", help="comma-separated rationals")
+    sp.add_argument("--k-max", type=_order, default=6)
 
     sp = command("classify-n1", cmd_classify_n1, "one-variable classification")
-    sp.add_argument("--k-max", type=int, default=6)
+    sp.add_argument("--k-max", type=_order, default=6)
     sp.add_argument("--grid", required=True)
 
     sp = command("search-n2", cmd_search_n2, "two-variable search over a grid")
     sp.add_argument("--grid", required=True)
-    sp.add_argument("--bound", type=int, default=6)
+    sp.add_argument("--bound", type=_order, default=6)
 
     sp = command("catalog", cmd_catalog, "known solution families")
     sp.add_argument("action", choices=("list", "gen"))

@@ -11,14 +11,16 @@ Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
 are found by attempting Taylor continuation off the x2 = 0 axis, and
 the continuation accepts a candidate only through verify_ma_star, so
-every produced candidate is verified symbolically, once.  The n=2
-search attempts every exponent on its own grid; it does not run the
-feasibility scan first.
+every produced candidate is verified symbolically.
 
-The Cauchy data fix the equation's sign, and the four sign branches
-(eps, sigma) of one (r, k) are images of a single one, so the n=2
-drivers continue only eps = sigma = 1.  The continuation never expands
-the full two-variable residual while it runs.  Order h needs only the
+The n=2 drivers continue one Cauchy datum per exponent k, eps = sigma =
+r = 1.  The data fix the equation's sign, and every datum of one k is an
+image of that one, P_{eps,sigma,r}(x1, x2) = eps*P_{1,1,1}(x1/r,
+eps*sigma*r*x2), failures included: under x -> (l1*x1, l2*x2) the
+bordered determinant of ma_lhs_log gains the factor l1*l2, which is 1
+here.  The search verifies the image for each r on its grid and runs no
+feasibility scan first.  The continuation never expands the full
+two-variable residual while it runs.  Order h needs only the
 x2^h coefficient of the residual, which comes from x2-series products
 truncated at degree h (lower-order coefficients are kept between
 orders), and P_{h+1} follows from it by one exact division by a
@@ -456,33 +458,19 @@ def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiP
     return candidate
 
 
-DEFAULT_SCAN_GRID = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(-2),
-    Fraction(3),
-    Fraction(-3),
-)
-
-
-def feasible_k_scan_n2(k_max: int, r_grid=DEFAULT_SCAN_GRID) -> set:
+def feasible_k_scan_n2(k_max: int) -> set:
     """Exponents k whose Cauchy data admits a consistent continuation.
 
-    A k is feasible when, for some grid value of r, the branch
-    eps = sigma = 1 continues to a verified polynomial solution.  The
-    other three sign branches are images of that one (see
-    taylor_continue_n2), so they would give the same answer.
+    Only the datum eps = sigma = r = 1 is continued: every other datum of
+    the same k is an image of it, failures included (see the module
+    docstring), so no grid of r or signs could change the answer.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
     return {
         k
         for k in range(1, k_max + 1)
-        if any(
-            taylor_continue_n2(cauchy_data(1, 1, r, k), max(6, k + 2)) is not None
-            for r in r_grid
-        )
+        if taylor_continue_n2(cauchy_data(1, 1, 1, k), max(6, k + 2)) is not None
     }
 
 
@@ -496,10 +484,13 @@ def classify_n1(k_max: int, r_grid) -> list:
             r = Fraction(r)
             if r == 0:
                 continue
-            for epsilon in (1, -1):
-                p = binomial_power(epsilon, r, k)
-                if verify_ma_star(p).is_solution and p not in found:
-                    found.append(p)
+            # for n = 1 the left side is quadratic in P, so -P solves,
+            # with the opposite sign, exactly when P does
+            p = binomial_power(1, r, k)
+            if verify_ma_star(p).is_solution:
+                for q in (p, -p):
+                    if q not in found:
+                        found.append(q)
     return sorted(found, key=_poly_sort_key)
 
 
@@ -513,27 +504,30 @@ SEARCH_K_MAX = 6
 def search_n2(r_grid, degree_bound: int = 6) -> list:
     """Two-variable solutions reachable from the Cauchy families.
 
-    Attempts the Taylor continuation, which verifies what it returns,
-    for every k = 1..SEARCH_K_MAX on the grid itself, so no separate
-    feasibility scan runs first.  Only the branch eps = sigma = 1 is
-    continued: the other three are its images under P -> -P and
-    x2 -> -x2, which the catalog module's canonicalize maps back to the
-    same representative.  A k above degree_bound is continued to degree
-    k, and a solution found there means the bound was too small: that
-    raises the same ValueError as taylor_continue_n2.
+    Continues the datum eps = sigma = r = 1 once for every k =
+    1..SEARCH_K_MAX, with no feasibility scan first, and reports for each
+    nonzero r on the grid its image under (x1, x2) -> (x1/r, r*x2), the
+    datum of r, once verify_ma_star gives it the sign +1.  The other sign
+    branches are images under P -> -P and x2 -> -x2, which the catalog
+    module's canonicalize maps back to the same representative.  A k
+    above degree_bound is continued to degree k, and a solution found
+    there raises the same ValueError as taylor_continue_n2.  A grid
+    without a nonzero value continues nothing.
     """
     from toricpke.catalog import canonicalize
 
+    rs = [r for r in map(Fraction, r_grid) if r != 0]
+    if not rs:
+        return []
     reps = set()
-    for r in r_grid:
-        r = Fraction(r)
-        if r == 0:
+    for k in range(1, SEARCH_K_MAX + 1):
+        p = taylor_continue_n2(cauchy_data(1, 1, 1, k), max(degree_bound, k))
+        if p is None:
             continue
-        for k in range(1, SEARCH_K_MAX + 1):
-            p = taylor_continue_n2(cauchy_data(1, 1, r, k), max(degree_bound, k))
-            if p is None:
-                continue
-            if k > degree_bound:
-                raise ValueError("degree_bound must be at least max(2, k)")
-            reps.add(canonicalize(p))
+        if k > degree_bound:
+            raise ValueError("degree_bound must be at least max(2, k)")
+        for r in rs:
+            image = p.scale_vars([1 / r, r])
+            if verify_ma_star(image).sign == 1:
+                reps.add(canonicalize(image))
     return sorted(reps, key=_poly_sort_key)

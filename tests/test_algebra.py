@@ -412,6 +412,75 @@ def test_stored_form_is_canonical(triple):
     assert hash(a * 3 * THIRD) == hash(a)
 
 
+def small_entries(nvars):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars)
+    return st.dictionaries(exps, small_fraction, max_size=3).map(
+        lambda d: MultiPoly(nvars, d)
+    )
+
+
+@st.composite
+def small_matrices(draw):
+    size = draw(st.integers(min_value=1, max_value=3))
+    entry = small_entries(draw(st.integers(min_value=1, max_value=2)))
+    return PolyMatrix([[draw(entry) for _ in range(size)] for _ in range(size)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_determinants_match_sympy(m):
+    from sympy.polys.matrices import DomainMatrix
+
+    nv = m.nvars
+    ring = to_sympy(MultiPoly.zero(nv)).ring
+    entries = [[to_sympy(e) for e in row] for row in m.entries]
+    expected = from_sympy(
+        DomainMatrix(entries, (m.rows, m.cols), ring.to_domain()).det(), nv
+    )
+    assert determinant(m) == expected
+    assert determinant_cofactor(m) == expected
+
+
+def unit_constant(p):
+    """p with its constant term moved off zero, as nth_root requires."""
+    return p + MultiPoly.one(p.nvars) if p.constant_term() == 0 else p
+
+
+def is_rational_power(c, q):
+    """Whether the rational c is the q-th power of a rational."""
+    import sympy
+
+    if c < 0 and q % 2 == 0:
+        return False
+    return all(sympy.integer_nthroot(abs(int(v)), q)[1]
+               for v in (c.numerator, c.denominator))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_entries(2), st.sampled_from((2, 3)))
+def test_root_of_a_power_is_the_base_up_to_sign(p, q):
+    p = unit_constant(p)
+    root = nth_root(p**q, q)
+    assert root == p or (q == 2 and root == -p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_entries(2), small_entries(2), small_fraction,
+       st.sampled_from((2, 3)), st.integers(min_value=0, max_value=3))
+def test_root_fails_exactly_when_sympy_finds_no_power(base, other, c, q, shape):
+    # powers, scaled powers, powers times a factor, and plain polynomials
+    base, other = unit_constant(base), unit_constant(other)
+    p = (base**q, base**q * c, base**q * other, other)[shape]
+    content, factors = to_sympy(p).factor_list()
+    content = Fraction(int(content.numerator), int(content.denominator))
+    is_power = is_rational_power(content, q) and all(e % q == 0 for _, e in factors)
+    if is_power:
+        assert nth_root(p, q) ** q == p
+    else:
+        with pytest.raises(NoExactRootError):
+            nth_root(p, q)
+
+
 def test_both_kernel_paths_are_taken(monkeypatch):
     from toricpke import _pykernel
 

@@ -18,6 +18,7 @@ from toricpke.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    MAX_ORDER,
     build_parser,
     main,
 )
@@ -107,6 +108,7 @@ def test_scan_k(capsys):
     assert main(["scan-k", "--k-max", "4", "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"]["feasible_k"] == [2, 3]
+    assert doc["inputs"] == {"k_max": 4}
 
 
 def test_classify_n1_json_roundtrip(capsys):
@@ -355,9 +357,10 @@ def test_continue_bad_arguments_are_usage_errors(capsys):
 
 def test_scan_k_bad_arguments_are_usage_errors(capsys):
     assert main(["scan-k", "--k-max", "0"]) == EXIT_USAGE
-    assert main(["scan-k", "--k-max", "2", "--grid", "0,1"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "k_max" in err and "r must be nonzero" in err
+    assert "k_max" in capsys.readouterr().err
+    # no grid value could change the feasible exponents, so there is no --grid
+    assert main(["scan-k", "--grid", "1"]) == EXIT_USAGE
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
 def test_search_n2_bound_below_k_is_usage_error(capsys):
@@ -402,12 +405,11 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["continue", "--k", "2", "--r", "1e1000000"],
-    ["scan-k", "--k-max", "2", "--grid", "1e1000000"],
     ["search-n2", "--grid", "1,1e1000000"],
     ["classify-n1", "--grid", "1e1000000"],
     ["continue", "--k", "2", "--r", "1" * (MAX_COEFF_DIGITS + 1)],
     ["classify-n1", "--grid", "1/" + "3" * (MAX_COEFF_DIGITS + 1)],
-], ids=["r-exp", "scan-exp", "search-exp", "n1-exp", "r-digits", "grid-digits"])
+], ids=["r-exp", "search-exp", "n1-exp", "r-digits", "grid-digits"])
 def test_rational_argument_gets_bounded_work(capsys, argv):
     # Fraction("1e1000000") alone is a million-digit integer
     start = time.perf_counter()
@@ -416,9 +418,31 @@ def test_rational_argument_gets_bounded_work(capsys, argv):
     assert "bad" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["continue", "--r", "1", "--k"],
+    ["continue", "--k", "2", "--r", "1", "--bound"],
+    ["scan-k", "--k-max"],
+    ["classify-n1", "--grid", "1", "--k-max"],
+    ["search-n2", "--grid", "1", "--bound"],
+], ids=["continue-k", "continue-bound", "scan-k", "classify-n1", "search-n2"])
+def test_order_argument_above_the_limit_is_usage_error(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv + [str(MAX_ORDER + 1)]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeds MAX_ORDER = {MAX_ORDER}" in capsys.readouterr().err
+
+
+def test_order_argument_at_the_limit_is_accepted(capsys):
+    assert main(["continue", "--k", str(MAX_ORDER), "--r", "2/3",
+                 "--bound", str(MAX_ORDER)]) == EXIT_REFUTED
+    assert "inconsistent" in capsys.readouterr().out
+    assert main(["scan-k", "--k-max", str(MAX_ORDER)]) == EXIT_OK
+    assert capsys.readouterr().out == "feasible k: [2, 3]\n"
+
+
 @pytest.mark.parametrize("command", [
-    ["scan-k", "--k-max", "2"], ["search-n2"], ["classify-n1"],
-], ids=["scan-k", "search-n2", "classify-n1"])
+    ["search-n2"], ["classify-n1"],
+], ids=["search-n2", "classify-n1"])
 def test_zero_grid_value_is_usage_error(capsys, command):
     assert main(command + ["--grid", "0,1"]) == EXIT_USAGE
     assert "r must be nonzero" in capsys.readouterr().err
@@ -461,7 +485,7 @@ def test_every_subcommand_reports_through_one_path(tmp_path, capsys):
         "classify-flat": ["--poly", flat],
         "axis": ["--poly", poly],
         "continue": ["--k", "2", "--r", "2"],
-        "scan-k": ["--k-max", "1", "--grid", "2"],
+        "scan-k": ["--k-max", "1"],
         "classify-n1": ["--grid", "2"],
         "search-n2": ["--grid", "2"],
         "catalog": ["gen", "--partition", "1"],

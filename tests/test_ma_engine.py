@@ -443,23 +443,26 @@ def test_continuation_succeeds_exactly_for_k2_and_k3():
 
 
 def test_sign_branches_are_images_of_one_branch():
-    # -P solves with sign -sigma and x2 -> -x2 flips det M, so
-    # P_{eps,sigma}(x1, x2) = eps*P_{1,1}(x1, eps*sigma*x2), failures included
+    # -P solves with sign -sigma, x2 -> -x2 flips det M, and
+    # (x1, x2) -> (x1/r, r*x2) leaves it unchanged, so
+    # P_{eps,sigma,r}(x1, x2) = eps*P_{1,1,1}(x1/r, eps*sigma*r*x2),
+    # failures included
     for k in range(1, 7):
         bound = max(6, k + 2)
+        p111 = taylor_continue_n2(cauchy_data(1, 1, 1, k), bound)
         for r in CONTINUATION_GRID:
-            p11 = taylor_continue_n2(cauchy_data(1, 1, r, k), bound)
             for eps in (1, -1):
                 for sig in (1, -1):
                     p = taylor_continue_n2(cauchy_data(eps, sig, r, k), bound)
-                    if p11 is None:
+                    if p111 is None:
                         assert p is None, (k, r, eps, sig)
                     else:
-                        assert p == eps * p11.scale_vars([1, eps * sig]), (k, r, eps, sig)
+                        image = eps * p111.scale_vars([1 / r, eps * sig * r])
+                        assert p == image, (k, r, eps, sig)
 
 
 def all_branch_scan(k_max, r_grid):
-    """feasible_k_scan_n2 as it was: every (eps, sigma) branch of every r."""
+    """A feasibility scan over every (eps, sigma) branch of every r."""
     return {
         k
         for k in range(1, k_max + 1)
@@ -473,17 +476,14 @@ def all_branch_scan(k_max, r_grid):
 
 
 def test_one_branch_scan_matches_the_all_branch_scan():
-    grids = (ma_engine.DEFAULT_SCAN_GRID, [HALF, Fraction(-3)],
+    grids = ([Fraction(v) for v in (1, -1, 2, -2, 3, -3)], [HALF, Fraction(-3)],
              [Fraction(-2, 3), Fraction(3, 2)])
     for grid in grids:
-        assert feasible_k_scan_n2(6, grid) == all_branch_scan(6, grid), grid
+        assert feasible_k_scan_n2(6) == all_branch_scan(6, grid), grid
 
 
-def test_feasible_scan_term_pair_budget(monkeypatch):
-    # deterministic work gate: continuing one sign branch per (r, k)
-    # multiplies 32,676 term pairs here; all four branches, each tried
-    # with both equation signs, took 155,748, and expanding the whole
-    # residual at every order took 3.1M
+def count_term_pairs(monkeypatch):
+    """Count the term pairs the multiplication kernel is handed."""
     pairs = [0]
     mul_terms = algebra.mul_terms
 
@@ -492,22 +492,32 @@ def test_feasible_scan_term_pair_budget(monkeypatch):
         return mul_terms(a, b)
 
     monkeypatch.setattr(algebra, "mul_terms", counting)
+    return pairs
+
+
+def test_feasible_scan_term_pair_budget(monkeypatch):
+    # deterministic work gate: continuing one datum per k multiplies
+    # 8,146 term pairs here; one sign branch for each r of a six-value
+    # grid took 32,676, all four branches, each tried with both equation
+    # signs, 155,748, and expanding the whole residual at every order 3.1M
+    pairs = count_term_pairs(monkeypatch)
     assert feasible_k_scan_n2(6) == {2, 3}
-    assert 0 < pairs[0] <= 40_000
+    assert 0 < pairs[0] <= 10_000
+
+
+def test_search_term_pair_budget(monkeypatch):
+    # deterministic work gate: one continuation per k plus the verified
+    # images multiply 10,424 term pairs here; continuing each r took 16,292
+    pairs = count_term_pairs(monkeypatch)
+    assert len(search_n2([HALF, Fraction(-3)])) == 4
+    assert 0 < pairs[0] <= 12_500
 
 
 def test_rank_one_correction_term_pair_budget(monkeypatch):
     # deterministic work gate: cofactor expansion of the flat-type matrix
     # bordered by the column x o grad Q and the row (grad Q, Q) multiplies
     # 1,537,532 term pairs on (2,1,1) and 1,282,860 on (1,1,1,1)
-    pairs = [0]
-    mul_terms = algebra.mul_terms
-
-    def counting(a, b):
-        pairs[0] += len(a) * len(b)
-        return mul_terms(a, b)
-
-    monkeypatch.setattr(algebra, "mul_terms", counting)
+    pairs = count_term_pairs(monkeypatch)
     for part, budget in (((2, 1, 1), 1_700_000), ((1, 1, 1, 1), 1_410_000)):
         p = product_solution(part)
         expected = (p ** p.nvars).terms
@@ -608,3 +618,18 @@ def test_search_n2_runs_no_feasibility_scan(monkeypatch):
     assert len(search_n2([Fraction(2)])) == 2
     with pytest.raises(ValueError, match="degree_bound"):
         search_n2([Fraction(2)], 2)
+
+
+def test_search_n2_continues_once_per_exponent(monkeypatch):
+    calls = []
+    continue_n2 = ma_engine.taylor_continue_n2
+
+    def counting(cd, degree_bound):
+        calls.append(cd)
+        return continue_n2(cd, degree_bound)
+
+    monkeypatch.setattr(ma_engine, "taylor_continue_n2", counting)
+    sols = search_n2([HALF, Fraction(-3), Fraction(2, 3)])
+    assert len(sols) == 6
+    assert len(calls) == ma_engine.SEARCH_K_MAX
+    assert {cd.r for cd in calls} == {1}
