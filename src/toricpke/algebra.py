@@ -17,7 +17,6 @@ eps*(1 + t/r)^k of univariate polynomials.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -46,12 +45,6 @@ class NoExactRootError(ArithmeticError):
 
 class NotBinomialPowerError(ArithmeticError):
     """Raised when a univariate polynomial is not eps*(1 + t/r)^k."""
-
-
-# evaluate returns the value of a constant polynomial as a Fraction, as
-# for an exact point; Fractions are immutable, so one per value serves
-# every call at a float point
-_constant_value = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 def _as_scalar(c) -> Fraction:
@@ -404,9 +397,8 @@ class MultiPoly:
         """Evaluate at a point; the numeric type of the inputs is preserved.
 
         At int or Fraction points the value is an exact Fraction.  At
-        float points each coefficient enters as the float num/den and the
-        terms are summed in storage order; a constant polynomial stays a
-        Fraction.
+        float points it is a float: each coefficient enters as the float
+        num/den and the terms are summed in storage order.
         """
         if len(point) != self.nvars:
             raise ValueError("need one value per variable")
@@ -422,10 +414,6 @@ class MultiPoly:
                         c = c * v**e
                 total += c
             return Fraction(total, den)
-        if len(terms) == 1:
-            ((exp, c),) = terms.items()
-            if not any(exp):
-                return _constant_value(c, den)
         total = None
         for exp, c in terms.items():
             v = c / den

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import re
 import sys
@@ -35,6 +36,18 @@ EXIT_DOMAIN = 3
 # Largest --k, --k-max or --bound: the continuation's work grows faster
 # than linearly in the order, and at 32 no command takes a second.
 MAX_ORDER = 32
+# Largest catalog dimension (--max-n, or the sum of --partition), largest
+# --K, and most terms in one record's potential: a record's work grows
+# with its term count, which grows like K^n.  At these limits no catalog
+# command takes a second.
+MAX_CATALOG_N = 6
+MAX_CATALOG_K = 32
+MAX_CATALOG_TERMS = 10_000
+# Range of --step and --tol.  Below it the stencil's 1/(12*step)^2 leaves
+# the float range; above it a step reaches far outside the sample box
+# |xi_i|, |eta_i| <= 0.08, and a tolerance admits residuals as large as
+# the metric entries themselves.
+STEP_TOL_RANGE = (1e-100, 1.0)
 
 
 class UsageError(Exception):
@@ -103,17 +116,36 @@ def _parse_grid(text: str) -> list:
     return values
 
 
-def _order(text: str) -> int:
-    """argparse type of --k, --k-max and --bound: an integer <= MAX_ORDER.
+def _int_at_most(limit: int, name: str):
+    """argparse type: an integer no larger than the limit called name.
 
     Lower bounds stay with the engine, which names the one it needs.
     """
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} exceeds {name} = {limit}")
+        return value
+
+    return parse
+
+
+_order = _int_at_most(MAX_ORDER, "MAX_ORDER")
+
+
+def _step_or_tol(text: str) -> float:
+    """argparse type of --step and --tol: a finite float in STEP_TOL_RANGE."""
+    low, high = STEP_TOL_RANGE
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value > MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"{value} exceeds MAX_ORDER = {MAX_ORDER}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and low <= value <= high):
+        raise argparse.ArgumentTypeError(
+            f"{text!r:.40} is not a float in STEP_TOL_RANGE = [{low:g}, {high:g}]")
     return value
 
 
@@ -229,16 +261,30 @@ def _parse_partition(text: str) -> tuple:
         raise UsageError(f"bad partition {text!r}") from exc
     if not part or any(v < 1 for v in part):
         raise UsageError(f"bad partition {text!r}")
+    if sum(part) > MAX_CATALOG_N:
+        raise UsageError(f"partition of {sum(part)} exceeds MAX_CATALOG_N = "
+                         f"{MAX_CATALOG_N}")
     return part
 
 
 def cmd_catalog(args):
     if args.action == "list":
-        records = cat.standard_catalog(args.max_n, args.K)
+        parts = [p for n in range(1, args.max_n + 1) for p in cat.partitions(n)]
+    elif not args.partition:
+        raise UsageError("catalog gen requires --partition")
     else:
-        if not args.partition:
-            raise UsageError("catalog gen requires --partition")
-        records = [cat.solution_record(_parse_partition(args.partition), args.K)]
+        parts = [_parse_partition(args.partition)]
+    # the potential's P is prod_i (1 + block_i/(n_i+1))^(K(n_i+1)/h), and
+    # (1 + sum of n_i variables)^e has C(n_i + e, n_i) terms; a K below 1
+    # is counted as 1 and left to the engine, which names its lower bound
+    K = max(args.K, 1)
+    for part in parts:
+        h = math.gcd(*(ni + 1 for ni in part))
+        terms = math.prod(math.comb(ni + K * (ni + 1) // h, ni) for ni in part)
+        if terms > MAX_CATALOG_TERMS:
+            raise UsageError(f"the potential of {part} at K={args.K} has {terms} "
+                             f"terms, exceeding MAX_CATALOG_TERMS = {MAX_CATALOG_TERMS}")
+    records = [cat.solution_record(part, args.K) for part in parts]
     human = "\n".join(
         f"{r.name}: n={r.n} h={r.h} min_embedding_dim={r.min_embedding_dim}  P = {r.P}"
         for r in records
@@ -248,8 +294,6 @@ def cmd_catalog(args):
 
 
 def cmd_einstein_check(args):
-    if not args.step > 0:
-        raise UsageError(f"--step must be positive, got {args.step}")
     potential = _read_potential(args.potential)
     points = _sample_points(potential.nvars, args.points, args.seed)
     fit = geometry.einstein_fit(potential, points, args.step)
@@ -327,14 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("catalog", cmd_catalog, "known solution families")
     sp.add_argument("action", choices=("list", "gen"))
     sp.add_argument("--partition", help="comma-separated block dimensions")
-    sp.add_argument("--K", type=int, default=1)
-    sp.add_argument("--max-n", type=int, default=3)
+    sp.add_argument("--K", type=_int_at_most(MAX_CATALOG_K, "MAX_CATALOG_K"),
+                    default=1)
+    sp.add_argument("--max-n", type=_int_at_most(MAX_CATALOG_N, "MAX_CATALOG_N"),
+                    default=3)
 
     sp = command("einstein-check", cmd_einstein_check, "numeric Einstein fit")
     sp.add_argument("--potential", required=True, help="potential JSON file or -")
     sp.add_argument("--points", type=int, default=5)
-    sp.add_argument("--step", type=float, default=1e-3)
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--step", type=_step_or_tol, default=geometry.DEFAULT_STEP)
+    sp.add_argument("--tol", type=_step_or_tol, default=1e-6)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = command("report", cmd_report, "echo mode: canonical round trip")

@@ -5,13 +5,17 @@ either a polynomial Phi = P(x) or a log-power Phi = k*log P(x).  The
 associated pseudo-Riemannian metric has components
 g_ij = d^2 Phi / (d xi_i d eta_j); its mixed Ricci components are
 Ric_ij = -d^2 log|det g| / (d xi_i d eta_j), evaluated here with
-fourth-order central finite differences.
+fourth-order central finite differences.  Each potential derives the
+gradient and the upper-triangular Hessian of P once, on first use, and
+eval_metric, the one metric routine, evaluates them at every point:
+exactly at Fraction points, in floats at float points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from toricpke.algebra import MultiPoly, PolyMatrix, Scalar, json_int
@@ -47,6 +51,15 @@ class ToricPotential:
     def nvars(self) -> int:
         return self.P.nvars
 
+    # derived on first use: catalog potentials can have 10^4 terms and are
+    # rarely evaluated; hess[i] holds d^2 P/dx_i dx_j for j >= i only
+    @functools.cached_property
+    def _derivatives(self) -> tuple:
+        n = self.nvars
+        grad = [self.P.partial_derivative(i) for i in range(n)]
+        hess = [[grad[i].partial_derivative(j) for j in range(i, n)] for i in range(n)]
+        return grad, hess
+
     def phi(self, xi, eta):
         """Potential value at null coordinates (xi, eta)."""
         x = [a * b for a, b in zip(xi, eta)]
@@ -75,13 +88,6 @@ class ToricPotential:
 
 
 @dataclass(frozen=True)
-class MetricSample:
-    g: tuple  # n x n matrix, row tuples
-    xi: tuple
-    eta: tuple
-
-
-@dataclass(frozen=True)
 class EinsteinFit:
     lam: float
     max_residual: float
@@ -106,54 +112,35 @@ def toric_hessian_matrix(d0: MultiPoly) -> PolyMatrix:
     return PolyMatrix(rows)
 
 
-class _MetricEvaluator:
-    """Caches the symbolic derivatives of P needed for metric values."""
+def eval_metric(potential: ToricPotential, xi, eta) -> list:
+    """Metric components g_ij = d^2 Phi/(d xi_i d eta_j) at a point, as rows.
 
-    def __init__(self, potential: ToricPotential):
-        self.potential = potential
-        n = potential.nvars
-        self.n = n
-        self.grad = [potential.P.partial_derivative(i) for i in range(n)]
-        self.hess = [
-            [self.grad[i].partial_derivative(j) for j in range(n)] for i in range(n)
+    Exact Fractions at Fraction points, floats at float points.  The
+    toric form P_ij*xi_j*eta_i + P_i*delta_ij is g for kind "poly"; kind
+    "log" divides it by P and subtracts P_i*eta_i*P_j*xi_j/P^2, times k.
+    """
+    n = potential.nvars
+    grad, hess = potential._derivatives
+    x = [a * b for a, b in zip(xi, eta)]
+    pi = [d.evaluate(x) for d in grad]
+    upper = [[d.evaluate(x) for d in row] for row in hess]
+    g = [
+        [
+            upper[min(i, j)][abs(j - i)] * xi[j] * eta[i] + (pi[i] if i == j else 0)
+            for j in range(n)
         ]
-
-    def metric(self, xi, eta):
-        """g_ij at (xi, eta); exact when the inputs are Fractions."""
-        n = self.n
-        pot = self.potential
-        x = [a * b for a, b in zip(xi, eta)]
-        pi = [g.evaluate(x) for g in self.grad]
-        pij = [[self.hess[i][j].evaluate(x) for j in range(n)] for i in range(n)]
-        if pot.kind == "poly":
-            return [
-                [
-                    pij[i][j] * xi[j] * eta[i] + (pi[i] if i == j else 0)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        p = pot.P.evaluate(x)
-        if abs(p) < P_ZERO_TOL:
-            raise DomainError("P vanishes at the evaluation point")
-        k = pot.k if isinstance(p, Fraction) else float(pot.k)
-        g = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                val = (pij[i][j] * xi[j] * eta[i] + (pi[i] if i == j else 0)) / p
-                val = val - pi[i] * eta[i] * pi[j] * xi[j] / (p * p)
-                row.append(k * val)
-            g.append(row)
+        for i in range(n)
+    ]
+    if potential.kind == "poly":
         return g
-
-
-def eval_metric(potential: ToricPotential, xi, eta) -> MetricSample:
-    """Metric components g_ij = d^2 Phi/(d xi_i d eta_j) at a point."""
-    g = _MetricEvaluator(potential).metric(xi, eta)
-    return MetricSample(
-        g=tuple(tuple(row) for row in g), xi=tuple(xi), eta=tuple(eta)
-    )
+    p = potential.P.evaluate(x)
+    if abs(p) < P_ZERO_TOL:
+        raise DomainError("P vanishes at the evaluation point")
+    k = potential.k if isinstance(p, Fraction) else float(potential.k)
+    return [
+        [k * (g[i][j] / p - pi[i] * eta[i] * pi[j] * xi[j] / (p * p)) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def _det(m) -> float:
@@ -186,12 +173,11 @@ def ricci_numeric(potential: ToricPotential, xi, eta, step: float = DEFAULT_STEP
     the domain and det g must keep its sign across the stencil.
     """
     n = potential.nvars
-    ev = _MetricEvaluator(potential)
     xi = [float(v) for v in xi]
     eta = [float(v) for v in eta]
 
     def logdet(x, e):
-        d = _det(ev.metric(x, e))
+        d = _det(eval_metric(potential, x, e))
         if abs(d) < 1e-300:
             raise DomainError("det g vanishes on the stencil")
         return math.log(abs(d)), d
@@ -225,7 +211,6 @@ def einstein_fit(potential: ToricPotential, points, step: float = DEFAULT_STEP) 
     if len(points) < 3:
         raise ValueError("need at least 3 sample points")
     n = potential.nvars
-    ev = _MetricEvaluator(potential)
     samples = []
     num = 0.0
     den = 0.0
@@ -233,7 +218,7 @@ def einstein_fit(potential: ToricPotential, points, step: float = DEFAULT_STEP) 
         xi = [float(v) for v in xi]
         eta = [float(v) for v in eta]
         try:
-            g = [[float(v) for v in row] for row in ev.metric(xi, eta)]
+            g = eval_metric(potential, xi, eta)
             ric = ricci_numeric(potential, xi, eta, step)
         except OverflowError as exc:
             raise DomainError(f"value beyond float range: {exc}") from exc

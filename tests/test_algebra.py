@@ -592,6 +592,17 @@ def test_equality_and_hash_by_term_map():
     assert hash(a) == hash(b)
 
 
+def test_evaluate_keeps_floats_on_the_float_path():
+    # a constant polynomial at a float point is a float too, of the same
+    # value as the exact one; int and Fraction points stay exact
+    for p in (MultiPoly.constant(2, THIRD), MultiPoly.one(2) + x(2, 0) * THIRD):
+        at_float = p.evaluate([0.0, 0.25])
+        assert type(at_float) is float
+        assert at_float == float(p.evaluate([0, Fraction(1, 4)]))
+        assert type(p.evaluate([0, Fraction(1, 4)])) is Fraction
+        assert type(p.evaluate([0, 0])) is Fraction
+
+
 def test_kernel_output_types_are_exact():
     a = MultiPoly.one(2) + x(2, 0) * THIRD
     out = (a * a).terms

@@ -18,6 +18,9 @@ from toricpke.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     EXIT_USAGE,
+    MAX_CATALOG_K,
+    MAX_CATALOG_N,
+    MAX_CATALOG_TERMS,
     MAX_ORDER,
     build_parser,
     main,
@@ -438,6 +441,49 @@ def test_order_argument_at_the_limit_is_accepted(capsys):
     assert "inconsistent" in capsys.readouterr().out
     assert main(["scan-k", "--k-max", str(MAX_ORDER)]) == EXIT_OK
     assert capsys.readouterr().out == "feasible k: [2, 3]\n"
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+    ("--step", "inf"), ("--step", "1e300"), ("--step", "1e-300"),
+])
+def test_einstein_check_bad_step_or_tol_is_usage_error(tmp_path, capsys,
+                                                       option, value):
+    # each used to give a verdict (exit 0 or 1), a domain error (exit 3)
+    # or, for the smallest step, a ZeroDivisionError
+    path = write_potential(tmp_path, space_form_potential(8, 1))
+    assert main(["einstein-check", "--potential", path, option, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and "STEP_TOL_RANGE" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (["list", "--max-n", str(MAX_CATALOG_N + 1)], "MAX_CATALOG_N"),
+    (["gen", "--partition", f"{MAX_CATALOG_N},1"], "MAX_CATALOG_N"),
+    (["gen", "--partition", "3", "--K", str(MAX_CATALOG_K + 1)], "MAX_CATALOG_K"),
+    (["list", "--K", str(2 * MAX_CATALOG_K)], "MAX_CATALOG_K"),
+    (["list", "--max-n", "3", "--K", str(MAX_CATALOG_K)], "MAX_CATALOG_TERMS"),
+    (["gen", "--partition", "1,1,1,1", "--K", "10"], "MAX_CATALOG_TERMS"),
+], ids=["list-n", "gen-n", "gen-K", "list-K", "list-terms", "gen-terms"])
+def test_catalog_beyond_its_limits_is_usage_error(capsys, argv, limit):
+    # list --max-n 3 --K 32 used to build a 309k-term record in 7.6 s
+    start = time.perf_counter()
+    assert main(["catalog"] + argv) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert limit in capsys.readouterr().err
+
+
+def test_catalog_at_its_limits_is_accepted(capsys):
+    # the (1,1,1,1) potential is prod_i (1 + x_i/2)^K, with (K + 1)^4
+    # terms: MAX_CATALOG_TERMS at K = 9
+    assert main(["catalog", "gen", "--partition", "1,1,1,1", "--K", "9",
+                 "--json"]) == EXIT_OK
+    (record,) = json.loads(capsys.readouterr().out)["verdict"]["records"]
+    assert len(record["potential"]["P"]["terms"]) == MAX_CATALOG_TERMS
+    assert main(["catalog", "list", "--max-n", str(MAX_CATALOG_N)]) == EXIT_OK
+    assert main(["catalog", "gen", "--partition", "1",
+                 "--K", str(MAX_CATALOG_K)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", [

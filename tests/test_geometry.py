@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_poly
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
+from toricpke.catalog import potential_for_power
 from toricpke.geometry import (
     DomainError,
     ToricPotential,
@@ -72,20 +73,26 @@ def test_hessian_of_zero():
 
 def test_metric_of_projective_model_at_origin():
     pot = ToricPotential("log", MultiPoly.one(1) + x(1, 0) * 2, Fraction(1))
-    sample = eval_metric(pot, [Fraction(0)], [Fraction(0)])
-    assert sample.g == ((Fraction(2),),)
+    assert eval_metric(pot, [Fraction(0)], [Fraction(0)]) == [[Fraction(2)]]
 
 
 def test_metric_of_flat_model_is_constant():
     pot = space_form_potential(0, 1)
-    sample = eval_metric(pot, [0.37], [-0.21])
-    assert sample.g == ((4.0,),)
+    assert eval_metric(pot, [0.37], [-0.21]) == [[4.0]]
 
 
 def test_metric_of_zero_potential():
     pot = ToricPotential("poly", MultiPoly.zero(2))
-    sample = eval_metric(pot, [0.1, 0.2], [0.3, 0.4])
-    assert sample.g == ((0, 0), (0, 0))
+    assert eval_metric(pot, [0.1, 0.2], [0.3, 0.4]) == [[0, 0], [0, 0]]
+
+
+def test_metric_is_float_at_float_points_and_exact_at_fraction_points():
+    p = MultiPoly.one(2) + x(2, 0) * THIRD + x(2, 1) * THIRD
+    for pot in (ToricPotential("poly", p * p), ToricPotential("log", p, Fraction(3))):
+        g = eval_metric(pot, [0.03, -0.02], [0.01, 0.05])
+        assert all(type(v) is float for row in g for v in row)
+        exact = eval_metric(pot, [THIRD, -HALF], [HALF, Fraction(1, 5)])
+        assert all(type(v) is Fraction for row in exact for v in row)
 
 
 def test_metric_raises_where_p_vanishes():
@@ -99,9 +106,9 @@ def test_metric_linear_in_log_exponent():
     ka, kb = Fraction(2), Fraction(3, 2)
     pts = sample_points(2, 5, seed=1)
     for xi, eta in pts:
-        ga = eval_metric(ToricPotential("log", p, ka), xi, eta).g
-        gb = eval_metric(ToricPotential("log", p, kb), xi, eta).g
-        gsum = eval_metric(ToricPotential("log", p, ka + kb), xi, eta).g
+        ga = eval_metric(ToricPotential("log", p, ka), xi, eta)
+        gb = eval_metric(ToricPotential("log", p, kb), xi, eta)
+        gsum = eval_metric(ToricPotential("log", p, ka + kb), xi, eta)
         for i in range(2):
             for j in range(2):
                 assert gsum[i][j] == pytest.approx(
@@ -120,13 +127,32 @@ def test_hessian_determinant_matches_metric_determinant():
         eta = [Fraction(rng.randint(-5, 5), 100) for _ in range(2)]
         xvals = [a * b for a, b in zip(xi, eta)]
         symb = determinant(toric_hessian_matrix(d0)).evaluate(xvals)
-        g = eval_metric(pot, xi, eta).g
+        g = eval_metric(pot, xi, eta)
         num = g[0][0] * g[1][1] - g[0][1] * g[1][0]
         assert float(abs(num - symb)) <= 1e-8 * (1 + float(abs(symb)))
 
 
 # ---------------------------------------------------------------------------
 # Ricci and Einstein fits
+
+
+def test_einstein_fit_evaluate_budget(monkeypatch):
+    # deterministic work gate: per metric the fit evaluates P, its n
+    # first derivatives and the n(n+1)/2 second derivatives of the upper
+    # triangle; 3 points x 258 metrics x 15 polynomials = 11,610 calls on
+    # (2,1,1).  Every second derivative of the full matrix took 16,254
+    calls = [0]
+    evaluate = MultiPoly.evaluate
+
+    def counting(self, point):
+        calls[0] += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counting)
+    pot = potential_for_power((2, 1, 1), 1)
+    fit = einstein_fit(pot, sample_points(4, 3, seed=11))
+    assert fit.lam == pytest.approx(1.0, abs=1e-6)
+    assert 0 < calls[0] <= 12_190
 
 
 def test_flat_model_is_ricci_flat():
