@@ -72,23 +72,41 @@ def product_solution(partition) -> MultiPoly:
     return p
 
 
-def potential_for_power(partition, K: int) -> ToricPotential:
-    """Log potential with P = prod_i (1 + block/(n_i+1))^(K(n_i+1)/h), k = 1.
+def _power_exponents(partition, K: int) -> tuple:
+    """The partition and the exponents K(n_i+1)/h of its blocks in P.
 
-    h = gcd of the n_i + 1 divides every exponent, so all powers are
-    integral; K = h reproduces product_solution exactly.
+    h = gcd of the n_i + 1 divides every exponent, so all are integral.
     """
     partition = tuple(int(v) for v in partition)
     if not partition or any(v < 1 for v in partition):
         raise ValueError("partition must be a non-empty list of positive integers")
     if K < 1:
         raise ValueError("K must be a positive integer")
-    n = sum(partition)
     h = math.gcd(*(ni + 1 for ni in partition))
+    return partition, tuple(K * (ni + 1) // h for ni in partition)
+
+
+def potential_for_power(partition, K: int) -> ToricPotential:
+    """Log potential with P = prod_i (1 + block/(n_i+1))^(K(n_i+1)/h), k = 1.
+
+    K = h reproduces product_solution exactly.
+    """
+    partition, exponents = _power_exponents(partition, K)
+    n = sum(partition)
     p = MultiPoly.one(n)
-    for ni, block in zip(partition, _blocks(partition)):
-        p = p * _block_factor(n, block, ni + 1) ** (K * (ni + 1) // h)
+    for ni, block, e in zip(partition, _blocks(partition), exponents):
+        p = p * _block_factor(n, block, ni + 1) ** e
     return ToricPotential("log", p, Fraction(1))
+
+
+def potential_terms(partition, K: int) -> int:
+    """Term count of potential_for_power(partition, K).P, without building it.
+
+    (1 + sum of n_i variables)^e has C(n_i + e, n_i) terms, and the
+    blocks share no variable.
+    """
+    partition, exponents = _power_exponents(partition, K)
+    return math.prod(math.comb(ni + e, ni) for ni, e in zip(partition, exponents))
 
 
 def canonicalize(p: MultiPoly) -> MultiPoly:

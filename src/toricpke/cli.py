@@ -43,11 +43,12 @@ MAX_ORDER = 32
 MAX_CATALOG_N = 6
 MAX_CATALOG_K = 32
 MAX_CATALOG_TERMS = 10_000
-# Range of --step and --tol.  Below it the stencil's 1/(12*step)^2 leaves
-# the float range; above it a step reaches far outside the sample box
-# |xi_i|, |eta_i| <= 0.08, and a tolerance admits residuals as large as
-# the metric entries themselves.
-STEP_TOL_RANGE = (1e-100, 1.0)
+# Range of --step.  On the projective models of dimension 1-3 and the K = 1
+# catalog potentials of dimension 1-4, at the default sampling, the
+# stencil's Einstein residual stays below 2e-7 across it; at 3e-5 rounding
+# and at 0.1 truncation lift it to 2e-6, above the default --tol 1e-6, and
+# at steps like 1e-100 the stencil points coincide in floats and Ric reads 0.
+STEP_RANGE = (1e-4, 0.05)
 
 
 class UsageError(Exception):
@@ -136,17 +137,24 @@ def _int_at_most(limit: int, name: str):
 _order = _int_at_most(MAX_ORDER, "MAX_ORDER")
 
 
-def _step_or_tol(text: str) -> float:
-    """argparse type of --step and --tol: a finite float in STEP_TOL_RANGE."""
-    low, high = STEP_TOL_RANGE
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and low <= value <= high):
-        raise argparse.ArgumentTypeError(
-            f"{text!r:.40} is not a float in STEP_TOL_RANGE = [{low:g}, {high:g}]")
-    return value
+def _finite_float(test, requirement: str):
+    """argparse type: a finite float for which test holds, else requirement."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not (math.isfinite(value) and test(value)):
+            raise argparse.ArgumentTypeError(
+                f"{text!r:.40} is not a finite float {requirement}")
+        return value
+
+    return parse
+
+
+_step = _finite_float(lambda v: STEP_RANGE[0] <= v <= STEP_RANGE[1],
+                      f"in STEP_RANGE = [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
+_tol = _finite_float(lambda v: v > 0, "> 0")
 
 
 def _sample_points(n: int, count: int, seed: int) -> list:
@@ -267,24 +275,25 @@ def _parse_partition(text: str) -> tuple:
     return part
 
 
+def _check_terms(part: tuple, K: int) -> None:
+    terms = cat.potential_terms(part, K)
+    if terms > MAX_CATALOG_TERMS:
+        raise UsageError(f"the potential of {part} at K={K} has {terms} terms, "
+                         f"exceeding MAX_CATALOG_TERMS = {MAX_CATALOG_TERMS}")
+
+
 def cmd_catalog(args):
     if args.action == "list":
-        parts = [p for n in range(1, args.max_n + 1) for p in cat.partitions(n)]
-    elif not args.partition:
-        raise UsageError("catalog gen requires --partition")
+        for n in range(1, args.max_n + 1):
+            for part in cat.partitions(n):
+                _check_terms(part, args.K)
+        records = cat.standard_catalog(args.max_n, args.K)
     else:
-        parts = [_parse_partition(args.partition)]
-    # the potential's P is prod_i (1 + block_i/(n_i+1))^(K(n_i+1)/h), and
-    # (1 + sum of n_i variables)^e has C(n_i + e, n_i) terms; a K below 1
-    # is counted as 1 and left to the engine, which names its lower bound
-    K = max(args.K, 1)
-    for part in parts:
-        h = math.gcd(*(ni + 1 for ni in part))
-        terms = math.prod(math.comb(ni + K * (ni + 1) // h, ni) for ni in part)
-        if terms > MAX_CATALOG_TERMS:
-            raise UsageError(f"the potential of {part} at K={args.K} has {terms} "
-                             f"terms, exceeding MAX_CATALOG_TERMS = {MAX_CATALOG_TERMS}")
-    records = [cat.solution_record(part, args.K) for part in parts]
+        if not args.partition:
+            raise UsageError("catalog gen requires --partition")
+        part = _parse_partition(args.partition)
+        _check_terms(part, args.K)
+        records = [cat.solution_record(part, args.K)]
     human = "\n".join(
         f"{r.name}: n={r.n} h={r.h} min_embedding_dim={r.min_embedding_dim}  P = {r.P}"
         for r in records
@@ -379,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("einstein-check", cmd_einstein_check, "numeric Einstein fit")
     sp.add_argument("--potential", required=True, help="potential JSON file or -")
     sp.add_argument("--points", type=int, default=5)
-    sp.add_argument("--step", type=_step_or_tol, default=geometry.DEFAULT_STEP)
-    sp.add_argument("--tol", type=_step_or_tol, default=1e-6)
+    sp.add_argument("--step", type=_step, default=geometry.DEFAULT_STEP)
+    sp.add_argument("--tol", type=_tol, default=1e-6)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = command("report", cmd_report, "echo mode: canonical round trip")

@@ -13,6 +13,7 @@ from toricpke.catalog import (
     min_embedding_dim,
     partitions,
     potential_for_power,
+    potential_terms,
     product_solution,
     solution_record,
     standard_catalog,
@@ -216,3 +217,19 @@ def test_standard_catalog_covers_small_partitions():
     records = standard_catalog(3, 1)
     expected = {part for n in (1, 2, 3) for part in partitions(n)}
     assert {tuple(r.partition) for r in records} == expected
+
+
+@pytest.mark.parametrize("partition,K", [
+    ((1,), 1), ((3,), 5), ((1, 1), 3), ((2, 1), 1), ((2, 1), 2), ((1, 1, 1), 2),
+    ((3, 1), 1), ((2, 2), 1), ((1, 1, 1, 1), 3),
+])
+def test_potential_terms_counts_the_built_potential(partition, K):
+    potential = potential_for_power(partition, K)
+    assert potential_terms(partition, K) == len(potential.P.terms)
+    assert potential_terms(partition, K) == min_embedding_dim(potential) + 1
+
+
+def test_potential_terms_rejects_what_potential_for_power_rejects():
+    for partition, K in (((1,), 0), ((), 1), ((0, 1), 1)):
+        with pytest.raises(ValueError):
+            potential_terms(partition, K)

@@ -22,6 +22,7 @@ from toricpke.cli import (
     MAX_CATALOG_N,
     MAX_CATALOG_TERMS,
     MAX_ORDER,
+    STEP_RANGE,
     build_parser,
     main,
 )
@@ -443,19 +444,34 @@ def test_order_argument_at_the_limit_is_accepted(capsys):
     assert capsys.readouterr().out == "feasible k: [2, 3]\n"
 
 
-@pytest.mark.parametrize("option,value", [
-    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
-    ("--step", "inf"), ("--step", "1e300"), ("--step", "1e-300"),
+@pytest.mark.parametrize("option,value,requirement", [
+    ("--tol", "nan", "> 0"), ("--tol", "-1", "> 0"), ("--tol", "inf", "> 0"),
+    ("--tol", "0", "> 0"),
+    ("--step", "inf", "STEP_RANGE"), ("--step", "1e300", "STEP_RANGE"),
+    ("--step", "1e-300", "STEP_RANGE"), ("--step", "1e-100", "STEP_RANGE"),
+    ("--step", "1e-8", "STEP_RANGE"), ("--step", "0.5", "STEP_RANGE"),
 ])
-def test_einstein_check_bad_step_or_tol_is_usage_error(tmp_path, capsys,
-                                                       option, value):
+def test_einstein_check_bad_step_or_tol_is_usage_error(tmp_path, capsys, option,
+                                                       value, requirement):
     # each used to give a verdict (exit 0 or 1), a domain error (exit 3)
-    # or, for the smallest step, a ZeroDivisionError
+    # or, for the smallest step, a ZeroDivisionError; at 1e-100 the
+    # stencil points coincide and Ric reads 0, at 1e-8 rounding refutes
+    # this Einstein metric
     path = write_potential(tmp_path, space_form_potential(8, 1))
     assert main(["einstein-check", "--potential", path, option, value]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"argument {option}" in err and "STEP_TOL_RANGE" in err
+    assert f"argument {option}" in err and requirement in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("step", STEP_RANGE)
+def test_einstein_check_confirms_space_forms_across_the_step_range(tmp_path, capsys,
+                                                                   step):
+    for n in (1, 2):
+        path = write_potential(tmp_path, space_form_potential(8, n))
+        assert main(["einstein-check", "--potential", path,
+                     "--step", repr(step)]) == EXIT_OK, capsys.readouterr().out
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv,limit", [
