@@ -33,7 +33,7 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-# Largest --k, --k-max or --bound: the continuation's work grows faster
+# Largest --k, --k-max or continue --bound: the continuation's work grows faster
 # than linearly in the order, and at 32 no command takes a second.
 MAX_ORDER = 32
 # Largest catalog dimension (--max-n, or the sum of --partition), largest
@@ -43,12 +43,10 @@ MAX_ORDER = 32
 MAX_CATALOG_N = 6
 MAX_CATALOG_K = 32
 MAX_CATALOG_TERMS = 10_000
-# Range of --step.  On the projective models of dimension 1-3 and the K = 1
-# catalog potentials of dimension 1-4, at the default sampling, the
-# stencil's Einstein residual stays below 2e-7 across it; at 3e-5 rounding
-# and at 0.1 truncation lift it to 2e-6, above the default --tol 1e-6, and
-# at steps like 1e-100 the stencil points coincide in floats and Ric reads 0.
-STEP_RANGE = (1e-4, 0.05)
+# Most einstein-check --points: the sample is built before the fit starts,
+# and the fit's time grows linearly with it; at 100 points the projective
+# line takes 0.05 s and the K = 1 catalog potential of (2,1,1) about 13 s.
+MAX_POINTS = 100
 
 
 class UsageError(Exception):
@@ -137,24 +135,15 @@ def _int_at_most(limit: int, name: str):
 _order = _int_at_most(MAX_ORDER, "MAX_ORDER")
 
 
-def _finite_float(test, requirement: str):
-    """argparse type: a finite float for which test holds, else requirement."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not (math.isfinite(value) and test(value)):
-            raise argparse.ArgumentTypeError(
-                f"{text!r:.40} is not a finite float {requirement}")
-        return value
-
-    return parse
-
-
-_step = _finite_float(lambda v: STEP_RANGE[0] <= v <= STEP_RANGE[1],
-                      f"in STEP_RANGE = [{STEP_RANGE[0]:g}, {STEP_RANGE[1]:g}]")
-_tol = _finite_float(lambda v: v > 0, "> 0")
+def _tol(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r:.40} is not a finite float > 0")
+    return value
 
 
 def _sample_points(n: int, count: int, seed: int) -> list:
@@ -256,8 +245,8 @@ def cmd_classify_n1(args):
 
 def cmd_search_n2(args):
     grid = _parse_grid(args.grid)
-    sols = ma_engine.search_n2(grid, args.bound)
-    return (EXIT_OK, {"grid": [str(g) for g in grid], "bound": args.bound},
+    sols = ma_engine.search_n2(grid)
+    return (EXIT_OK, {"grid": [str(g) for g in grid]},
             {"solutions": [p.to_json_dict() for p in sols]},
             "\n".join(str(p) for p in sols) or "no solutions on this grid")
 
@@ -305,7 +294,7 @@ def cmd_catalog(args):
 def cmd_einstein_check(args):
     potential = _read_potential(args.potential)
     points = _sample_points(potential.nvars, args.points, args.seed)
-    fit = geometry.einstein_fit(potential, points, args.step)
+    fit = geometry.einstein_fit(potential, points)
     passed = fit.max_residual < args.tol
     verdict = {
         "lambda": fit.lam,
@@ -318,7 +307,7 @@ def cmd_einstein_check(args):
         f"({'within' if passed else 'exceeds'} tol {args.tol:g})"
     )
     inputs = {"potential": potential.to_json_dict(), "points": args.points,
-              "step": args.step, "seed": args.seed}
+              "seed": args.seed}
     return EXIT_OK if passed else EXIT_REFUTED, inputs, verdict, human
 
 
@@ -375,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("search-n2", cmd_search_n2, "two-variable search over a grid")
     sp.add_argument("--grid", required=True)
-    sp.add_argument("--bound", type=_order, default=6)
 
     sp = command("catalog", cmd_catalog, "known solution families")
     sp.add_argument("action", choices=("list", "gen"))
@@ -387,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("einstein-check", cmd_einstein_check, "numeric Einstein fit")
     sp.add_argument("--potential", required=True, help="potential JSON file or -")
-    sp.add_argument("--points", type=int, default=5)
-    sp.add_argument("--step", type=_step, default=geometry.DEFAULT_STEP)
+    sp.add_argument("--points", type=_int_at_most(MAX_POINTS, "MAX_POINTS"),
+                    default=5)
     sp.add_argument("--tol", type=_tol, default=1e-6)
     sp.add_argument("--seed", type=int, default=0)
 

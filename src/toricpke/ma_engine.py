@@ -458,20 +458,23 @@ def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiP
     return candidate
 
 
-def feasible_k_scan_n2(k_max: int) -> set:
-    """Exponents k whose Cauchy data admits a consistent continuation.
+def _consistent_continuations(k_max: int):
+    """(k, P) for each k = 1..k_max whose datum eps = sigma = r = 1 continues.
 
-    Only the datum eps = sigma = r = 1 is continued: every other datum of
-    the same k is an image of it, failures included (see the module
-    docstring), so no grid of r or signs could change the answer.
+    Every datum of k is an image of this one, failures included (see the
+    module docstring); it is continued to degree max(6, k).
     """
+    for k in range(1, k_max + 1):
+        p = taylor_continue_n2(cauchy_data(1, 1, 1, k), max(6, k))
+        if p is not None:
+            yield k, p
+
+
+def feasible_k_scan_n2(k_max: int) -> set:
+    """Exponents k whose Cauchy data admits a consistent continuation."""
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    return {
-        k
-        for k in range(1, k_max + 1)
-        if taylor_continue_n2(cauchy_data(1, 1, 1, k), max(6, k + 2)) is not None
-    }
+    return {k for k, _ in _consistent_continuations(k_max)}
 
 
 def classify_n1(k_max: int, r_grid) -> list:
@@ -501,7 +504,7 @@ def _poly_sort_key(p: MultiPoly):
 SEARCH_K_MAX = 6
 
 
-def search_n2(r_grid, degree_bound: int = 6) -> list:
+def search_n2(r_grid) -> list:
     """Two-variable solutions reachable from the Cauchy families.
 
     Continues the datum eps = sigma = r = 1 once for every k =
@@ -509,9 +512,7 @@ def search_n2(r_grid, degree_bound: int = 6) -> list:
     nonzero r on the grid its image under (x1, x2) -> (x1/r, r*x2), the
     datum of r, once verify_ma_star gives it the sign +1.  The other sign
     branches are images under P -> -P and x2 -> -x2, which the catalog
-    module's canonicalize maps back to the same representative.  A k
-    above degree_bound is continued to degree k, and a solution found
-    there raises the same ValueError as taylor_continue_n2.  A grid
+    module's canonicalize maps back to the same representative.  A grid
     without a nonzero value continues nothing.
     """
     from toricpke.catalog import canonicalize
@@ -520,12 +521,7 @@ def search_n2(r_grid, degree_bound: int = 6) -> list:
     if not rs:
         return []
     reps = set()
-    for k in range(1, SEARCH_K_MAX + 1):
-        p = taylor_continue_n2(cauchy_data(1, 1, 1, k), max(degree_bound, k))
-        if p is None:
-            continue
-        if k > degree_bound:
-            raise ValueError("degree_bound must be at least max(2, k)")
+    for _, p in _consistent_continuations(SEARCH_K_MAX):
         for r in rs:
             image = p.scale_vars([1 / r, r])
             if verify_ma_star(image).sign == 1:

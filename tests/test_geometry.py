@@ -1,5 +1,6 @@
 """Potentials, metrics, numeric Ricci/Einstein checks, diastasis, models."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import random_poly
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
-from toricpke.catalog import potential_for_power
+from toricpke.catalog import partitions, potential_for_power
 from toricpke.geometry import (
     DomainError,
     ToricPotential,
@@ -139,8 +140,11 @@ def test_hessian_determinant_matches_metric_determinant():
 def test_einstein_fit_evaluate_budget(monkeypatch):
     # deterministic work gate: per metric the fit evaluates P, its n
     # first derivatives and the n(n+1)/2 second derivatives of the upper
-    # triangle; 3 points x 258 metrics x 15 polynomials = 11,610 calls on
-    # (2,1,1).  Every second derivative of the full matrix took 16,254
+    # triangle.  Per point it takes g, and for Ricci det g at the point,
+    # 4n points for F_i and 16 for each of the n(n+1)/2 entries F_ij:
+    # 3 points x 178 metrics x 15 polynomials = 8,010 calls on (2,1,1).
+    # Differencing over all 2n coordinates took 11,610, and every second
+    # derivative of the full matrix on top of that 16,254
     calls = [0]
     evaluate = MultiPoly.evaluate
 
@@ -152,7 +156,109 @@ def test_einstein_fit_evaluate_budget(monkeypatch):
     pot = potential_for_power((2, 1, 1), 1)
     fit = einstein_fit(pot, sample_points(4, 3, seed=11))
     assert fit.lam == pytest.approx(1.0, abs=1e-6)
-    assert 0 < calls[0] <= 12_190
+    assert 0 < calls[0] <= 8_410
+
+
+def random_toric_potential(rng, n, kind):
+    """A potential whose metric at the origin is diag(f_i(0)), all nonzero."""
+    terms = {e: c for e, c in random_poly(rng, n, 3).terms.items() if sum(e) >= 2}
+    for i in range(n):
+        linear = tuple(int(j == i) for j in range(n))
+        terms[linear] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    p = MultiPoly(n, terms)
+    if kind == "poly":
+        return ToricPotential("poly", p)
+    eps = rng.choice((1, -1))
+    return ToricPotential("log", p + MultiPoly.constant(n, eps),
+                          Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+
+
+def test_det_g_depends_on_x_alone():
+    # g(xi, eta) is conjugate to g(xi*eta, 1) by diag(eta), the identity
+    # ricci_numeric rests on; checked exactly with sympy's determinant
+    import sympy
+
+    rng = random.Random(12)
+    for n in (1, 2, 3):
+        for kind in ("poly", "log"):
+            for _ in range(4):
+                pot = random_toric_potential(rng, n, kind)
+                xi = [Fraction(rng.randint(-9, 9), 20) for _ in range(n)]
+                eta = [Fraction(rng.randint(-9, 9), 20) for _ in range(n)]
+                x_ = [a * b for a, b in zip(xi, eta)]
+                try:
+                    g = eval_metric(pot, xi, eta)
+                except DomainError:
+                    continue
+                g1 = eval_metric(pot, x_, [Fraction(1)] * n)
+                assert sympy.Matrix(g).det() == sympy.Matrix(g1).det(), (pot, xi, eta)
+
+
+def sympy_ricci(pot, xi, eta):
+    """Exact -d^2 log|det g| / (d xi_i d eta_j) in the null coordinates.
+
+    det g is det(d^2 P/d xi d eta) for kind "poly", and
+    k^n*det(P*d^2 P/d xi d eta - grad_xi P*grad_eta P^T)/P^(2n) for kind
+    "log", so log|det g| is a sum of multiples of logs of polynomials Q,
+    each contributing (Q*Q_ij - Q_i*Q_j)/Q^2.
+    """
+    import sympy
+
+    n = pot.nvars
+    xs = sympy.symbols(f"xi1:{n + 1}")
+    es = sympy.symbols(f"eta1:{n + 1}")
+    gens = xs + es
+    p = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*((a * b) ** e for a, b, e in zip(xs, es, exp)))
+                       for exp, c in pot.P.terms.items()), *gens)
+    mixed = sympy.Matrix(n, n, lambda i, j: p.diff(xs[i]).diff(es[j]).as_expr())
+    if pot.kind == "poly":
+        logs = [(1, mixed.det(method="berkowitz"))]
+    else:
+        grad_xi = [p.diff(v).as_expr() for v in xs]
+        grad_eta = [p.diff(v).as_expr() for v in es]
+        m = sympy.Matrix(n, n, lambda i, j: p.as_expr() * mixed[i, j]
+                         - grad_xi[i] * grad_eta[j])
+        logs = [(1, m.det(method="berkowitz")), (-2 * n, p.as_expr())]
+    at = [sympy.Rational(v) for v in list(xi) + list(eta)]
+    ric = [[0] * n for _ in range(n)]
+    for c, q in logs:
+        q = sympy.Poly(q, *gens)
+        q0 = q(*at)
+        for i in range(n):
+            qi = q.diff(xs[i])
+            for j in range(n):
+                qij = qi.diff(es[j])
+                ric[i][j] -= c * (q0 * qij(*at) - qi(*at) * q.diff(es[j])(*at)) / q0**2
+    return [[float(v) for v in row] for row in ric]
+
+
+def test_ricci_numeric_matches_sympy():
+    rng = random.Random(13)
+    for n in (1, 2):
+        for kind in ("poly", "log"):
+            for _ in range(4):
+                pot = random_toric_potential(rng, n, kind)
+                for xi, eta in sample_points(n, 3, seed=rng.randrange(1000)):
+                    ric = ricci_numeric(pot, xi, eta)
+                    exact = sympy_ricci(pot, xi, eta)
+                    for i in range(n):
+                        for j in range(n):
+                            assert ric[i][j] == pytest.approx(exact[i][j], abs=1e-7), (
+                                pot, xi, eta)
+
+
+def test_ricci_step_calibration():
+    # at RICCI_STEP and the default sampling of einstein-check (5 points,
+    # seed 0) the fit recovers the exact lambda, n + 1 on the projective
+    # models and gcd(n_i + 1) on the K = 1 catalog potentials
+    cases = [(space_form_potential(8, n), n + 1) for n in (1, 2, 3)]
+    cases += [(potential_for_power(part, 1), math.gcd(*(m + 1 for m in part)))
+              for n in range(1, 5) for part in partitions(n)]
+    for pot, lam in cases:
+        fit = einstein_fit(pot, sample_points(pot.nvars, 5, seed=0))
+        assert fit.max_residual < 2e-7, pot
+        assert fit.lam == pytest.approx(lam, abs=1e-6), pot
 
 
 def test_flat_model_is_ricci_flat():
