@@ -26,6 +26,7 @@ from toricpke.cli import (
     build_parser,
     main,
 )
+from toricpke import geometry
 from toricpke.geometry import ToricPotential, space_form_potential
 from toricpke.ma_engine import ma_lhs_log
 
@@ -468,6 +469,21 @@ def test_einstein_check_bad_step_or_tol_is_usage_error(tmp_path, capsys, option,
     err = capsys.readouterr().err
     assert f"argument {option}" in err and requirement in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("step", [1e-4, 0.05])
+def test_einstein_check_confirms_space_forms_across_the_step_range(tmp_path, capsys,
+                                                                   monkeypatch, step):
+    # the verdict must not hinge on the exact value of RICCI_STEP: the
+    # stencil once stepped in xi, over 1e-4..0.05; at the default sampling
+    # (|eta_i| <= 0.08) a xi-step h moves x_i by up to 0.08*h, and the
+    # x-stencil at each end of that reach still confirms the space forms
+    monkeypatch.setattr(geometry, "RICCI_STEP", 0.08 * step)
+    for n in (1, 2):
+        path = write_potential(tmp_path, space_form_potential(8, n))
+        assert main(["einstein-check", "--potential", path]) == EXIT_OK, \
+            capsys.readouterr().out
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv,limit", [
