@@ -18,7 +18,6 @@ eps*(1 + t/r)^k of univariate polynomials.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -383,15 +382,39 @@ class MultiPoly:
             result = result + term
         return result * Fraction(1, self._den)
 
-    def restrict_to_axis(self, i: int) -> "MultiPoly":
-        """Set x_j = 0 for all j != i; returns a univariate polynomial."""
-        if not 0 <= i < self.nvars:
-            raise IndexError(f"variable index {i} out of range")
+    def restrict(self, variables) -> "MultiPoly":
+        """Set every x_j with j not in variables to 0.
+
+        The result is a polynomial in len(variables) variables, its k-th
+        being x_{variables[k]}; embed is the inverse.
+        """
+        variables = tuple(variables)
+        if not variables or len(set(variables)) != len(variables):
+            raise ValueError("restrict needs distinct variables, at least one")
+        for i in variables:
+            if not 0 <= i < self.nvars:
+                raise IndexError(f"variable index {i} out of range")
+        others = [j for j in range(self.nvars) if j not in variables]
         out = {}
         for exp, c in self._terms.items():
-            if not any(exp[:i]) and not any(exp[i + 1:]):
-                out[(exp[i],)] = c
-        return MultiPoly._reduced(1, out, self._den)
+            if not any(exp[j] for j in others):
+                out[tuple(exp[i] for i in variables)] = c
+        return MultiPoly._reduced(len(variables), out, self._den)
+
+    def embed(self, nvars: int, variables) -> "MultiPoly":
+        """The same polynomial in nvars variables, x_k renamed x_{variables[k]}."""
+        variables = tuple(variables)
+        if len(variables) != self.nvars or len(set(variables)) != self.nvars:
+            raise ValueError("need one distinct target per variable")
+        if not all(0 <= i < nvars for i in variables):
+            raise IndexError(f"target index out of range for nvars={nvars}")
+        out = {}
+        for exp, c in self._terms.items():
+            full = [0] * nvars
+            for i, e in zip(variables, exp):
+                full[i] = e
+            out[tuple(full)] = c
+        return MultiPoly._raw(nvars, out, self._den)
 
     def evaluate(self, point):
         """Evaluate at a point; the numeric type of the inputs is preserved.
@@ -447,9 +470,6 @@ class MultiPoly:
             )
         return {"nvars": self.nvars, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
         nvars = json_int(data["nvars"])
@@ -485,11 +505,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
-
-
-def poly_from_coeffs(coeffs) -> MultiPoly:
-    """Univariate polynomial from a coefficient list, lowest degree first."""
-    return MultiPoly(1, {(i,): _as_scalar(c) for i, c in enumerate(coeffs)})
 
 
 class PolyMatrix:

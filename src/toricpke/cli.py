@@ -47,6 +47,13 @@ MAX_CATALOG_TERMS = 10_000
 # and the fit's time grows linearly with it; at 100 points the projective
 # line takes 0.05 s and the K = 1 catalog potential of (2,1,1) about 13 s.
 MAX_POINTS = 100
+# Most variables and terms of an einstein-check potential: a sample
+# point's work grows like terms*n^4.  A point of the 90-term K = 1
+# catalog potential of (2,1,1) takes 0.11 s, and one of a 200-term
+# potential in 6 variables 0.4 s.  Every K = 1 catalog potential up to
+# dimension 4 fits.
+MAX_EINSTEIN_NVARS = 6
+MAX_EINSTEIN_TERMS = 200
 
 
 class UsageError(Exception):
@@ -293,6 +300,13 @@ def cmd_catalog(args):
 
 def cmd_einstein_check(args):
     potential = _read_potential(args.potential)
+    if potential.nvars > MAX_EINSTEIN_NVARS:
+        raise UsageError(f"potential in {potential.nvars} variables exceeds "
+                         f"MAX_EINSTEIN_NVARS = {MAX_EINSTEIN_NVARS}")
+    terms = len(potential.P.terms)
+    if terms > MAX_EINSTEIN_TERMS:
+        raise UsageError(f"potential of {terms} terms exceeds "
+                         f"MAX_EINSTEIN_TERMS = {MAX_EINSTEIN_TERMS}")
     points = _sample_points(potential.nvars, args.points, args.seed)
     fit = geometry.einstein_fit(potential, points)
     passed = fit.max_residual < args.tol

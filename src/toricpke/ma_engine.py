@@ -7,6 +7,22 @@ as one bordered cofactor determinant.  A polynomial P with P(0) = +-1
 is a solution of the normalized equation when the log-type left side
 equals +-P^n exactly.
 
+verify_ma_star checks a product one variable-disjoint block at a time.
+If P*P_ij - P_i*P_j (P^2 times the mixed partial of log P) vanishes for
+every i and j in different blocks, then P = eps^(1-m)*prod P_b over its
+m blocks, with eps = P(0) and P_b the restriction of P to block b (the
+other variables set to 0), and the left side is
+L = eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), with L_b the left side of P_b
+in its n_b variables.  So P solves exactly when L_b = c_b*P_b^(n_b) for
+every b, with c_b = L_b(0)/eps^(n_b), and eps^(m-1)*prod c_b = +-1; that
+product is the sign.  Candidate blocks come from testing each pair of
+variables at one rational point, reduced modulo a prime, where a nonzero
+value certifies the coupling without a polynomial product.  The split
+is then certified by comparing P with eps^(1-m)*prod P_b exactly, and
+falls back to one block of all variables when the comparison fails or
+P vanishes at the point.  One block is the whole check, L against
++-P^n.
+
 Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
 are found by attempting Taylor continuation off the x2 = 0 axis, and
@@ -31,7 +47,9 @@ sigma*P^2.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -168,15 +186,114 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
     return determinant_cofactor(PolyMatrix(rows))
 
 
+# The pair test runs modulo this prime, so that its work grows with the
+# bit length of P's exponents rather than with the exponents themselves.
+_PAIR_TEST_PRIME = 2**61 - 1
+
+
+def _coupling_blocks(p: MultiPoly) -> list:
+    """Candidate blocks: the classes of the pairs of variables found coupled.
+
+    x_i and x_j are coupled where P*P_ij - P_i*P_j, P^2 times the mixed
+    partial of log P, is nonzero.  At a point with nonzero coordinates,
+    x_i*x_j times that value is P*T_ij - U_i*U_j, with U_i = sum e_i*v
+    and T_ij = sum e_i*e_j*v over the term values v = c*x^e of P, so the
+    test needs no polynomial product.  It is taken at x_i = 1/(2i+3),
+    with P's coefficients over their common denominator, modulo a prime:
+    a nonzero residue certifies the coupling, while a zero one may be an
+    accident of the point or the prime, so the caller certifies the
+    split.  Where P vanishes most pairs read zero, and the one block of
+    all variables is returned.
+    """
+    n = p.nvars
+    q = _PAIR_TEST_PRIME
+    point = [pow(2 * i + 3, -1, q) for i in range(n)]
+    terms = p.terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    values = [
+        (e, c.numerator * (den // c.denominator)
+         * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
+        for e, c in terms.items()
+    ]
+    value = sum(v for _, v in values) % q
+    if not value:
+        return [tuple(range(n))]
+    euler = [sum(e[i] * v for e, v in values) for i in range(n)]
+    # union-find in its quick-find form: label[i] names x_i's class
+    label = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if label[i] == label[j]:
+                continue
+            cross = sum(e[i] * e[j] * v for e, v in values)
+            if (value * cross - euler[i] * euler[j]) % q:
+                old = label[j]
+                label = [label[i] if lab == old else lab for lab in label]
+    blocks = {}
+    for i, lab in enumerate(label):
+        blocks.setdefault(lab, []).append(i)
+    return [tuple(b) for b in blocks.values()]
+
+
+def _disjoint_product(n: int, blocks: list, factors: list) -> MultiPoly:
+    """The product of factors[b], each a polynomial in the variables blocks[b]."""
+    return functools.reduce(
+        operator.mul, (f.embed(n, b) for f, b in zip(factors, blocks))
+    )
+
+
+def _product_blocks(p: MultiPoly):
+    """Blocks b and factors P_b with P = eps^(1-m)*prod P_b exactly.
+
+    P_b is P with the variables outside b set to 0, in b's own variables,
+    and eps = P(0) = +-1.  When the coupling test finds one block, when
+    the product does not reproduce P, or when eps is not +-1 (ma_lhs_log
+    then rejects P), the one block of all variables is returned.
+    """
+    n = p.nvars
+    whole = [tuple(range(n))], [p]
+    eps = p.constant_term()
+    if eps not in (1, -1):
+        return whole
+    blocks = _coupling_blocks(p)
+    if len(blocks) == 1:
+        return whole
+    factors = [p.restrict(b) for b in blocks]
+    # eps^(1-m)*prod P_b = P  <=>  prod P_b = eps^(m-1)*P, as eps = +-1
+    target = p if eps ** (len(blocks) - 1) == 1 else -p
+    if _disjoint_product(n, blocks, factors) != target:
+        return whole
+    return blocks, factors
+
+
 def verify_ma_star(p: MultiPoly) -> MAResult:
-    """Exact check that the log-type left side equals +-P^n."""
-    lhs = ma_lhs_log(p)
-    rhs = p**p.nvars
-    if lhs == rhs:
-        return MAResult(True, 1, lhs)
-    if lhs == -rhs:
-        return MAResult(True, -1, lhs)
-    return MAResult(False, None, lhs)
+    """Exact check that the log-type left side equals +-P^n, block by block.
+
+    With blocks b of n_b variables, factors P_b (see _product_blocks),
+    L_b = ma_lhs_log(P_b) and c_b = L_b(0)/eps^(n_b), P is a solution
+    exactly when L_b = c_b*P_b^(n_b) for every b and its sign
+    eps^(m-1)*prod c_b is +-1.  The witness is the full left side
+    eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), which is sign*P^n on
+    acceptance.  One block is the whole check: L = c*P^n, witness L.
+    """
+    blocks, factors = _product_blocks(p)
+    n, m = p.nvars, len(blocks)
+    eps = p.constant_term()
+    solved = True
+    sign = eps ** (m - 1)
+    parts = []
+    for b, f in zip(blocks, factors):
+        lhs = ma_lhs_log(f)
+        c = lhs.constant_term() * eps ** len(b)  # L_b(0)/eps^(n_b), eps = +-1
+        solved = solved and lhs == c * f ** len(b)
+        sign *= c
+        parts.append(lhs if m == 1 else lhs * f ** (n - len(b)))
+    witness = parts[0] if m == 1 else _disjoint_product(n, blocks, parts)
+    if eps ** ((m - 1) * (n + 1)) == -1:
+        witness = -witness
+    if solved and sign in (1, -1):
+        return MAResult(True, int(sign), witness)
+    return MAResult(False, None, witness)
 
 
 def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:
@@ -238,7 +355,7 @@ def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
     n = p.nvars
     if not 0 <= axis < n:
         raise IndexError("axis out of range")
-    pt = p.restrict_to_axis(axis)
+    pt = p.restrict((axis,))
     try:
         prof = binomial_profile(pt)
     except NotBinomialPowerError as exc:
@@ -247,7 +364,7 @@ def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
         qt = MultiPoly.one(1)
         for j in range(n):
             if j != axis:
-                qt = qt * p.partial_derivative(j).restrict_to_axis(axis)
+                qt = qt * p.partial_derivative(j).restrict((axis,))
         eps, r, k = prof
         expected = (
             Fraction(eps) ** (n - 2)

@@ -21,6 +21,8 @@ from toricpke.cli import (
     MAX_CATALOG_K,
     MAX_CATALOG_N,
     MAX_CATALOG_TERMS,
+    MAX_EINSTEIN_NVARS,
+    MAX_EINSTEIN_TERMS,
     MAX_ORDER,
     MAX_POINTS,
     build_parser,
@@ -39,7 +41,7 @@ def solution_n1():
 
 def write_poly(tmp_path, p, name="poly.json"):
     path = tmp_path / name
-    path.write_text(p.to_json(), encoding="utf-8")
+    path.write_text(json.dumps(p.to_json_dict()), encoding="utf-8")
     return str(path)
 
 
@@ -377,6 +379,30 @@ def test_catalog_bad_power_is_usage_error(capsys):
     assert "K must be a positive integer" in capsys.readouterr().err
 
 
+def test_einstein_check_beyond_its_input_limits_is_usage_error(tmp_path, capsys):
+    # the potential is read in full, then rejected before any fit
+    wide = space_form_potential(8, MAX_EINSTEIN_NVARS + 1)
+    many = ToricPotential("log", MultiPoly(1, {
+        (i,): Fraction(1, 1 + i) for i in range(MAX_EINSTEIN_TERMS + 1)
+    }))
+    for pot, name in ((wide, "MAX_EINSTEIN_NVARS"), (many, "MAX_EINSTEIN_TERMS")):
+        path = write_potential(tmp_path, pot)
+        start = time.perf_counter()
+        assert main(["einstein-check", "--potential", path]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        assert f"exceeds {name} = " in capsys.readouterr().err
+
+
+def test_einstein_check_accepts_every_k1_catalog_potential_up_to_n4(tmp_path, capsys):
+    from toricpke.catalog import partitions, potential_for_power
+
+    pots = [potential_for_power(part, 1) for n in range(1, 5) for part in partitions(n)]
+    assert all(pot.nvars <= MAX_EINSTEIN_NVARS for pot in pots)
+    assert max(len(pot.P.terms) for pot in pots) == 90 <= MAX_EINSTEIN_TERMS
+    path = write_potential(tmp_path, potential_for_power((2, 1, 1), 1))
+    assert main(["einstein-check", "--potential", path, "--points", "3"]) == EXIT_OK
+
+
 def test_einstein_check_bad_sampling_is_usage_error(tmp_path, capsys):
     path = write_potential(tmp_path, space_form_potential(8, 1))
     assert main(["einstein-check", "--potential", path, "--points", "2"]) == EXIT_USAGE
@@ -407,7 +433,7 @@ def test_search_n2_has_no_bound(capsys):
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(solution_n1().to_json()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(solution_n1().to_json_dict())))
     assert main(["verify", "--poly", "-"]) == EXIT_OK
 
 

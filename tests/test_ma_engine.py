@@ -1,5 +1,6 @@
 """Monge-Ampere operators, classification drivers, and continuation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,8 +17,10 @@ from toricpke.catalog import canonicalize, partitions, product_solution
 from toricpke.ma_engine import (
     ExponentRatio,
     ProfileMismatchError,
+    _coupling_blocks,
     _probe_factor,
     _poly_sort_key,
+    _product_blocks,
     _ResidualSeries,
     axis_profile_check,
     cauchy_data,
@@ -210,6 +213,174 @@ def test_sign_covariance_under_variable_negation():
             verify_ma_star(p).is_solution
             == verify_ma_star(flipped).is_solution
         )
+
+
+# ---------------------------------------------------------------------------
+# block route of verify_ma_star against the whole route
+
+
+def whole_route(p):
+    """(is_solution, sign, witness) from the whole bordered determinant."""
+    lhs = ma_lhs_log(p)
+    rhs = p ** p.nvars
+    sign = 1 if lhs == rhs else -1 if lhs == -rhs else None
+    return sign is not None, sign, lhs
+
+
+def assert_routes_agree(p):
+    res = verify_ma_star(p)
+    assert (res.is_solution, res.sign, res.witness) == whole_route(p), p
+    return res
+
+
+def seeded_image(p, rng):
+    """p under a seeded permutation of its variables and sign flips."""
+    n = p.nvars
+    perm = list(range(n))
+    rng.shuffle(perm)
+    flips = [rng.choice((1, -1)) for _ in range(n)]
+    moved = MultiPoly(n, {
+        tuple(e[perm[i]] for i in range(n)): c for e, c in p.terms.items()
+    })
+    return moved.scale_vars([Fraction(f) for f in flips])
+
+
+def product_of(factors):
+    """The product of factors, each in its own consecutive variables."""
+    n = sum(f.nvars for f in factors)
+    out, start = MultiPoly.one(n), 0
+    for f in factors:
+        out = out * f.embed(n, range(start, start + f.nvars))
+        start += f.nvars
+    return out
+
+
+def test_block_route_matches_whole_route_on_catalog_images():
+    # (4,) is one block, where the two routes are one computation
+    rng = random.Random(61)
+    for n in (1, 2, 3, 4):
+        for part in partitions(n):
+            if part == (4,):
+                continue
+            p = seeded_image(product_solution(part), rng)
+            blocks, _ = _product_blocks(p)
+            assert sorted(map(len, blocks)) == sorted(part), part
+            for q in (p, -p):
+                assert assert_routes_agree(q).is_solution, part
+
+
+def test_block_route_matches_whole_route_on_rescaled_products():
+    # each block's constant c_b differs from +-1, and only the product
+    # eps^(m-1)*prod c_b decides the sign
+    rng = random.Random(67)
+    for part in ((1, 1), (2, 1), (1, 1, 1), (1, 2)):
+        p = product_solution(part)
+        scales = [rng.choice((Fraction(2), Fraction(3), HALF, Fraction(-1, 3)))
+                  for _ in range(p.nvars)]
+        for last in (1 / math.prod(scales[:-1]), 2 / math.prod(scales[:-1])):
+            q = p.scale_vars(scales[:-1] + [last])
+            assert len(_product_blocks(q)[0]) == len(part)
+            assert_routes_agree(q)
+            assert_routes_agree(-q)
+
+
+def test_block_route_matches_whole_route_on_random_products():
+    rng = random.Random(71)
+    shapes = [(1, 1), (2, 1), (1, 1, 1), (2, 2), (3, 1), (2, 1, 1)]
+    for shape in shapes:
+        for _ in range(2 if sum(shape) < 4 else 1):
+            factors = [random_log_candidate(rng, k) for k in shape]
+            p = product_of(factors)
+            assert len(_product_blocks(p)[0]) == len(shape), shape
+            assert_routes_agree(p)
+
+
+def test_block_route_matches_whole_route_on_perturbed_products():
+    rng = random.Random(73)
+    for part in ((1, 1), (2, 1), (1, 1, 1), (1, 1, 1, 1)):
+        p = product_solution(part)
+        exps = sorted(e for e in p.terms if any(e))
+        for e in rng.sample(exps, 2 if p.nvars < 4 else 1):
+            q = p + MultiPoly(p.nvars, {e: Fraction(1, 7)})
+            assert_routes_agree(q)
+            assert_routes_agree(-q)
+
+
+def test_a_product_vanishing_at_the_test_point_is_one_block():
+    # (1 - 3*x1)^2 vanishes at the test point (1/3, 1/5), and with it
+    # every pair value
+    point = [THIRD, Fraction(1, 5)]
+    p = (MultiPoly.one(2) - 3 * x(2, 0)) ** 2 * (MultiPoly.one(2) + x(2, 1) * HALF) ** 2
+    assert p.evaluate(point) == 0
+    assert _coupling_blocks(p) == [(0, 1)]
+    assert_routes_agree(p)
+
+
+def test_a_split_the_product_does_not_reproduce_falls_back_to_one_block():
+    # P = (1 + x1)(1 + x2) + b*x1*x2*(x1 + x2) couples x1 and x2 for
+    # b != 0, and P*P_12 - P_1*P_2 at the test point is b*(g1 + g2*b): at
+    # b = -g1/g2 the pair test reads zero, and only the product check
+    # sees the coupling
+    point = [THIRD, Fraction(1, 5)]
+    base = (MultiPoly.one(2) + x(2, 0)) * (MultiPoly.one(2) + x(2, 1))
+    bump = x(2, 0) * x(2, 1) * (x(2, 0) + x(2, 1))
+
+    def pair_value(b):
+        p = base + bump * b
+        d1, d2 = p.partial_derivative(0), p.partial_derivative(1)
+        return (p * d1.partial_derivative(1) - d1 * d2).evaluate(point)
+
+    g2 = (pair_value(1) + pair_value(-1)) / 2
+    g1 = (pair_value(1) - pair_value(-1)) / 2
+    p = base + bump * (-g1 / g2)
+    assert pair_value(-g1 / g2) == 0
+    assert _coupling_blocks(p) == [(0,), (1,)]
+    assert _product_blocks(p) == ([(0, 1)], [p])
+    assert_routes_agree(p)
+
+
+def test_a_variable_absent_from_p_is_its_own_block():
+    # a block that P does not depend on has L_b = 0, so c_b = 0
+    p = product_solution((1,)).embed(2, (0,))
+    assert _product_blocks(p)[0] == [(0,), (1,)]
+    res = verify_ma_star(p)
+    assert not res.is_solution and res.witness.is_zero()
+    assert_routes_agree(p)
+
+
+def test_the_pair_test_handles_huge_exponents():
+    # the exact value at x2 = 1/5 would have a 10^40-digit denominator;
+    # the residue modulo the test prime costs the exponent's bit length
+    p = split_square().restrict((0,)).embed(2, (0,)) * (
+        MultiPoly.one(2) + MultiPoly(2, {(0, 10**40): 1}))
+    assert _product_blocks(p)[0] == [(0,), (1,)]
+    assert_routes_agree(p)
+
+
+def test_block_route_term_pair_budget(monkeypatch):
+    # deterministic work gate: the blocks multiply 9,973 term pairs on
+    # (2,1,1) and 68,385 on (3,1); the whole route took 2,043,003 and
+    # 2,987,316
+    pairs = count_term_pairs(monkeypatch)
+    for part, budget in (((2, 1, 1), 12_000), ((3, 1), 82_000)):
+        p = product_solution(part)
+        pairs[0] = 0
+        assert verify_ma_star(p).sign == 1
+        assert 0 < pairs[0] <= budget, part
+
+
+def test_the_block_test_multiplies_no_polynomial(monkeypatch):
+    # on a non-product the pair test finds one block, so verify_ma_star
+    # multiplies exactly what ma_lhs_log(p) and p**n do
+    p = product_solution((1, 1, 1, 1))
+    p = p + MultiPoly(4, {(1, 1, 0, 0): Fraction(1, 7)})
+    pairs = count_term_pairs(monkeypatch)
+    ma_lhs_log(p)
+    p ** p.nvars
+    whole = pairs[0]
+    pairs[0] = 0
+    assert not verify_ma_star(p).is_solution
+    assert pairs[0] == whole
 
 
 # ---------------------------------------------------------------------------
