@@ -165,13 +165,16 @@ def _sample_points(n: int, count: int, seed: int) -> list:
 
 def cmd_verify(args):
     p = _read_poly(args.poly, args.n)
-    result = ma_engine.verify_ma_star(p)
+    result = ma_engine.verify_ma_star(p, witness=args.witness)
     sign = {1: "+", -1: "-", None: None}[result.sign]
+    cert = result.refuted_at
     verdict = {
         "is_solution": result.is_solution,
         "sign": sign,
-        "witness": result.witness.to_json_dict(),
+        "refuted_at": None if cert is None else cert.to_json_dict(),
     }
+    if args.witness:
+        verdict["witness"] = result.witness.to_json_dict()
     human = (
         f"solution (sign {sign})" if result.is_solution else "not a solution"
     )
@@ -353,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("verify", cmd_verify, "exact Monge-Ampere solution check")
     sp.add_argument("--poly", required=True, help="polynomial JSON file or -")
     sp.add_argument("--n", type=int, help="expected number of variables")
+    sp.add_argument("--witness", action="store_true",
+                    help="report the symbolic left side as the witness")
 
     sp = command("classify-flat", cmd_classify_flat, "flat-type classification")
     sp.add_argument("--poly", required=True)

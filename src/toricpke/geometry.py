@@ -175,21 +175,29 @@ def ricci_numeric(potential: ToricPotential, xi, eta):
     Minus the toric form of F(x) = log|det g(x, 1)|, with F_i the
     fourth-order central difference along axis i and F_ij (i <= j) the
     same stencil along axes i and j.  Every stencil point must stay in
-    the domain and det g must keep its sign across the stencil.
+    the domain and det g must keep its sign across the stencil.  Each
+    distinct stencil point is evaluated once.
     """
     n = potential.nvars
     xi = [float(v) for v in xi]
     eta = [float(v) for v in eta]
     x = [a * b for a, b in zip(xi, eta)]
     ones = [1.0] * n
+    # the stencils of F_i, F_ii and F_ij share points, so det g is kept
+    # per offset vector: 1 + 8n^2 distinct points of 1 + 4n + 8n(n+1)
+    dets = {}
 
     def det_at(shifts):
-        pt = x[:]
+        offset = [0] * n
         for i, a in shifts:
-            pt[i] += a * RICCI_STEP
-        d = _det(eval_metric(potential, pt, ones))
-        if abs(d) < 1e-300:
-            raise DomainError("det g vanishes on the stencil")
+            offset[i] += a
+        key = tuple(offset)
+        d = dets.get(key)
+        if d is None:
+            pt = [v + k * RICCI_STEP for v, k in zip(x, offset)]
+            d = dets[key] = _det(eval_metric(potential, pt, ones))
+            if abs(d) < 1e-300:
+                raise DomainError("det g vanishes on the stencil")
         return d
 
     sign = math.copysign(1.0, det_at(()))

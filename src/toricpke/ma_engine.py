@@ -7,7 +7,19 @@ as one bordered cofactor determinant.  A polynomial P with P(0) = +-1
 is a solution of the normalized equation when the log-type left side
 equals +-P^n exactly.
 
-verify_ma_star checks a product one variable-disjoint block at a time.
+verify_ma_star first tests the equation at one rational point, modulo
+the prime 2^61 - 1, in the Euler form of the bordered matrix.  For x with
+nonzero coordinates, x_1*...*x_n*L(x) = det[[T, U], [U^T, P]] with
+U_i = x_i*P_i = sum e_i*v and T_ij = x_i*x_j*P_ij + delta_ij*U_i =
+sum e_i*e_j*v over the term values v = c*x^e of P: column j <= n of the
+bordered matrix is (T_.j, U_j)/x_j.  One pass over P's terms and one
+(n+1)x(n+1) determinant modulo the prime give L(pt) and P(pt)^n there,
+and residues neither equal nor opposite certify that P is not a
+solution, with no polynomial product.  Otherwise (a residue that reads
+zero for one sign, or a denominator the prime divides), and whenever the
+symbolic left side is asked for as the witness, the check is symbolic.
+
+The symbolic check runs one variable-disjoint block at a time.
 If P*P_ij - P_i*P_j (P^2 times the mixed partial of log P) vanishes for
 every i and j in different blocks, then P = eps^(1-m)*prod P_b over its
 m blocks, with eps = P(0) and P_b the restriction of P to block b (the
@@ -16,7 +28,7 @@ L = eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), with L_b the left side of P_b
 in its n_b variables.  So P solves exactly when L_b = c_b*P_b^(n_b) for
 every b, with c_b = L_b(0)/eps^(n_b), and eps^(m-1)*prod c_b = +-1; that
 product is the sign.  Candidate blocks come from testing each pair of
-variables at one rational point, reduced modulo a prime, where a nonzero
+variables at the same point, in the same Euler form, where a nonzero
 value certifies the coupling without a polynomial product.  The split
 is then certified by comparing P with eps^(1-m)*prod P_b exactly, and
 falls back to one block of all variables when the comparison fails or
@@ -68,6 +80,7 @@ from toricpke.algebra import (
     determinant,
     determinant_cofactor,
     exact_divide,
+    fraction_to_str,
 )
 from toricpke.geometry import toric_hessian_matrix
 
@@ -77,10 +90,34 @@ class ProfileMismatchError(ArithmeticError):
 
 
 @dataclass(frozen=True)
+class PointRefutation:
+    """Residues of L(pt) and P(pt)^n modulo a prime, neither equal nor opposite.
+
+    Reduction modulo a prime is a ring map on the rationals whose
+    denominators it does not divide, so L(pt) != +-P(pt)^n, and P solves
+    the equation with neither sign.
+    """
+
+    point: tuple  # Fractions
+    modulus: int
+    lhs: int
+    rhs: int
+
+    def to_json_dict(self) -> dict:
+        return {
+            "point": [fraction_to_str(v) for v in self.point],
+            "modulus": str(self.modulus),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+        }
+
+
+@dataclass(frozen=True)
 class MAResult:
     is_solution: bool
     sign: Optional[int]  # +1 or -1 when is_solution
-    witness: MultiPoly  # the computed left-hand side
+    refuted_at: Optional[PointRefutation] = None  # set when the point test refutes
+    witness: Optional[MultiPoly] = None  # the left side, when asked for
 
 
 @dataclass(frozen=True)
@@ -186,27 +223,25 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
     return determinant_cofactor(PolyMatrix(rows))
 
 
-# The pair test runs modulo this prime, so that its work grows with the
-# bit length of P's exponents rather than with the exponents themselves.
-_PAIR_TEST_PRIME = 2**61 - 1
+# The point tests evaluate at the test point x_i = 1/(2i+3), i = 0..n-1,
+# modulo this prime, so that their work grows with the bit length of P's
+# exponents rather than with the exponents themselves.
+_TEST_PRIME = 2**61 - 1
 
 
-def _coupling_blocks(p: MultiPoly) -> list:
-    """Candidate blocks: the classes of the pairs of variables found coupled.
+def _euler_matrix(p: MultiPoly):
+    """(den, E): P's common denominator, and the Euler matrix of den*P.
 
-    x_i and x_j are coupled where P*P_ij - P_i*P_j, P^2 times the mixed
-    partial of log P, is nonzero.  At a point with nonzero coordinates,
-    x_i*x_j times that value is P*T_ij - U_i*U_j, with U_i = sum e_i*v
-    and T_ij = sum e_i*e_j*v over the term values v = c*x^e of P, so the
-    test needs no polynomial product.  It is taken at x_i = 1/(2i+3),
-    with P's coefficients over their common denominator, modulo a prime:
-    a nonzero residue certifies the coupling, while a zero one may be an
-    accident of the point or the prime, so the caller certifies the
-    split.  Where P vanishes most pairs read zero, and the one block of
-    all variables is returned.
+    For Q = den*P at the test point x, E = [[T, U], [U^T, V]] with
+    V = Q(x), U_i = x_i*Q_i and T_ij = x_i*x_j*Q_ij + delta_ij*U_i.  Over
+    the term values v = c*x^e of Q these are V = sum v, U_i = sum e_i*v
+    and T_ij = sum e_i*e_j*v, so E needs no polynomial product.  Its
+    entries are residues modulo the test prime: the exact values would
+    cost the size of the exponents (a term x^(10^40) has a 10^40-digit
+    value there), the residues cost their bit length.
     """
     n = p.nvars
-    q = _PAIR_TEST_PRIME
+    q = _TEST_PRIME
     point = [pow(2 * i + 3, -1, q) for i in range(n)]
     terms = p.terms
     den = math.lcm(*(c.denominator for c in terms.values()))
@@ -215,18 +250,84 @@ def _coupling_blocks(p: MultiPoly) -> list:
          * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
         for e, c in terms.items()
     ]
-    value = sum(v for _, v in values) % q
+    euler = [sum(e[i] * v for e, v in values) % q for i in range(n)]
+    rows = [[0] * n + [u] for u in euler]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = sum(e[i] * e[j] * v for e, v in values) % q
+    rows.append(euler + [sum(v for _, v in values) % q])
+    return den, rows
+
+
+def _det_mod(rows: list, q: int) -> int:
+    """Determinant of an integer matrix modulo the prime q, by elimination."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] % q), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k] % q
+        inv = pow(a[k][k], -1, q)
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % q
+            if f:
+                a[i] = [(u - f * w) % q for u, w in zip(a[i], a[k])]
+    return det % q
+
+
+def _point_refutation(den: int, euler: list) -> Optional[PointRefutation]:
+    """Refute L = +-P^n at the test point, or return None.
+
+    Column j <= n of ma_lhs_log's bordered matrix, times x_j, is
+    (T_.j, U_j), so x_1*...*x_n*L(x) = det E for the Euler matrix E of
+    Q = den*P (see _euler_matrix); L has degree n+1 in P, so
+    L(x) = det E/(x_1*...*x_n*den^(n+1)) and P(x)^n = (V/den)^n.  None
+    when the prime divides den, or when the residues are equal or
+    opposite: for a non-solution both L - P^n and L + P^n are nonzero
+    polynomials, and by the Schwartz-Zippel lemma such a polynomial
+    rarely vanishes at a point.
+    """
+    q = _TEST_PRIME
+    if den % q == 0:
+        return None
+    n = len(euler) - 1
+    lhs = _det_mod(euler, q) * pow(den, -(n + 1), q) % q
+    for i in range(n):
+        lhs = lhs * (2 * i + 3) % q  # 1/x_i
+    rhs = pow(euler[n][n] * pow(den, -1, q), n, q)
+    if lhs in (rhs, -rhs % q):
+        return None
+    point = tuple(Fraction(1, 2 * i + 3) for i in range(n))
+    return PointRefutation(point, q, lhs, rhs)
+
+
+def _coupling_blocks(euler: list) -> list:
+    """Candidate blocks: the classes of the pairs of variables found coupled.
+
+    x_i and x_j are coupled where P*P_ij - P_i*P_j, P^2 times the mixed
+    partial of log P, is nonzero.  At the test point x_i*x_j times that
+    value, for Q = den*P, is V*T_ij - U_i*U_j in the Euler matrix E of Q
+    (see _euler_matrix): a nonzero residue certifies the coupling, while
+    a zero one may be an accident of the point or the prime, so the
+    caller certifies the split.  Where P vanishes most pairs read zero,
+    and the one block of all variables is returned.
+    """
+    n = len(euler) - 1
+    value = euler[n][n]
     if not value:
         return [tuple(range(n))]
-    euler = [sum(e[i] * v for e, v in values) for i in range(n)]
     # union-find in its quick-find form: label[i] names x_i's class
     label = list(range(n))
     for i in range(n):
         for j in range(i + 1, n):
             if label[i] == label[j]:
                 continue
-            cross = sum(e[i] * e[j] * v for e, v in values)
-            if (value * cross - euler[i] * euler[j]) % q:
+            if (value * euler[i][j] - euler[i][n] * euler[j][n]) % _TEST_PRIME:
                 old = label[j]
                 label = [label[i] if lab == old else lab for lab in label]
     blocks = {}
@@ -242,58 +343,72 @@ def _disjoint_product(n: int, blocks: list, factors: list) -> MultiPoly:
     )
 
 
-def _product_blocks(p: MultiPoly):
+def _product_blocks(p: MultiPoly, euler: list):
     """Blocks b and factors P_b with P = eps^(1-m)*prod P_b exactly.
 
     P_b is P with the variables outside b set to 0, in b's own variables,
-    and eps = P(0) = +-1.  When the coupling test finds one block, when
-    the product does not reproduce P, or when eps is not +-1 (ma_lhs_log
-    then rejects P), the one block of all variables is returned.
+    eps = P(0) must be +-1, and euler is P's Euler matrix (see
+    _euler_matrix).  When the coupling test finds one block, or the
+    product does not reproduce P, the one block of all variables is
+    returned.
     """
     n = p.nvars
-    whole = [tuple(range(n))], [p]
-    eps = p.constant_term()
-    if eps not in (1, -1):
-        return whole
-    blocks = _coupling_blocks(p)
+    blocks = _coupling_blocks(euler)
     if len(blocks) == 1:
-        return whole
+        return blocks, [p]
     factors = [p.restrict(b) for b in blocks]
     # eps^(1-m)*prod P_b = P  <=>  prod P_b = eps^(m-1)*P, as eps = +-1
-    target = p if eps ** (len(blocks) - 1) == 1 else -p
+    target = p if p.constant_term() ** (len(blocks) - 1) == 1 else -p
     if _disjoint_product(n, blocks, factors) != target:
-        return whole
+        return [tuple(range(n))], [p]
     return blocks, factors
 
 
-def verify_ma_star(p: MultiPoly) -> MAResult:
-    """Exact check that the log-type left side equals +-P^n, block by block.
+def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
+    """Exact check that the log-type left side L equals +-P^n.
 
-    With blocks b of n_b variables, factors P_b (see _product_blocks),
+    The test point refutes most non-solutions first, with a certificate
+    and no polynomial product (see _point_refutation).  Otherwise, and
+    whenever the witness L is asked for, the check runs block by block:
+    with blocks b of n_b variables, factors P_b (see _product_blocks),
     L_b = ma_lhs_log(P_b) and c_b = L_b(0)/eps^(n_b), P is a solution
-    exactly when L_b = c_b*P_b^(n_b) for every b and its sign
-    eps^(m-1)*prod c_b is +-1.  The witness is the full left side
-    eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), which is sign*P^n on
-    acceptance.  One block is the whole check: L = c*P^n, witness L.
+    exactly when its sign eps^(m-1)*prod c_b is +-1 and L_b =
+    c_b*P_b^(n_b) for every b; no power of P_b is compared when the
+    point test refuted P or the sign is not +-1.  The witness is the
+    full left side eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), which is
+    sign*P^n on acceptance.  One block is the whole check: L = c*P^n,
+    witness L.
     """
-    blocks, factors = _product_blocks(p)
-    n, m = p.nvars, len(blocks)
     eps = p.constant_term()
-    solved = True
-    sign = eps ** (m - 1)
-    parts = []
-    for b, f in zip(blocks, factors):
-        lhs = ma_lhs_log(f)
-        c = lhs.constant_term() * eps ** len(b)  # L_b(0)/eps^(n_b), eps = +-1
-        solved = solved and lhs == c * f ** len(b)
-        sign *= c
-        parts.append(lhs if m == 1 else lhs * f ** (n - len(b)))
-    witness = parts[0] if m == 1 else _disjoint_product(n, blocks, parts)
-    if eps ** ((m - 1) * (n + 1)) == -1:
-        witness = -witness
-    if solved and sign in (1, -1):
-        return MAResult(True, int(sign), witness)
-    return MAResult(False, None, witness)
+    if eps not in (1, -1):
+        raise ValueError("log-type candidate needs constant term +-1")
+    den, euler = _euler_matrix(p)
+    refuted_at = _point_refutation(den, euler)
+    if refuted_at is not None and not witness:
+        return MAResult(False, None, refuted_at)
+    blocks, factors = _product_blocks(p, euler)
+    n, m = p.nvars, len(blocks)
+    lhs = [ma_lhs_log(f) for f in factors]
+    # c_b = L_b(0)/eps^(n_b), as eps = +-1
+    cs = [L.constant_term() * eps ** len(b) for L, b in zip(lhs, blocks)]
+    sign = eps ** (m - 1) * math.prod(cs)
+    # a certificate, or a sign other than +-1, decides before any power
+    solved = refuted_at is None and sign in (1, -1) and all(
+        L == c * f ** len(b) for L, c, f, b in zip(lhs, cs, factors, blocks)
+    )
+    full = None
+    if witness:
+        if m == 1:
+            full = lhs[0]
+        else:
+            full = _disjoint_product(n, blocks, [
+                L * f ** (n - len(b)) for L, f, b in zip(lhs, factors, blocks)
+            ])
+        if eps ** ((m - 1) * (n + 1)) == -1:
+            full = -full
+    if solved:
+        return MAResult(True, int(sign), None, full)
+    return MAResult(False, None, refuted_at, full)
 
 
 def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:

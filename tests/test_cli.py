@@ -190,7 +190,54 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["timings"] == {}
+    # a solution has no certificate, and the witness is opt-in
+    assert doc["verdict"]["refuted_at"] is None
+    assert "witness" not in doc["verdict"]
+    main(["verify", "--poly", path, "--json", "--witness"])
+    doc = json.loads(capsys.readouterr().out)
     assert MultiPoly.from_json_dict(doc["verdict"]["witness"]) is not None
+
+
+def perturbed_product(part):
+    p = product_solution(part)
+    return p + MultiPoly(p.nvars, {(1,) * p.nvars: Fraction(1, 7)})
+
+
+def test_verify_refutation_report_rechecks_exactly(tmp_path, capsys):
+    # refuted_at holds the residues of L(pt) and P(pt)^n modulo the
+    # prime; evaluating the symbolic left side at the point, exactly,
+    # and reducing it gives them back
+    p = perturbed_product((2, 1))
+    path = write_poly(tmp_path, p)
+    assert main(["verify", "--poly", path, "--json"]) == EXIT_REFUTED
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert set(verdict) == {"is_solution", "sign", "refuted_at"}
+    cert = verdict["refuted_at"]
+    assert cert["point"] == ["1/3", "1/5", "1/7"]
+    assert cert["modulus"] == str(2**61 - 1)
+    q = int(cert["modulus"])
+    point = [Fraction(v) for v in cert["point"]]
+
+    def residue(v):
+        return v.numerator * pow(v.denominator, -1, q) % q
+
+    lhs, rhs = int(cert["lhs"]), int(cert["rhs"])
+    assert lhs == residue(ma_lhs_log(p).evaluate(point))
+    assert rhs == residue(p.evaluate(point) ** 3)
+    assert lhs not in (rhs, q - rhs)
+
+
+def test_verify_witness_is_the_whole_left_side(tmp_path, capsys):
+    for p, code in ((perturbed_product((1, 1)), EXIT_REFUTED),
+                    (product_solution((2, 1)), EXIT_OK)):
+        path = write_poly(tmp_path, p)
+        assert main(["verify", "--poly", path, "--json", "--witness"]) == code
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert MultiPoly.from_json_dict(verdict["witness"]) == ma_lhs_log(p)
+        assert (verdict["refuted_at"] is None) == (code == EXIT_OK)
+        assert main(["verify", "--poly", path, "--json"]) == code
+        plain = json.loads(capsys.readouterr().out)["verdict"]
+        assert plain == {k: v for k, v in verdict.items() if k != "witness"}
 
 
 def test_verify_constant_term_not_unit_is_usage_error(tmp_path, capsys):
@@ -227,7 +274,7 @@ def test_verify_json_with_coefficients_beyond_str_limit(tmp_path, capsys):
     x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
     p = MultiPoly.one(2) + (x1 + x2 + x1 * x2) * c
     path = write_poly(tmp_path, p)
-    assert main(["verify", "--poly", path, "--json"]) == EXIT_REFUTED
+    assert main(["verify", "--poly", path, "--json", "--witness"]) == EXIT_REFUTED
     doc = json.loads(capsys.readouterr().out)
     assert MultiPoly.from_json_dict(doc["inputs"]["poly"]) == p
     witness = MultiPoly.from_json_dict(doc["verdict"]["witness"])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
+from toricpke import geometry
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
 from toricpke.catalog import partitions, potential_for_power
 from toricpke.geometry import (
@@ -140,11 +141,13 @@ def test_hessian_determinant_matches_metric_determinant():
 def test_einstein_fit_evaluate_budget(monkeypatch):
     # deterministic work gate: per metric the fit evaluates P, its n
     # first derivatives and the n(n+1)/2 second derivatives of the upper
-    # triangle.  Per point it takes g, and for Ricci det g at the point,
-    # 4n points for F_i and 16 for each of the n(n+1)/2 entries F_ij:
-    # 3 points x 178 metrics x 15 polynomials = 8,010 calls on (2,1,1).
-    # Differencing over all 2n coordinates took 11,610, and every second
-    # derivative of the full matrix on top of that 16,254
+    # triangle.  Per point it takes g, and for Ricci det g at the 1 + 8n^2
+    # distinct points of the stencils: 3 points x 130 metrics x 15
+    # polynomials = 5,850 calls on (2,1,1).  Evaluating each stencil
+    # point as often as it is named (4n points for F_i and 16 for each of
+    # the n(n+1)/2 entries F_ij) took 8,010, differencing over all 2n
+    # coordinates 11,610, and every second derivative of the full matrix
+    # on top of that 16,254
     calls = [0]
     evaluate = MultiPoly.evaluate
 
@@ -156,7 +159,25 @@ def test_einstein_fit_evaluate_budget(monkeypatch):
     pot = potential_for_power((2, 1, 1), 1)
     fit = einstein_fit(pot, sample_points(4, 3, seed=11))
     assert fit.lam == pytest.approx(1.0, abs=1e-6)
-    assert 0 < calls[0] <= 8_410
+    assert 0 < calls[0] <= 6_150
+
+
+def test_ricci_evaluates_each_stencil_point_once(monkeypatch):
+    # deterministic work gate: the stencils name 1 + 4n + 8n(n+1) = 177
+    # points for n = 4, and 1 + 8n^2 = 129 of them are distinct
+    calls = [0]
+    real = geometry.eval_metric
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "eval_metric", counting)
+    pot = potential_for_power((2, 1, 1), 1)
+    for xi, eta in sample_points(4, 3, seed=11):
+        calls[0] = 0
+        ricci_numeric(pot, xi, eta)
+        assert calls[0] == 129
 
 
 def random_toric_potential(rng, n, kind):

@@ -15,9 +15,13 @@ from toricpke.algebra import (
 )
 from toricpke.catalog import canonicalize, partitions, product_solution
 from toricpke.ma_engine import (
+    _TEST_PRIME,
     ExponentRatio,
+    MAResult,
     ProfileMismatchError,
     _coupling_blocks,
+    _euler_matrix,
+    _point_refutation,
     _probe_factor,
     _poly_sort_key,
     _product_blocks,
@@ -228,9 +232,19 @@ def whole_route(p):
 
 
 def assert_routes_agree(p):
-    res = verify_ma_star(p)
+    res = verify_ma_star(p, witness=True)
     assert (res.is_solution, res.sign, res.witness) == whole_route(p), p
+    # the default call differs only in leaving the witness out
+    assert verify_ma_star(p) == MAResult(res.is_solution, res.sign, res.refuted_at)
     return res
+
+
+def blocks_of(p):
+    return _product_blocks(p, _euler_matrix(p)[1])
+
+
+def coupling_of(p):
+    return _coupling_blocks(_euler_matrix(p)[1])
 
 
 def seeded_image(p, rng):
@@ -263,7 +277,7 @@ def test_block_route_matches_whole_route_on_catalog_images():
             if part == (4,):
                 continue
             p = seeded_image(product_solution(part), rng)
-            blocks, _ = _product_blocks(p)
+            blocks, _ = blocks_of(p)
             assert sorted(map(len, blocks)) == sorted(part), part
             for q in (p, -p):
                 assert assert_routes_agree(q).is_solution, part
@@ -279,7 +293,7 @@ def test_block_route_matches_whole_route_on_rescaled_products():
                   for _ in range(p.nvars)]
         for last in (1 / math.prod(scales[:-1]), 2 / math.prod(scales[:-1])):
             q = p.scale_vars(scales[:-1] + [last])
-            assert len(_product_blocks(q)[0]) == len(part)
+            assert len(blocks_of(q)[0]) == len(part)
             assert_routes_agree(q)
             assert_routes_agree(-q)
 
@@ -291,7 +305,7 @@ def test_block_route_matches_whole_route_on_random_products():
         for _ in range(2 if sum(shape) < 4 else 1):
             factors = [random_log_candidate(rng, k) for k in shape]
             p = product_of(factors)
-            assert len(_product_blocks(p)[0]) == len(shape), shape
+            assert len(blocks_of(p)[0]) == len(shape), shape
             assert_routes_agree(p)
 
 
@@ -312,7 +326,7 @@ def test_a_product_vanishing_at_the_test_point_is_one_block():
     point = [THIRD, Fraction(1, 5)]
     p = (MultiPoly.one(2) - 3 * x(2, 0)) ** 2 * (MultiPoly.one(2) + x(2, 1) * HALF) ** 2
     assert p.evaluate(point) == 0
-    assert _coupling_blocks(p) == [(0, 1)]
+    assert coupling_of(p) == [(0, 1)]
     assert_routes_agree(p)
 
 
@@ -334,16 +348,16 @@ def test_a_split_the_product_does_not_reproduce_falls_back_to_one_block():
     g1 = (pair_value(1) - pair_value(-1)) / 2
     p = base + bump * (-g1 / g2)
     assert pair_value(-g1 / g2) == 0
-    assert _coupling_blocks(p) == [(0,), (1,)]
-    assert _product_blocks(p) == ([(0, 1)], [p])
+    assert coupling_of(p) == [(0,), (1,)]
+    assert blocks_of(p) == ([(0, 1)], [p])
     assert_routes_agree(p)
 
 
 def test_a_variable_absent_from_p_is_its_own_block():
     # a block that P does not depend on has L_b = 0, so c_b = 0
     p = product_solution((1,)).embed(2, (0,))
-    assert _product_blocks(p)[0] == [(0,), (1,)]
-    res = verify_ma_star(p)
+    assert blocks_of(p)[0] == [(0,), (1,)]
+    res = verify_ma_star(p, witness=True)
     assert not res.is_solution and res.witness.is_zero()
     assert_routes_agree(p)
 
@@ -353,7 +367,7 @@ def test_the_pair_test_handles_huge_exponents():
     # the residue modulo the test prime costs the exponent's bit length
     p = split_square().restrict((0,)).embed(2, (0,)) * (
         MultiPoly.one(2) + MultiPoly(2, {(0, 10**40): 1}))
-    assert _product_blocks(p)[0] == [(0,), (1,)]
+    assert blocks_of(p)[0] == [(0,), (1,)]
     assert_routes_agree(p)
 
 
@@ -370,8 +384,10 @@ def test_block_route_term_pair_budget(monkeypatch):
 
 
 def test_the_block_test_multiplies_no_polynomial(monkeypatch):
-    # on a non-product the pair test finds one block, so verify_ma_star
-    # multiplies exactly what ma_lhs_log(p) and p**n do
+    # on a non-product the pair test finds one block, so where the point
+    # test is inconclusive verify_ma_star multiplies exactly what
+    # ma_lhs_log(p) and p**n do (c = L(0) is 1 here)
+    monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
     p = product_solution((1, 1, 1, 1))
     p = p + MultiPoly(4, {(1, 1, 0, 0): Fraction(1, 7)})
     pairs = count_term_pairs(monkeypatch)
@@ -381,6 +397,158 @@ def test_the_block_test_multiplies_no_polynomial(monkeypatch):
     pairs[0] = 0
     assert not verify_ma_star(p).is_solution
     assert pairs[0] == whole
+
+
+# ---------------------------------------------------------------------------
+# point test of verify_ma_star against exact evaluation
+
+
+def residue(v):
+    """The residue of the rational v modulo the test prime."""
+    return v.numerator * pow(v.denominator, -1, _TEST_PRIME) % _TEST_PRIME
+
+
+def bumped_candidates(seed, parts):
+    """Seeded images of the catalog products with one coefficient bumped.
+
+    Each bump has a denominator 7, 11 or 13, coprime to the catalog's, so
+    that it never cancels a term.
+    """
+    rng = random.Random(seed)
+    for part in parts:
+        p = seeded_image(product_solution(part), rng)
+        exp = rng.choice(sorted(e for e in p.terms if any(e)))
+        bump = rng.choice((1, -1)) * Fraction(rng.randint(1, 3),
+                                              rng.choice((7, 11, 13)))
+        yield part, p + MultiPoly(p.nvars, {exp: bump})
+
+
+def log_ma_det_at(p, pt):
+    """det M(pt) = P(pt)^(n-1)*L(pt) for the log-type matrix M, exactly.
+
+    M_ab = (P*P_ab - P_a*P_b)*x_a + P*P_a*delta_ab from P's partial
+    derivatives evaluated at pt; no bordered matrix and no Euler form.
+    """
+    import sympy
+
+    n = p.nvars
+    grad = [p.partial_derivative(a) for a in range(n)]
+    v = p.evaluate(pt)
+    g = [d.evaluate(pt) for d in grad]
+    m = [[(v * grad[a].partial_derivative(b).evaluate(pt) - g[a] * g[b]) * pt[a]
+          + (v * g[a] if a == b else 0) for b in range(n)] for a in range(n)]
+    det = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                        for row in m]).det()
+    return Fraction(int(det.p), int(det.q))
+
+
+# the refute-perturbed benchmark's partitions, n = 1 included
+REFUTE_PARTS = [part for n in (1, 2, 3) for part in partitions(n)] + [(1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_point_certificate_is_the_symbolic_left_side_at_the_point(seed):
+    for part, p in bumped_candidates(seed, REFUTE_PARTS):
+        cert = verify_ma_star(p).refuted_at
+        assert cert is not None and cert.modulus == _TEST_PRIME, part
+        pt = list(cert.point)
+        assert pt == [Fraction(1, 2 * i + 3) for i in range(p.nvars)]
+        lhs = residue(ma_lhs_log(p).evaluate(pt))
+        rhs = residue(p.evaluate(pt) ** p.nvars)
+        assert (cert.lhs, cert.rhs) == (lhs, rhs), part
+        assert lhs not in (rhs, -rhs % _TEST_PRIME), part
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_point_certificate_matches_the_log_type_matrix_up_to_n4(seed):
+    parts = [part for n in (1, 2, 3, 4) for part in partitions(n)]
+    for part, p in bumped_candidates(seed, parts):
+        cert = verify_ma_star(p).refuted_at
+        assert cert is not None, part
+        pt = list(cert.point)
+        n = p.nvars
+        value = residue(p.evaluate(pt))
+        assert cert.rhs == pow(value, n, _TEST_PRIME)
+        assert residue(log_ma_det_at(p, pt)) == \
+            cert.lhs * pow(value, n - 1, _TEST_PRIME) % _TEST_PRIME, part
+
+
+def test_an_inconclusive_point_test_gives_the_symbolic_verdict(monkeypatch):
+    monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
+    for part, p in bumped_candidates(4, REFUTE_PARTS[:6]):
+        assert verify_ma_star(p) == MAResult(False, None), part
+        assert_routes_agree(p)
+    for part in ((2, 1), (1, 1, 1)):
+        assert verify_ma_star(product_solution(part)) == MAResult(True, 1)
+
+
+def test_a_denominator_the_prime_divides_falls_back_to_the_symbolic_route(monkeypatch):
+    p = product_solution((2,)) + MultiPoly(2, {(1, 1): Fraction(1, _TEST_PRIME)})
+    assert _point_refutation(*_euler_matrix(p)) is None
+    calls = [0]
+    lhs_log = ma_engine.ma_lhs_log
+
+    def counting(q):
+        calls[0] += 1
+        return lhs_log(q)
+
+    monkeypatch.setattr(ma_engine, "ma_lhs_log", counting)
+    assert verify_ma_star(p) == MAResult(False, None)
+    assert calls[0] == 1
+    assert_routes_agree(p)
+
+
+def test_a_huge_exponent_is_refuted_at_the_point(monkeypatch):
+    # the symbolic route never runs: the point test costs the bit length
+    # of the exponent 10^40
+    def refuse(q):
+        raise AssertionError("the symbolic route ran")
+
+    p = product_solution((1, 1)) + MultiPoly(2, {(10**40, 1): Fraction(1, 7)})
+    monkeypatch.setattr(ma_engine, "ma_lhs_log", refuse)
+    pairs = count_term_pairs(monkeypatch)
+    res = verify_ma_star(p)
+    assert not res.is_solution and res.refuted_at is not None
+    assert pairs[0] == 0
+
+
+def test_refutation_multiplies_no_term_pair(monkeypatch):
+    # deterministic work gate: the symbolic route multiplies 1,959,199
+    # term pairs on this (1,1,1,1) and 44,075 on this (3,)
+    candidates = []
+    for part in ((1, 1, 1, 1), (3,)):
+        p = product_solution(part)
+        candidates.append(p + MultiPoly(p.nvars, {(1,) * p.nvars: Fraction(1, 7)}))
+    pairs = count_term_pairs(monkeypatch)
+    for p in candidates:
+        res = verify_ma_star(p)
+        assert not res.is_solution and res.refuted_at is not None, p.nvars
+    assert pairs[0] == 0
+
+
+def test_a_sign_other_than_one_takes_no_power(monkeypatch):
+    # a bumped linear coefficient moves c = L(0) = P(0)*prod P_i(0) off
+    # +-1, which refutes a one-block P before P**n
+    monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
+    p = product_solution((2,)) + MultiPoly(2, {(1, 0): Fraction(2, 11)})
+    pairs = count_term_pairs(monkeypatch)
+    lhs = ma_lhs_log(p)
+    assert lhs.constant_term() not in (1, -1)
+    alone = pairs[0]
+    pairs[0] = 0
+    assert verify_ma_star(p) == MAResult(False, None)
+    assert pairs[0] == alone
+
+
+def test_a_witness_after_a_certificate_takes_no_power(monkeypatch):
+    p = product_solution((1, 1, 1)) + MultiPoly(3, {(1, 1, 1): Fraction(1, 7)})
+    pairs = count_term_pairs(monkeypatch)
+    lhs = ma_lhs_log(p)
+    alone = pairs[0]
+    pairs[0] = 0
+    res = verify_ma_star(p, witness=True)
+    assert res.refuted_at is not None and res.witness == lhs
+    assert pairs[0] == alone
 
 
 # ---------------------------------------------------------------------------
