@@ -45,13 +45,13 @@ MAX_CATALOG_K = 32
 MAX_CATALOG_TERMS = 10_000
 # Most einstein-check --points: the sample is built before the fit starts,
 # and the fit's time grows linearly with it; at 100 points the projective
-# line takes 0.05 s and the K = 1 catalog potential of (2,1,1) about 13 s.
+# line takes 0.04 s and the K = 1 catalog potential of (2,1,1) about 1.5 s.
 MAX_POINTS = 100
 # Most variables and terms of an einstein-check potential: a sample
 # point's work grows like terms*n^4.  A point of the 90-term K = 1
-# catalog potential of (2,1,1) takes 0.11 s, and one of a 200-term
-# potential in 6 variables 0.4 s.  Every K = 1 catalog potential up to
-# dimension 4 fits.
+# catalog potential of (2,1,1) takes 0.016 s, and one of a 200-term
+# potential in 6 variables with exponents up to 3 0.17 s.  Every K = 1
+# catalog potential up to dimension 4 fits.
 MAX_EINSTEIN_NVARS = 6
 MAX_EINSTEIN_TERMS = 200
 

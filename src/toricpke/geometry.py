@@ -3,9 +3,11 @@
 A toric potential depends on the products x_i = xi_i * eta_i only; it is
 either a polynomial Phi = P(x) or a log-power Phi = k*log P(x).  For a
 function f of x, d^2 f / (d xi_i d eta_j) is the toric form
-f_ij*xi_j*eta_i + f_i*delta_ij.  The metric g is that of Phi, from the
-derivatives of P that each potential derives once (exact at Fraction
-points, floats at float points).  g(xi, eta) is conjugate to g(x, 1) by
+f_ij*xi_j*eta_i + f_i*delta_ij.  The metric g is that of Phi.  Each
+potential plans once how to evaluate P, its gradient and its upper
+Hessian: at a point, one table of their distinct monomials, then one dot
+product with each derivative's coefficients (exact at Fraction points,
+floats at float points).  g(xi, eta) is conjugate to g(x, 1) by
 diag(eta), so log|det g| is a function F of x alone, and the Ricci tensor
 Ric_ij = -d^2 log|det g| / (d xi_i d eta_j) is minus the toric form of
 F, differenced in x by one fourth-order central stencil.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,13 +57,51 @@ class ToricPotential:
         return self.P.nvars
 
     # derived on first use: catalog potentials can have 10^4 terms and are
-    # rarely evaluated; hess[i] holds d^2 P/dx_i dx_j for j >= i only
+    # rarely evaluated
     @functools.cached_property
-    def _derivatives(self) -> tuple:
+    def _plan(self) -> tuple:
+        """(steps, rows, coeffs): the monomial table and dot products of eval_metric.
+
+        Row r is P (kind "log" only), then P_i, then P_ij for j >= i; its
+        value is the sum of coeffs[r][t] (exact) times monomial rows[r][t].
+        Monomial 0 is 1, and monomial m > 0 is monomial steps[m-1][0] times
+        x_l**d, (l, d) = steps[m-1][1:]: the earlier one is m's exponent
+        with its last nonzero entry, d at l, set to 0.  So a chain has at
+        most n steps, whatever the exponents.
+        """
         n = self.nvars
-        grad = [self.P.partial_derivative(i) for i in range(n)]
-        hess = [[grad[i].partial_derivative(j) for j in range(i, n)] for i in range(n)]
-        return grad, hess
+
+        def lower(exp, c, i):
+            return exp[:i] + (exp[i] - 1,) + exp[i + 1:], c * exp[i]
+
+        log = self.kind == "log"
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        rows = [[] for _ in range(log + n + len(pairs))]
+        for exp, c in self.P.terms.items():
+            grad = [lower(exp, c, i) for i in range(n)]
+            hess = [lower(*grad[i], j) for i, j in pairs]
+            for row, (e, v) in zip(rows, [(exp, c)] * log + grad + hess):
+                if v:
+                    row.append((e, v))
+        index = {(0,) * n: 0}
+        steps = []
+
+        def monomial(exp):
+            m = index.get(exp)
+            if m is None:
+                l = max(i for i, e in enumerate(exp) if e)
+                steps.append((monomial(exp[:l] + (0,) * (n - l)), l, exp[l]))
+                m = index[exp] = len(steps)
+            return m
+
+        return (steps, [[monomial(e) for e, _ in row] for row in rows],
+                [[c for _, c in row] for row in rows])
+
+    # converted at the first float point, so that a coefficient beyond the
+    # float range raises OverflowError inside einstein_fit
+    @functools.cached_property
+    def _float_coeffs(self) -> list:
+        return [[float(c) for c in row] for row in self._plan[2]]
 
     def phi(self, xi, eta):
         """Potential value at null coordinates (xi, eta)."""
@@ -131,12 +172,21 @@ def eval_metric(potential: ToricPotential, xi, eta) -> list:
     toric form of P for kind "poly", and of k*log P, with gradient
     k*P_i/P and Hessian k*(P_ij/P - P_i*P_j/P^2), for kind "log".
     """
-    grad, hess = potential._derivatives
+    steps, rows, coeffs = potential._plan
     x = [a * b for a, b in zip(xi, eta)]
-    pi = [d.evaluate(x) for d in grad]
-    upper = [[d.evaluate(x) for d in row] for row in hess]
+    if not all(isinstance(v, (int, Fraction)) for v in x):
+        coeffs = potential._float_coeffs
+    table = [1]
+    for m, l, d in steps:
+        table.append(table[m] * x[l] ** d)
+    vals = iter([sum(map(operator.mul, c, map(table.__getitem__, idx)))
+                 for idx, c in zip(rows, coeffs)])
+    n = len(x)
     if potential.kind == "log":
-        p = potential.P.evaluate(x)
+        p = next(vals)
+    pi = [next(vals) for _ in range(n)]
+    upper = [[next(vals) for _ in range(i, n)] for i in range(n)]
+    if potential.kind == "log":
         if abs(p) < P_ZERO_TOL:
             raise DomainError("P vanishes at the evaluation point")
         k = potential.k if isinstance(p, Fraction) else float(potential.k)

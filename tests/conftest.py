@@ -5,6 +5,8 @@ Fraction arithmetic, fully independent of the packed-kernel code path, so
 it can serve as a cross-check for every derived expansion in the tests.
 The direct log-type oracle expands the full determinant of the log-type
 matrix and divides by Q^(n-1), a route the engine itself does not take.
+The metric oracle builds every derivative of P as a polynomial and
+evaluates each on its own, where eval_metric fills one monomial table.
 """
 
 import random
@@ -34,6 +36,28 @@ def n2_residual(p: MultiPoly, eq_sign: int) -> MultiPoly:
     m = log_ma_matrix(p)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return det - eq_sign * p**3
+
+
+def derivative_metric(potential, xi, eta) -> list:
+    """g_ij = d^2 Phi/(d xi_i d eta_j) from derivative polynomials of P.
+
+    f_ij*xi_j*eta_i + f_i*delta_ij with f = P or f = k*log P, whose
+    derivatives are k*P_i/P and k*(P_ij/P - P_i*P_j/P^2); each P_i and
+    P_ij is a partial_derivative, evaluated by MultiPoly.evaluate.
+    """
+    n = potential.nvars
+    x = [a * b for a, b in zip(xi, eta)]
+    grad = [potential.P.partial_derivative(i) for i in range(n)]
+    f1 = [d.evaluate(x) for d in grad]
+    f2 = [[d.partial_derivative(j).evaluate(x) for j in range(n)] for d in grad]
+    if potential.kind == "log":
+        p = potential.P.evaluate(x)
+        k = potential.k if isinstance(p, Fraction) else float(potential.k)
+        f2 = [[k * (f2[i][j] / p - f1[i] * f1[j] / (p * p)) for j in range(n)]
+              for i in range(n)]
+        f1 = [k * v / p for v in f1]
+    return [[f2[i][j] * xi[j] * eta[i] + (f1[i] if i == j else 0) for j in range(n)]
+            for i in range(n)]
 
 
 def naive_pow(a: MultiPoly, k: int) -> MultiPoly:

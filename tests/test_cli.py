@@ -450,6 +450,40 @@ def test_einstein_check_accepts_every_k1_catalog_potential_up_to_n4(tmp_path, ca
     assert main(["einstein-check", "--potential", path, "--points", "3"]) == EXIT_OK
 
 
+def test_einstein_check_on_a_huge_exponent_does_bounded_work(tmp_path, capsys):
+    # the metric's monomial table takes x1**(10^40) in one step, and each
+    # monomial chain has at most n steps, so the plan's size does not grow
+    # with the exponents; at the sample points the term is 0.0
+    p = MultiPoly(2, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (10**40, 1): 1})
+    pot = ToricPotential("log", p, 1)
+    steps, _, _ = pot._plan
+    assert len(steps) <= len(p.terms) * p.nvars
+    path = write_potential(tmp_path, pot)
+    start = time.perf_counter()
+    assert main(["einstein-check", "--potential", path]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_catalog_gen_builds_no_metric_plan(capsys, monkeypatch):
+    # a catalog potential is printed, not evaluated: the plan of its
+    # metric and its float coefficients wait for the first eval_metric
+    from toricpke import catalog
+
+    built = []
+    real = catalog.potential_for_power
+
+    def keep(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(catalog, "potential_for_power", keep)
+    assert main(["catalog", "gen", "--partition", "1,1,1,1", "--K", "9"]) == EXIT_OK
+    (pot,) = built
+    assert len(pot.P.terms) == MAX_CATALOG_TERMS
+    assert "_plan" not in pot.__dict__ and "_float_coeffs" not in pot.__dict__
+
+
 def test_einstein_check_bad_sampling_is_usage_error(tmp_path, capsys):
     path = write_potential(tmp_path, space_form_potential(8, 1))
     assert main(["einstein-check", "--potential", path, "--points", "2"]) == EXIT_USAGE

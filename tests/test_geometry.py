@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import derivative_metric, random_poly
 from toricpke import geometry
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
 from toricpke.catalog import partitions, potential_for_power
@@ -139,27 +139,33 @@ def test_hessian_determinant_matches_metric_determinant():
 
 
 def test_einstein_fit_evaluate_budget(monkeypatch):
-    # deterministic work gate: per metric the fit evaluates P, its n
-    # first derivatives and the n(n+1)/2 second derivatives of the upper
-    # triangle.  Per point it takes g, and for Ricci det g at the 1 + 8n^2
-    # distinct points of the stencils: 3 points x 130 metrics x 15
-    # polynomials = 5,850 calls on (2,1,1).  Evaluating each stencil
-    # point as often as it is named (4n points for F_i and 16 for each of
-    # the n(n+1)/2 entries F_ij) took 8,010, differencing over all 2n
-    # coordinates 11,610, and every second derivative of the full matrix
-    # on top of that 16,254
-    calls = [0]
+    # deterministic work gate: per point the fit takes g, and for Ricci
+    # det g at the 1 + 8n^2 distinct points of the stencils: 3 x 130 = 390
+    # metrics on (2,1,1).  Each metric fills one table of the distinct
+    # monomials of P, its gradient and its upper Hessian (the 90 monomials
+    # of P) and takes 643 coefficient-times-monomial terms; no polynomial
+    # is evaluated
+    calls = {"evaluate": 0, "metric": 0}
     evaluate = MultiPoly.evaluate
+    metric = geometry.eval_metric
 
-    def counting(self, point):
-        calls[0] += 1
+    def counting_evaluate(self, point):
+        calls["evaluate"] += 1
         return evaluate(self, point)
 
-    monkeypatch.setattr(MultiPoly, "evaluate", counting)
+    def counting_metric(*args):
+        calls["metric"] += 1
+        return metric(*args)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counting_evaluate)
+    monkeypatch.setattr(geometry, "eval_metric", counting_metric)
     pot = potential_for_power((2, 1, 1), 1)
     fit = einstein_fit(pot, sample_points(4, 3, seed=11))
     assert fit.lam == pytest.approx(1.0, abs=1e-6)
-    assert 0 < calls[0] <= 6_150
+    assert calls == {"evaluate": 0, "metric": 390}
+    steps, rows, _ = pot._plan
+    assert 1 + len(steps) <= 90
+    assert sum(map(len, rows)) <= 643
 
 
 def test_ricci_evaluates_each_stencil_point_once(monkeypatch):
@@ -192,6 +198,28 @@ def random_toric_potential(rng, n, kind):
     eps = rng.choice((1, -1))
     return ToricPotential("log", p + MultiPoly.constant(n, eps),
                           Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+
+
+def test_metric_matches_the_derivative_polynomial_oracle():
+    # exactly at Fraction points, to 1e-12 relative at float points
+    rng = random.Random(13)
+    pots = [ToricPotential("poly", MultiPoly.zero(3)),
+            # x_2 does not occur in P
+            ToricPotential("log", MultiPoly.one(3) - x(3, 0) * 2 + x(3, 2) * THIRD
+                           + x(3, 0) ** 2 * x(3, 2) ** 3 * HALF, Fraction(3, 2))]
+    pots += [random_toric_potential(rng, n, kind)
+             for n in range(1, 5) for kind in ("poly", "log") for _ in range(3)]
+    for pot in pots:
+        n = pot.nvars
+        for _ in range(2):
+            xi = [Fraction(rng.randint(-9, 9), 97) for _ in range(n)]
+            eta = [Fraction(rng.randint(-9, 9), 89) for _ in range(n)]
+            assert eval_metric(pot, xi, eta) == derivative_metric(pot, xi, eta)
+        for xi, eta in sample_points(n, 2, seed=rng.random()):
+            want = derivative_metric(pot, xi, eta)
+            got = eval_metric(pot, xi, eta)
+            for got_row, want_row in zip(got, want):
+                assert got_row == pytest.approx(want_row, rel=1e-12, abs=0)
 
 
 def test_det_g_depends_on_x_alone():
