@@ -60,16 +60,26 @@ def _blocks(partition):
         start += ni
 
 
-def product_solution(partition) -> MultiPoly:
-    """prod_i (1 + (sum of block i)/(n_i+1))^(n_i+1), consecutive blocks."""
+def _checked_partition(partition) -> tuple:
     partition = tuple(int(v) for v in partition)
     if not partition or any(v < 1 for v in partition):
         raise ValueError("partition must be a non-empty list of positive integers")
+    return partition
+
+
+def _block_product(partition: tuple, exponents) -> MultiPoly:
+    """prod_i (1 + (sum of block i)/(n_i+1))^exponents[i], consecutive blocks."""
     n = sum(partition)
     p = MultiPoly.one(n)
-    for ni, block in zip(partition, _blocks(partition)):
-        p = p * _block_factor(n, block, ni + 1) ** (ni + 1)
+    for ni, block, e in zip(partition, _blocks(partition), exponents):
+        p = p * _block_factor(n, block, ni + 1) ** e
     return p
+
+
+def product_solution(partition) -> MultiPoly:
+    """prod_i (1 + (sum of block i)/(n_i+1))^(n_i+1), consecutive blocks."""
+    partition = _checked_partition(partition)
+    return _block_product(partition, [ni + 1 for ni in partition])
 
 
 def _power_exponents(partition, K: int) -> tuple:
@@ -77,9 +87,7 @@ def _power_exponents(partition, K: int) -> tuple:
 
     h = gcd of the n_i + 1 divides every exponent, so all are integral.
     """
-    partition = tuple(int(v) for v in partition)
-    if not partition or any(v < 1 for v in partition):
-        raise ValueError("partition must be a non-empty list of positive integers")
+    partition = _checked_partition(partition)
     if K < 1:
         raise ValueError("K must be a positive integer")
     h = math.gcd(*(ni + 1 for ni in partition))
@@ -91,12 +99,8 @@ def potential_for_power(partition, K: int) -> ToricPotential:
 
     K = h reproduces product_solution exactly.
     """
-    partition, exponents = _power_exponents(partition, K)
-    n = sum(partition)
-    p = MultiPoly.one(n)
-    for ni, block, e in zip(partition, _blocks(partition), exponents):
-        p = p * _block_factor(n, block, ni + 1) ** e
-    return ToricPotential("log", p, Fraction(1))
+    return ToricPotential("log", _block_product(*_power_exponents(partition, K)),
+                          Fraction(1))
 
 
 def potential_terms(partition, K: int) -> int:

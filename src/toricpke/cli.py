@@ -34,7 +34,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 # Largest --k, --k-max or continue --bound: the continuation's work grows faster
-# than linearly in the order, and at 32 no command takes a second.
+# than linearly in the order.  At 32 the slowest command, scan-k --k-max 32,
+# takes 0.05-0.07 s and continue --bound 32 at most 0.02 s (2 cores,
+# Python 3.11).
 MAX_ORDER = 32
 # Largest catalog dimension (--max-n, or the sum of --partition), largest
 # --K, and most terms in one record's potential: a record's work grows

@@ -47,14 +47,16 @@ image of that one, P_{eps,sigma,r}(x1, x2) = eps*P_{1,1,1}(x1/r,
 eps*sigma*r*x2), failures included: under x -> (l1*x1, l2*x2) the
 bordered determinant of ma_lhs_log gains the factor l1*l2, which is 1
 here.  The search verifies the image for each r on its grid and runs no
-feasibility scan first.  The continuation never expands the full
-two-variable residual while it runs.  Order h needs only the
-x2^h coefficient of the residual, which comes from x2-series products
-truncated at degree h (lower-order coefficients are kept between
-orders), and P_{h+1} follows from it by one exact division by a
-closed-form probe factor of the axis data.  Every rejection is a
-certificate; acceptance requires the full symbolic left side to equal
-sigma*P^2.
+feasibility scan first.  The continuation never expands the
+two-variable left side while it runs.  It writes P = sum_h P_h*x2^h in
+the Euler form above, where x2*d/dx2 multiplies the x2^h coefficient by
+h, so the x2^(h+1) coefficient of det[[T, U], [U^T, P]] -
+sigma*x1*x2*P^2, x1 times the x2^h coefficient of L - sigma*P^2, is a
+sum of products of univariate coefficients (sums over pairs of lower
+coefficients are kept between orders).  It is affine in P_{h+1}, with
+a slope computed once from the axis data, so P_{h+1} follows by one
+exact division.  Every rejection is a certificate; acceptance requires
+verify_ma_star to give the candidate the sign sigma.
 """
 
 from __future__ import annotations
@@ -507,184 +509,114 @@ def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
     return CauchyData(p0, p1, epsilon, sigma, r, k)
 
 
-def _lift_univariate(p: MultiPoly, x2_power: int) -> MultiPoly:
-    """Embed a univariate polynomial in x1 as a 2-variable one times x2^h."""
-    return MultiPoly(2, {(e[0], x2_power): c for e, c in p.terms.items()})
+def _theta(p: MultiPoly) -> MultiPoly:
+    """x1*dp/dx1 for p in x1 alone: its x1^e coefficient times e."""
+    return MultiPoly(1, {e: e[0] * c for e, c in p.terms.items()})
 
 
-def _convolve(f, g, i: int) -> MultiPoly:
-    """x2^i coefficient of the product of two x2-series.
+class _EulerSeries:
+    """x2-coefficients of det E - eq_sign*x1*x2*P^2 for P = sum_h p[h]*x2^h.
 
-    A series is given by a function from the x2-exponent to the
-    coefficient, a univariate polynomial in x1.
-    """
-    total = MultiPoly.zero(1)
-    for j in range(i + 1):
-        a = f(j)
-        if not a.is_zero():
-            b = g(i - j)
-            if not b.is_zero():
-                total = total + a * b
-    return total
-
-
-def _convolve_square(f, i: int) -> MultiPoly:
-    """x2^i coefficient of the square of an x2-series."""
-    total = MultiPoly.zero(1)
-    for j in range((i + 1) // 2):
-        a = f(j)
-        if not a.is_zero():
-            b = f(i - j)
-            if not b.is_zero():
-                total = total + a * b
-    total = total + total
-    if i % 2 == 0:
-        mid = f(i // 2)
-        if not mid.is_zero():
-            total = total + mid * mid
-    return total
-
-
-def _series(lookahead: int):
-    """Memoize entry i of a derived series once P_0..P_{i+lookahead} exist."""
-
-    def wrap(compute):
-        def entry(self, i):
-            memo = self._memo.setdefault(compute.__name__, {})
-            value = memo.get(i)
-            if value is None:
-                value = compute(self, i)
-                if i + lookahead < len(self.coeffs):
-                    memo[i] = value
-            return value
-
-        return entry
-
-    return wrap
-
-
-class _ResidualSeries:
-    """x2-coefficients of det M - eq_sign*P^3 for P = sum_j coeffs[j]*x2^j.
-
-    With M the log-type matrix of P (see log_ma_matrix) the residual is
-    M11*M22 - x1*x2*N^2 - eq_sign*P^3, where
-    M11 = x1*(P*P_11 - P_1^2) + P*P_1, M22 = x2*(P*P_22 - P_2^2) + P*P_2
-    and N = P*P_12 - P_1*P_2 (subscripts 1, 2 are partials in x1, x2).
-    Every product is truncated at the x2-degree asked for.  Coefficients
-    past the end of the list count as zero, and the list only grows, so
-    an entry of a derived series is final, and kept, once every P_j it
-    reads is present: the x2^h coefficient then costs O(h) univariate
-    products on top of those kept from lower orders.
+    E is the Euler matrix of P (see _euler_matrix), so det E = x1*x2*L
+    with L = ma_lhs_log(P).  x2*d/dx2 multiplies the x2^h coefficient by
+    h, so with theta = x1*d/dx1, U_h = theta(P_h) and T_h = theta(U_h)
+    the x2^m coefficient of det E is
+        sum_{i+r=m} T_i*R_r - P_i*((2i^2 - i*m)*S_r + W_r),
+    where R_r, S_r and W_r sum (l-s)^2/2*P_l*P_s, U_l*U_s and
+    l*s*U_l*U_s over ordered l + s = r.  Coefficients past the end of the
+    list count as zero, and the list only grows, so entry r of these sums
+    reads P_0..P_r only and is final, and kept, once P_r exists.
     """
 
     def __init__(self, coeffs: list, eq_sign: int):
-        self.coeffs = list(coeffs)
+        self.p, self.u, self.t = [], [], []
         self.eq_sign = eq_sign
-        self._memo = {}
+        self._sums = {}
+        for c in coeffs:
+            self.append(c)
 
-    def p(self, i: int) -> MultiPoly:
-        return self.coeffs[i] if i < len(self.coeffs) else MultiPoly.zero(1)
+    def append(self, c: MultiPoly):
+        self.p.append(c)
+        self.u.append(_theta(c))
+        self.t.append(_theta(self.u[-1]))
 
-    @_series(lookahead=0)
-    def p_1(self, i):
-        return self.p(i).partial_derivative(0)
+    def probe(self) -> MultiPoly:
+        """T_0*P_0 - U_0^2, the slope of order(h) in P_(h+1) over (h+1)^2.
 
-    @_series(lookahead=0)
-    def p_11(self, i):
-        return self.p_1(i).partial_derivative(0)
+        P_(h+1) enters order(h) only through T_0*R_(h+1) and
+        P_(h+1)*S_0.  For P_0 = eps*(1 + x1/r)^k this is
+        (k/r)*x1*(1 + x1/r)^(2k-2), never zero.
+        """
+        return self.t[0] * self.p[0] - self.u[0] ** 2
 
-    @_series(lookahead=1)
-    def p_2(self, i):
-        return self.p(i + 1) * (i + 1)
+    def _pair_sums(self, r: int) -> tuple:
+        """(R_r, S_r, W_r, [P^2]_r) from P_l*P_j and U_l*U_j, l <= j = r - l.
 
-    @_series(lookahead=2)
-    def p_22(self, i):
-        return self.p(i + 2) * ((i + 1) * (i + 2))
-
-    @_series(lookahead=1)
-    def p_12(self, i):
-        return self.p_1(i + 1) * (i + 1)
-
-    @_series(lookahead=0)
-    def m11(self, i):
-        x1 = MultiPoly.variable(1, 0)
-        hess = _convolve(self.p, self.p_11, i) - _convolve_square(self.p_1, i)
-        return x1 * hess + _convolve(self.p, self.p_1, i)
-
-    @_series(lookahead=1)
-    def m22(self, i):
-        entry = _convolve(self.p, self.p_2, i)
-        if i:
-            # the factor x2 of x2*(P*P_22 - P_2^2) shifts its index by one
-            entry = (
-                entry
-                + _convolve(self.p, self.p_22, i - 1)
-                - _convolve_square(self.p_2, i - 1)
-            )
-        return entry
-
-    @_series(lookahead=1)
-    def n(self, i):
-        return _convolve(self.p, self.p_12, i) - _convolve(self.p_1, self.p_2, i)
-
-    @_series(lookahead=0)
-    def square(self, i):
-        return _convolve_square(self.p, i)
+        A pair with P_l or P_j zero adds nothing and is skipped.
+        """
+        sums = self._sums.get(r)
+        if sums is None:
+            big_r = s = w = sq = MultiPoly.zero(1)
+            for l in range(max(0, r - len(self.p) + 1), r // 2 + 1):
+                j = r - l
+                if self.p[l].is_zero() or self.p[j].is_zero():
+                    continue
+                c = 1 if l == j else 2
+                pp = self.p[l] * self.p[j]
+                uu = self.u[l] * self.u[j]
+                big_r = big_r + (j - l) ** 2 * pp
+                sq = sq + c * pp
+                s = s + c * uu
+                w = w + c * l * j * uu
+            sums = (big_r, s, w, sq)
+            if r < len(self.p):
+                self._sums[r] = sums
+        return sums
 
     def order(self, h: int) -> MultiPoly:
-        """The x2^h coefficient of the residual, exact."""
-        cube = _convolve(self.square, self.p, h)
-        residual = _convolve(self.m11, self.m22, h) - self.eq_sign * cube
-        if h:
-            x1 = MultiPoly.variable(1, 0)
-            residual = residual - x1 * _convolve_square(self.n, h - 1)
-        return residual
-
-
-def _probe_factor(cd: CauchyData) -> MultiPoly:
-    """m = P0*[(P0*P0'' - P0'^2)*x1 + P0*P0'] = eps*(k/r)*(1 + x1/r)^(3k-2).
-
-    For h >= 1 the x2^h coefficient of the residual is affine in P_{h+1}
-    with linear coefficient (h+1)^2*m: P_{h+1} enters at that order only
-    through P*P_2 and x2*P*P_22 inside M22, multiplied by the x2-free
-    part of M11.  m is never zero.
-    """
-    return (cd.k / cd.r) * binomial_power(cd.epsilon, cd.r, 3 * cd.k - 2)
+        """The x2^(h+1) coefficient, x1*[L - eq_sign*P^2]_h, exact."""
+        m = h + 1
+        total = -self.eq_sign * (MultiPoly.variable(1, 0) * self._pair_sums(h)[3])
+        for i in range(min(m, len(self.p) - 1) + 1):
+            if not self.p[i].is_zero():
+                big_r, s, w, _ = self._pair_sums(m - i)
+                total = (total + self.t[i] * big_r
+                         - self.p[i] * ((2 * i * i - i * m) * s + w))
+        return total
 
 
 def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiPoly]:
     """Reconstruct the two-variable solution from its Cauchy data.
 
-    The solution is written as sum_h P_h(x1)*x2^h and the residual
-    det M - sigma*P^3 is forced to vanish order by order in x2; the sign
-    is sigma because the residual's x2^0 coefficient for sign s is
-    eps*(sigma - s)*(1 + x1/r)^(3k).  Order h is t + (h+1)^2*m*P_{h+1},
-    t computed from products truncated at x2-degree h and m the probe
-    factor, so P_{h+1} is one exact division by m.  Returns None when a
-    division fails, when the first unforced x2^bound coefficient is
-    nonzero, or when verify_ma_star does not give the candidate the sign
-    sigma: each is a certificate.  A returned candidate is verified.
+    The solution is written as sum_h P_h(x1)*x2^h, and L - sigma*P^2 is
+    forced to vanish order by order in x2, on the Euler form of the
+    bordered determinant (see _EulerSeries); the sign is sigma because
+    the x2^0 coefficient of x1*(L - s*P^2) is x1*(sigma - s)*(1 + x1/r)^(2k).
+    Order h is t + (h+1)^2*m*P_(h+1), with t read from P_0..P_h and m the
+    series' probe, so P_(h+1) is one exact division by m.  Returns None
+    when a division fails, when the first unforced x2^bound coefficient
+    is nonzero, or when verify_ma_star does not give the candidate the
+    sign sigma: each is a certificate.  A returned candidate is verified.
     The branches are images of one, P_{eps,sigma}(x1, x2) =
     eps*P_{1,1}(x1, eps*sigma*x2), failures included.
     """
     if degree_bound < max(2, cd.k):
         raise ValueError("degree_bound must be at least max(2, k)")
-    probe = _probe_factor(cd)
-    series = _ResidualSeries([cd.P0, cd.P1], cd.sigma)
+    series = _EulerSeries([cd.P0, cd.P1], cd.sigma)
+    probe = series.probe()
     for h in range(1, degree_bound):
         try:
             nxt = exact_divide(-series.order(h), probe) * Fraction(1, (h + 1) ** 2)
         except NotDivisibleError:
             return None
-        series.coeffs.append(nxt)
+        series.append(nxt)
     # x2^bound is the first order the loop does not force; the candidate
     # has no x2^(bound+1) term, so this coefficient is final for it
     if not series.order(degree_bound).is_zero():
         return None
-    candidate = sum(
-        (_lift_univariate(c, j) for j, c in enumerate(series.coeffs)),
-        MultiPoly.zero(2),
-    )
+    candidate = MultiPoly(2, {
+        (e[0], h): c for h, ph in enumerate(series.p) for e, c in ph.terms.items()
+    })
     if verify_ma_star(candidate).sign != cd.sigma:
         return None
     return candidate

@@ -31,13 +31,6 @@ def direct_lhs_log(q: MultiPoly) -> MultiPoly:
     return exact_divide(determinant(log_ma_matrix(q)), q ** (q.nvars - 1))
 
 
-def n2_residual(p: MultiPoly, eq_sign: int) -> MultiPoly:
-    """det M - eq_sign*P^3 for the two-variable log-type equation."""
-    m = log_ma_matrix(p)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return det - eq_sign * p**3
-
-
 def derivative_metric(potential, xi, eta) -> list:
     """g_ij = d^2 Phi/(d xi_i d eta_j) from derivative polynomials of P.
 

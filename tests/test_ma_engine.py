@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import COEFF_POOL, direct_lhs_log, n2_residual, random_poly
+from conftest import COEFF_POOL, direct_lhs_log, random_poly
 from toricpke import algebra, ma_engine
 from toricpke.algebra import (
     MultiPoly,
@@ -21,11 +21,10 @@ from toricpke.ma_engine import (
     ProfileMismatchError,
     _coupling_blocks,
     _euler_matrix,
+    _EulerSeries,
     _point_refutation,
-    _probe_factor,
     _poly_sort_key,
     _product_blocks,
-    _ResidualSeries,
     axis_profile_check,
     cauchy_data,
     classify_flat,
@@ -683,7 +682,10 @@ def lift(coeffs):
 
 
 def sympy_residual_coefficients(coeffs, eq_sign, upto):
-    """x2^h coefficients, h <= upto, of det M - eq_sign*P^3 via sympy."""
+    """x2^h coefficients, h <= upto, of x1*(L - eq_sign*P^2) via sympy.
+
+    L = det M/P with M the log-type matrix of P, divided exactly by sympy.
+    """
     import sympy
 
     x1, x2 = sympy.symbols("x1 x2")
@@ -698,7 +700,9 @@ def sympy_residual_coefficients(coeffs, eq_sign, upto):
         * xs[a]
         + (p * sympy.diff(p, xs[a]) if a == b else 0)
     ))
-    residual = sympy.Poly(sympy.expand(m.det() - eq_sign * p**3), x1, x2)
+    lhs, rem = sympy.div(sympy.expand(m.det()), p, x1, x2)
+    assert rem == 0
+    residual = sympy.Poly(sympy.expand(x1 * (lhs - eq_sign * p**2)), x1, x2)
     out = []
     for h in range(upto + 1):
         terms = {}
@@ -710,9 +714,10 @@ def sympy_residual_coefficients(coeffs, eq_sign, upto):
 
 
 def test_order_coefficient_matches_sympy_expansion():
-    # the series grows one coefficient at a time, as in the continuation,
-    # and every order up to the bound is checked after each step, so
-    # entries kept from a shorter list are checked too
+    # order(h) is x1*[L - eq_sign*P^2]_h; the series grows one coefficient
+    # at a time, as in the continuation, and every order up to the bound
+    # is checked after each step, so entries kept from a shorter list are
+    # checked too
     rng = random.Random(53)
     bound = 5
     for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, 2, 2), (1, -1, HALF, 4),
@@ -720,35 +725,38 @@ def test_order_coefficient_matches_sympy_expansion():
         cd = cauchy_data(eps, sig, Fraction(r), k)
         extra = [random_poly(rng, 1, 3, 3) for _ in range(2)]
         for eq_sign in (1, -1):
-            series = _ResidualSeries([cd.P0, cd.P1], eq_sign)
+            series = _EulerSeries([cd.P0, cd.P1], eq_sign)
             for step in range(len(extra) + 1):
                 if step:
-                    series.coeffs.append(extra[step - 1])
-                expected = sympy_residual_coefficients(series.coeffs, eq_sign, bound)
+                    series.append(extra[step - 1])
+                expected = sympy_residual_coefficients(series.p, eq_sign, bound)
                 for h in range(bound + 1):
                     assert series.order(h) == expected[h]
 
 
 def test_order_zero_fixes_the_equation_sign():
-    # the x2^0 coefficient is eps*(sigma - eq_sign)*(1 + x1/r)^(3k)
+    # order(0), the x2^1 coefficient of det E - eq_sign*x1*x2*P^2, is
+    # x1*(sigma - eq_sign)*(1 + x1/r)^(2k)
     for eps in (1, -1):
         for sig in (1, -1):
             cd = cauchy_data(eps, sig, Fraction(-2, 3), 3)
             for eq_sign in (1, -1):
-                order0 = _ResidualSeries([cd.P0, cd.P1], eq_sign).order(0)
+                order0 = _EulerSeries([cd.P0, cd.P1], eq_sign).order(0)
                 assert order0.is_zero() == (eq_sign == sig)
 
 
 def test_closed_form_probe_matches_full_expansion():
+    # for P = P0 + x2^(h+1), x1*[L]_h is the slope (h+1)^2*probe of
+    # order(h) in P_(h+1), and [P^2]_h is zero
     for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, HALF, 2), (1, -1, -2, 1),
                            (-1, -1, Fraction(2, 3), 5)):
         cd = cauchy_data(eps, sig, Fraction(r), k)
-        m = _probe_factor(cd)
+        probe = _EulerSeries([cd.P0, cd.P1], sig).probe()
+        assert probe == (k / Fraction(r)) * x(1, 0) * binomial_power(1, Fraction(r), 2 * k - 2)
         for h in range(1, 9):
-            probe = lift([cd.P0] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
-            for eq_sign in (1, -1):
-                full = x2_slice(n2_residual(probe, eq_sign), h)
-                assert m * (h + 1) ** 2 == full
+            p = lift([cd.P0] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
+            full = x(1, 0) * x2_slice(direct_lhs_log(p), h)
+            assert probe * (h + 1) ** 2 == full
 
 
 CONTINUATION_GRID = [
@@ -835,21 +843,55 @@ def count_term_pairs(monkeypatch):
 
 
 def test_feasible_scan_term_pair_budget(monkeypatch):
-    # deterministic work gate: continuing one datum per k multiplies
-    # 8,146 term pairs here; one sign branch for each r of a six-value
-    # grid took 32,676, all four branches, each tried with both equation
-    # signs, 155,748, and expanding the whole residual at every order 3.1M
+    # deterministic work gate: continuing one datum per k on the Euler
+    # series multiplies 2,900 term pairs here; the nine series of
+    # det M - sigma*P^3 took 7,671, one sign branch for each r of a
+    # six-value grid 32,676, all four branches, each tried with both
+    # equation signs, 155,748, and expanding the whole residual at every
+    # order 3.1M
     pairs = count_term_pairs(monkeypatch)
     assert feasible_k_scan_n2(6) == {2, 3}
-    assert 0 < pairs[0] <= 10_000
+    assert 0 < pairs[0] <= 3_400
 
 
 def test_search_term_pair_budget(monkeypatch):
     # deterministic work gate: one continuation per k plus the verified
-    # images multiply 10,424 term pairs here; continuing each r took 16,292
+    # images multiply 4,228 term pairs here; the nine series of
+    # det M - sigma*P^3 took 8,999, and continuing each r 16,292
     pairs = count_term_pairs(monkeypatch)
     assert len(search_n2([HALF, Fraction(-3)])) == 4
-    assert 0 < pairs[0] <= 12_500
+    assert 0 < pairs[0] <= 5_000
+
+
+def test_long_scan_term_pair_budget(monkeypatch):
+    # deterministic work gate: continuing every k up to the order limit
+    # multiplies 39,458 term pairs here; the nine series of
+    # det M - sigma*P^3 took 160,330
+    pairs = count_term_pairs(monkeypatch)
+    assert feasible_k_scan_n2(32) == {2, 3}
+    assert 0 < pairs[0] <= 45_000
+
+
+def test_continuation_skips_zero_coefficients(monkeypatch):
+    # deterministic work gate: the cubic has P_h = 0 for h > 3, and the
+    # series skips those coefficients, so continuing it to the order limit
+    # makes 591 products (scalar ones included); multiplying the zeros as
+    # well makes 5,166, though a zero factor never reaches the kernel and
+    # adds no term pair
+    calls = [0]
+    mul = MultiPoly.__mul__
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    cubic = taylor_continue_n2(cauchy_data(1, 1, 3, 3), 32)
+    assert cubic == taylor_continue_n2(cauchy_data(1, 1, 3, 3), 6)
+    calls[0] = 0
+    taylor_continue_n2(cauchy_data(1, 1, 3, 3), 32)
+    assert 0 < calls[0] <= 700
 
 
 def test_rank_one_correction_term_pair_budget(monkeypatch):
