@@ -337,6 +337,13 @@ class MultiPoly:
                 out[exp[:i] + (e - 1,) + exp[i + 1:]] = c * e
         return MultiPoly._reduced(self.nvars, out, self._den)
 
+    def euler_derivative(self, i: int) -> "MultiPoly":
+        """x_i * dP/dx_i (0-based): each term times its exponent of x_i."""
+        if not 0 <= i < self.nvars:
+            raise IndexError(f"variable index {i} out of range")
+        out = {exp: c * exp[i] for exp, c in self._terms.items() if exp[i]}
+        return MultiPoly._reduced(self.nvars, out, self._den)
+
     def scale_vars(self, factors) -> "MultiPoly":
         """Substitute x_i -> factors[i] * x_i; all factors must be nonzero."""
         factors = [_as_scalar(f) for f in factors]
@@ -752,9 +759,10 @@ def binomial_profile(p: MultiPoly) -> BinomialProfile:
     """Recognize p(t) = eps*(1 + t/r)^k with eps = +-1, rational r, k >= 1.
 
     Only rational r is certified: r is read off the linear coefficient
-    and the expansion is matched exactly.  Anything else (several
-    distinct roots, irrational or split-complex root structure) raises
-    NotBinomialPowerError.
+    and the expansion is matched exactly, coefficient by coefficient,
+    through a_(j+1)*(j+1)*r = a_j*(k-j) with a_0 = eps, so the power is
+    never built.  Anything else (several distinct roots, irrational or
+    split-complex root structure) raises NotBinomialPowerError.
     """
     if p.nvars != 1:
         raise ValueError("binomial_profile expects a univariate polynomial")
@@ -768,12 +776,18 @@ def binomial_profile(p: MultiPoly) -> BinomialProfile:
     if deg == float("-inf") or deg < 1:
         raise NotBinomialPowerError("constant polynomial has no binomial profile")
     k = int(deg)
-    c1 = p.coefficient((1,))
-    if c1 == 0:
-        raise NotBinomialPowerError("vanishing linear coefficient")
-    r = epsilon * Fraction(k) / c1
-    if binomial_power(epsilon, r, k) != p:
-        raise NotBinomialPowerError("expansion mismatch: not a binomial power")
+    # every coefficient of eps*(1 + t/r)^k is nonzero
+    terms = p._terms
+    if len(terms) != k + 1:
+        raise NotBinomialPowerError(
+            f"{len(terms)} terms, not {k + 1}: not a binomial power of degree {k}"
+        )
+    r = epsilon * Fraction(k) / p.coefficient((1,))
+    # the recurrence over p's common denominator, times r's denominator
+    for j in range(1, k):
+        if (terms[(j + 1,)] * (j + 1) * r.numerator
+                != terms[(j,)] * (k - j) * r.denominator):
+            raise NotBinomialPowerError("expansion mismatch: not a binomial power")
     return BinomialProfile(epsilon, r, k)
 
 

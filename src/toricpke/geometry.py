@@ -70,19 +70,10 @@ class ToricPotential:
         most n steps, whatever the exponents.
         """
         n = self.nvars
-
-        def lower(exp, c, i):
-            return exp[:i] + (exp[i] - 1,) + exp[i + 1:], c * exp[i]
-
-        log = self.kind == "log"
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        rows = [[] for _ in range(log + n + len(pairs))]
-        for exp, c in self.P.terms.items():
-            grad = [lower(exp, c, i) for i in range(n)]
-            hess = [lower(*grad[i], j) for i, j in pairs]
-            for row, (e, v) in zip(rows, [(exp, c)] * log + grad + hess):
-                if v:
-                    row.append((e, v))
+        grad = [self.P.partial_derivative(i) for i in range(n)]
+        hess = [grad[i].partial_derivative(j) for i in range(n) for j in range(i, n)]
+        rows = [list(d.terms.items())
+                for d in [self.P] * (self.kind == "log") + grad + hess]
         index = {(0,) * n: 0}
         steps = []
 
@@ -139,20 +130,13 @@ class EinsteinFit:
 def toric_hessian_matrix(d0: MultiPoly) -> PolyMatrix:
     """Matrix (d^2 D0/dx_i dx_j)*x_i + (d D0/dx_j)*delta_ij.
 
-    Its determinant is the flat-type Monge-Ampere left side.
+    Entry (i, j) is d/dx_j of the Euler derivative x_i*dD0/dx_i, so the
+    matrix needs no polynomial product.  Its determinant is the
+    flat-type Monge-Ampere left side.
     """
     n = d0.nvars
-    grad = [d0.partial_derivative(j) for j in range(n)]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = grad[j].partial_derivative(i) * MultiPoly.variable(n, i)
-            if i == j:
-                entry = entry + grad[j]
-            row.append(entry)
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix([[g.partial_derivative(j) for j in range(n)]
+                       for g in map(d0.euler_derivative, range(n))])
 
 
 def _toric_form(grad, upper, xi, eta) -> list:

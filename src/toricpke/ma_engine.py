@@ -3,9 +3,13 @@
 The flat-type operator is det[(d^2 D0/dx_i dx_j)x_i + (d D0/dx_j)d_ij];
 the log-type operator divides the analogous determinant built from
 Q*Q_ab - Q_a*Q_b by Q^(n-1), which ma_lhs_log does without a division,
-as one bordered cofactor determinant.  A polynomial P with P(0) = +-1
-is a solution of the normalized equation when the log-type left side
-equals +-P^n exactly.
+as one bordered cofactor determinant.  Both matrices are made of
+derivatives of generators, with theta_i = x_i*d/dx_i: row i of the
+flat-type matrix is (d_1 G, ..., d_n G) for G = theta_i D0, and the
+bordered matrix has the rows (d_1 G, ..., d_n G, G) for G = theta_1 Q,
+..., theta_n Q, Q, so no entry costs a polynomial product.  A
+polynomial P with P(0) = +-1 is a solution of the normalized equation
+when the log-type left side equals +-P^n exactly.
 
 verify_ma_star first tests the equation at one rational point, modulo
 the prime 2^61 - 1, in the Euler form of the bordered matrix.  For x with
@@ -209,17 +213,15 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
     g^T*adj(A)*c) for every Q, singular A included.  By the Schur
     complement the bracket is the determinant of A bordered by the column
     c and the row (g^T, Q), so the left side needs neither M's
-    determinant nor a division.
+    determinant nor a division.  Its rows are (d_1 G, ..., d_n G, G) for
+    the generators G = theta_1 Q, ..., theta_n Q, Q, theta_i = x_i*d/dx_i,
+    so no entry costs a polynomial product.
     """
     if q.constant_term() not in (1, -1):
         raise ValueError("log-type candidate needs constant term +-1")
     n = q.nvars
-    grad = [q.partial_derivative(i) for i in range(n)]
-    rows = [
-        row + [MultiPoly.variable(n, i) * grad[i]]
-        for i, row in enumerate(toric_hessian_matrix(q).entries)
-    ]
-    rows.append(grad + [q])
+    generators = [q.euler_derivative(i) for i in range(n)] + [q]
+    rows = [[g.partial_derivative(j) for j in range(n)] + [g] for g in generators]
     # entries have low degree; cofactor expansion avoids the term swell of
     # fraction-free intermediates here
     return determinant_cofactor(PolyMatrix(rows))
@@ -235,9 +237,11 @@ def _euler_matrix(p: MultiPoly):
     """(den, E): P's common denominator, and the Euler matrix of den*P.
 
     For Q = den*P at the test point x, E = [[T, U], [U^T, V]] with
-    V = Q(x), U_i = x_i*Q_i and T_ij = x_i*x_j*Q_ij + delta_ij*U_i.  Over
-    the term values v = c*x^e of Q these are V = sum v, U_i = sum e_i*v
-    and T_ij = sum e_i*e_j*v, so E needs no polynomial product.  Its
+    V = Q(x), U_i = x_i*Q_i and T_ij = x_i*x_j*Q_ij + delta_ij*U_i: the
+    rows of ma_lhs_log's generators theta_1 Q, ..., theta_n Q, Q, with
+    theta_j in place of d_j, at the point.  Over the term values
+    v = c*x^e of Q these are V = sum v, U_i = sum e_i*v and
+    T_ij = sum e_i*e_j*v, so E needs no polynomial product.  Its
     entries are residues modulo the test prime: the exact values would
     cost the size of the exponents (a term x^(10^40) has a 10^40-digit
     value there), the residues cost their bit length.
@@ -439,8 +443,8 @@ def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:
     else:
         e = Fraction(int(dl), int(dq))
     a, b = e.numerator, e.denominator
-    power = q**a
-    if lhs**b != power and lhs**b != -power:
+    power, lhs_b = q**a, lhs**b
+    if lhs_b != power and lhs_b != -power:
         return None
     ratio = Fraction(n + 1) - e
     if ratio <= 0:
@@ -467,7 +471,9 @@ def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
     """Certify the axis restriction eps*(1 + t/r)^k and its companion.
 
     For n >= 2 the restriction of prod_{j != axis} dP/dx_j to the axis
-    must equal +-eps^(n-2)*(r/k)*(1 + t/r)^(k(n-2)+2) exactly.
+    must equal +-eps^(n-2)*(r/k)*(1 + t/r)^(k(n-2)+2) exactly: k/r times
+    it must have the binomial profile (+-1, r, k(n-2)+2).  Neither power
+    is built.
     """
     n = p.nvars
     if not 0 <= axis < n:
@@ -482,13 +488,12 @@ def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
         for j in range(n):
             if j != axis:
                 qt = qt * p.partial_derivative(j).restrict((axis,))
-        eps, r, k = prof
-        expected = (
-            Fraction(eps) ** (n - 2)
-            * (r / k)
-            * binomial_power(1, r, k * (n - 2) + 2)
-        )
-        if qt != expected and qt != -expected:
+        r, k = prof.r, prof.k
+        try:
+            companion = binomial_profile(qt * (k / r))[1:]
+        except NotBinomialPowerError:
+            companion = None
+        if companion != (r, k * (n - 2) + 2):
             raise ProfileMismatchError(
                 f"companion restriction on axis {axis} does not match"
             )
@@ -507,11 +512,6 @@ def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
     p0 = binomial_power(epsilon, r, k)
     p1 = sigma * (r / k) * binomial_power(1, r, 2)
     return CauchyData(p0, p1, epsilon, sigma, r, k)
-
-
-def _theta(p: MultiPoly) -> MultiPoly:
-    """x1*dp/dx1 for p in x1 alone: its x1^e coefficient times e."""
-    return MultiPoly(1, {e: e[0] * c for e, c in p.terms.items()})
 
 
 class _EulerSeries:
@@ -537,8 +537,8 @@ class _EulerSeries:
 
     def append(self, c: MultiPoly):
         self.p.append(c)
-        self.u.append(_theta(c))
-        self.t.append(_theta(self.u[-1]))
+        self.u.append(c.euler_derivative(0))
+        self.t.append(self.u[-1].euler_derivative(0))
 
     def probe(self) -> MultiPoly:
         """T_0*P_0 - U_0^2, the slope of order(h) in P_(h+1) over (h+1)^2.

@@ -69,6 +69,31 @@ def test_mixed_partials_commute_on_random_polys():
         )
 
 
+def test_euler_derivative_matches_sympy():
+    # x_i*dP/dx_i by sympy's diff, which shares no code with MultiPoly
+    import sympy
+
+    rng = random.Random(15)
+    for n in range(1, 5):
+        xs = sympy.symbols(f"x1:{n + 1}")
+        for _ in range(10):
+            p = random_poly(rng, n, 5, max_terms=8)
+            expr = sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(v**e for v, e in zip(xs, exp)))
+                       for exp, c in p.terms.items())
+            for i in range(n):
+                want = sympy.Poly(xs[i] * sympy.diff(expr, xs[i]), *xs).as_dict()
+                assert p.euler_derivative(i) == MultiPoly(n, {
+                    e: Fraction(int(c.p), int(c.q)) for e, c in want.items()
+                })
+
+
+def test_euler_derivative_index_out_of_range():
+    for i in (-1, 2):
+        with pytest.raises(IndexError):
+            x(2, 0).euler_derivative(i)
+
+
 # ---------------------------------------------------------------------------
 # determinants
 
@@ -301,8 +326,24 @@ def test_profile_with_negative_sign_and_root():
 
 
 def test_profile_rejects_non_binomial():
-    with pytest.raises(NotBinomialPowerError):
-        binomial_profile(poly_from_coeffs([1, 1, 1]))
+    # every coefficient is matched, the middle and the last ones included
+    candidates = [[1, 1, 1]]
+    for j in (2, 4, 6):
+        coeffs = [binomial_power(-1, Fraction(3, 2), 6).coefficient((i,))
+                  for i in range(7)]
+        coeffs[j] += Fraction(1, 7)
+        candidates.append(coeffs)
+    for coeffs in candidates:
+        with pytest.raises(NotBinomialPowerError, match="expansion mismatch"):
+            binomial_profile(poly_from_coeffs(coeffs))
+
+
+def test_profile_rejects_a_sparse_high_degree_input_by_its_term_count():
+    # 1 + t + t^2000 has 3 terms where a binomial power of degree 2000
+    # has 2001, so nothing of degree 2000 is built
+    p = MultiPoly(1, {(0,): 1, (1,): 1, (2000,): 1})
+    with pytest.raises(NotBinomialPowerError, match="3 terms, not 2001"):
+        binomial_profile(p)
 
 
 @pytest.mark.parametrize("epsilon", [1, -1])

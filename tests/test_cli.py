@@ -23,6 +23,7 @@ from toricpke.cli import (
     MAX_CATALOG_TERMS,
     MAX_EINSTEIN_NVARS,
     MAX_EINSTEIN_TERMS,
+    MAX_NVARS,
     MAX_ORDER,
     MAX_POINTS,
     build_parser,
@@ -104,6 +105,35 @@ def test_axis_check(tmp_path, capsys):
     assert main(["axis", "--poly", path, "--axis", "1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "r=3" in out and "k=3" in out
+
+
+def test_axis_on_a_sparse_high_degree_input_does_bounded_work(tmp_path, capsys):
+    # 1 + x1 + x1^2000 has 3 terms where a binomial power of degree 2000
+    # has 2001; building the power first took tens of seconds
+    path = write_poly(tmp_path, MultiPoly(1, {(0,): 1, (1,): 1, (2000,): 1}))
+    start = time.perf_counter()
+    assert main(["axis", "--poly", path]) == EXIT_REFUTED
+    assert time.perf_counter() - start < 1.0
+    assert "3 terms, not 2001" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nvars", [MAX_NVARS + 1, 600])
+@pytest.mark.parametrize("command", ["verify", "classify-flat", "axis", "report"])
+def test_polynomial_beyond_max_nvars_is_usage_error(tmp_path, capsys, command, nvars):
+    # the work of classify-flat grows with nvars even with no terms
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"nvars": nvars, "terms": []}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main([command, "--poly", str(path)]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeds MAX_NVARS = {MAX_NVARS}" in capsys.readouterr().err
+
+
+def test_polynomial_at_max_nvars_is_read(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"nvars": MAX_NVARS, "terms": []}), encoding="utf-8")
+    assert main(["classify-flat", "--poly", str(path)]) == EXIT_REFUTED
+    assert main(["report", "--poly", str(path)]) == EXIT_OK
 
 
 def test_continue_reconstructs(tmp_path, capsys):

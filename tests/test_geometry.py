@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import derivative_metric, random_poly
-from toricpke import geometry
+from toricpke import algebra, geometry
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
-from toricpke.catalog import partitions, potential_for_power
+from toricpke.catalog import partitions, potential_for_power, product_solution
 from toricpke.geometry import (
     DomainError,
     ToricPotential,
@@ -67,6 +67,32 @@ def test_hessian_of_product_term():
 def test_hessian_of_zero():
     m = toric_hessian_matrix(MultiPoly.zero(2))
     assert all(m[i, j].is_zero() for i in range(2) for j in range(2))
+
+
+def test_hessian_multiplies_no_polynomials(monkeypatch):
+    # deterministic work gate: entry (i, j) is d/dx_j of x_i*dD0/dx_i, so
+    # the matrix is built from derivatives alone; products by the
+    # variable x_i took up to n^2 kernel calls
+    calls = [0]
+    mul_terms = algebra.mul_terms
+
+    def counting(a, b):
+        calls[0] += 1
+        return mul_terms(a, b)
+
+    products = [product_solution(part) for n in range(1, 5) for part in partitions(n)]
+    # x_i*D0_ij + delta_ij*D0_j, built the long way round
+    want = []
+    for d0 in products:
+        n = d0.nvars
+        grad = [d0.partial_derivative(j) for j in range(n)]
+        want.append([[grad[j].partial_derivative(i) * x(n, i)
+                      + (grad[j] if i == j else 0) for j in range(n)]
+                     for i in range(n)])
+    monkeypatch.setattr(algebra, "mul_terms", counting)
+    got = [toric_hessian_matrix(d0).entries for d0 in products]
+    assert calls == [0]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +246,35 @@ def test_metric_matches_the_derivative_polynomial_oracle():
             got = eval_metric(pot, xi, eta)
             for got_row, want_row in zip(got, want):
                 assert got_row == pytest.approx(want_row, rel=1e-12, abs=0)
+
+
+def test_metric_matches_sympy_second_derivatives():
+    # an oracle sharing no code with eval_metric, as derivative_metric
+    # shares partial_derivative with its plan: sympy differentiates Phi
+    # in the null coordinates, at Fraction points, exactly
+    import sympy
+
+    rng = random.Random(16)
+    for n in (1, 2, 3):
+        xs = sympy.symbols(f"xi1:{n + 1}")
+        es = sympy.symbols(f"eta1:{n + 1}")
+        for kind in ("poly", "log"):
+            for _ in range(3):
+                pot = random_toric_potential(rng, n, kind)
+                p = sum(sympy.Rational(c.numerator, c.denominator)
+                        * sympy.Mul(*((a * b)**e for a, b, e in zip(xs, es, exp)))
+                        for exp, c in pot.P.terms.items())
+                phi = p if kind == "poly" else (
+                    sympy.Rational(pot.k.numerator, pot.k.denominator) * sympy.log(p))
+                xi = [Fraction(rng.randint(-9, 9), 97) for _ in range(n)]
+                eta = [Fraction(rng.randint(-9, 9), 89) for _ in range(n)]
+                at = {s: sympy.Rational(v.numerator, v.denominator)
+                      for s, v in zip(xs + es, xi + eta)}
+                want = [[sympy.diff(phi, xs[i], es[j]).subs(at) for j in range(n)]
+                        for i in range(n)]
+                got = eval_metric(pot, xi, eta)
+                assert [[sympy.Rational(v.numerator, v.denominator) for v in row]
+                        for row in got] == want, (pot, xi, eta)
 
 
 def test_det_g_depends_on_x_alone():

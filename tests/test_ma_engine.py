@@ -151,6 +151,30 @@ def test_log_lhs_direct_and_rank1_agree():
         assert ma_lhs_log(q) == direct_lhs_log(q)
 
 
+def test_log_lhs_rows_multiply_no_polynomials(monkeypatch):
+    # deterministic work gate: row i of the bordered matrix is
+    # (d_1 G, ..., d_n G, G) for G = theta_i Q, and the last row is the
+    # same for G = Q, so no product precedes the determinant; the flat-type
+    # matrix and the border x_i*Q_i took up to n^2 + n kernel calls
+    products = [product_solution(part) for n in range(1, 5) for part in partitions(n)]
+    # [[A, x o grad Q], [grad Q^T, Q]], built the long way round
+    want = []
+    for q in products:
+        n = q.nvars
+        grad = [q.partial_derivative(i) for i in range(n)]
+        want.append([[grad[j].partial_derivative(i) * x(n, i)
+                      + (grad[i] if i == j else 0) for j in range(n)]
+                     + [x(n, i) * grad[i]] for i in range(n)] + [grad + [q]])
+    got = []
+    pairs = count_term_pairs(monkeypatch)
+    monkeypatch.setattr(ma_engine, "determinant_cofactor",
+                        lambda m: got.append(m.entries))
+    for q in products:
+        ma_lhs_log(q)
+    assert pairs == [0]
+    assert got == want
+
+
 def test_log_lhs_matches_sympy_determinant():
     import sympy
 
@@ -371,8 +395,8 @@ def test_the_pair_test_handles_huge_exponents():
 
 
 def test_block_route_term_pair_budget(monkeypatch):
-    # deterministic work gate: the blocks multiply 9,973 term pairs on
-    # (2,1,1) and 68,385 on (3,1); the whole route took 2,043,003 and
+    # deterministic work gate: the blocks multiply 919 term pairs on
+    # (2,1,1) and 43,801 on (3,1); the whole route took 2,043,003 and
     # 2,987,316
     pairs = count_term_pairs(monkeypatch)
     for part, budget in (((2, 1, 1), 12_000), ((3, 1), 82_000)):
@@ -580,6 +604,23 @@ def test_scan_rejects_non_power_lhs():
     assert exponent_scan(q) is None
 
 
+def test_scan_raises_the_left_side_to_its_power_once(monkeypatch):
+    # x1 -> -x1 gives the (2,1) product the sign -1, so L^b = -Q^a is
+    # compared after L^b = Q^a fails: Q^a and L^b are each taken once
+    calls = [0]
+    pow_ = MultiPoly.__pow__
+
+    def counting(self, k):
+        calls[0] += 1
+        return pow_(self, k)
+
+    q = product_solution((2, 1)).scale_vars([-1, 1, 1])
+    assert verify_ma_star(q).sign == -1
+    monkeypatch.setattr(MultiPoly, "__pow__", counting)
+    assert exponent_scan(q) == ExponentRatio(1, 1)
+    assert calls == [2]
+
+
 def test_reduce_fourth_power():
     q = (MultiPoly.one(1) + x(1, 0) * Fraction(1, 4)) ** 4
     p = reduce_power(q, ExponentRatio(1, 2))
@@ -635,6 +676,33 @@ def test_axis_profile_on_all_catalog_axes():
             p = product_solution(part)
             for axis in range(n):
                 axis_profile_check(p, axis)
+
+
+def test_axis_profile_takes_either_companion_sign():
+    # P -> -P and x_j -> -x_j (j off the axis) flip the sign of the
+    # companion restriction, which may be either
+    for n in (2, 3, 4):
+        for part in partitions(n):
+            p = product_solution(part)
+            for axis in range(n):
+                flips = [1 if j == axis else -1 for j in range(n)]
+                for q in (-p, p.scale_vars(flips)):
+                    prof = axis_profile_check(q, axis)
+                    assert prof.epsilon == q.constant_term(), (part, axis)
+
+
+@pytest.mark.parametrize("extra", [
+    x(2, 1) * x(2, 0) ** 3,
+    x(2, 1) * (MultiPoly.one(2) + x(2, 0) * HALF) ** 2,
+    x(2, 1) * x(2, 0) * (MultiPoly.one(2) + x(2, 0) * HALF) ** 2 * HALF,
+], ids=["shape", "scale", "exponent"])
+def test_axis_profile_rejects_a_wrong_companion(extra):
+    # dP/dx2 on the axis x2 = 0 is (r/k)*(1 + x1/r)^2 = (1 + x1/2)^2 for
+    # the split square; extra adds to it without touching P(x1, 0)
+    p = split_square() + extra
+    assert p.restrict((0,)) == split_square().restrict((0,))
+    with pytest.raises(ProfileMismatchError, match="companion restriction"):
+        axis_profile_check(p, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +912,7 @@ def count_term_pairs(monkeypatch):
 
 def test_feasible_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing one datum per k on the Euler
-    # series multiplies 2,900 term pairs here; the nine series of
+    # series multiplies 2,870 term pairs here; the nine series of
     # det M - sigma*P^3 took 7,671, one sign branch for each r of a
     # six-value grid 32,676, all four branches, each tried with both
     # equation signs, 155,748, and expanding the whole residual at every
@@ -856,7 +924,7 @@ def test_feasible_scan_term_pair_budget(monkeypatch):
 
 def test_search_term_pair_budget(monkeypatch):
     # deterministic work gate: one continuation per k plus the verified
-    # images multiply 4,228 term pairs here; the nine series of
+    # images multiply 4,138 term pairs here; the nine series of
     # det M - sigma*P^3 took 8,999, and continuing each r 16,292
     pairs = count_term_pairs(monkeypatch)
     assert len(search_n2([HALF, Fraction(-3)])) == 4
@@ -865,7 +933,7 @@ def test_search_term_pair_budget(monkeypatch):
 
 def test_long_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing every k up to the order limit
-    # multiplies 39,458 term pairs here; the nine series of
+    # multiplies 39,428 term pairs here; the nine series of
     # det M - sigma*P^3 took 160,330
     pairs = count_term_pairs(monkeypatch)
     assert feasible_k_scan_n2(32) == {2, 3}
@@ -875,7 +943,7 @@ def test_long_scan_term_pair_budget(monkeypatch):
 def test_continuation_skips_zero_coefficients(monkeypatch):
     # deterministic work gate: the cubic has P_h = 0 for h > 3, and the
     # series skips those coefficients, so continuing it to the order limit
-    # makes 591 products (scalar ones included); multiplying the zeros as
+    # makes 585 products (scalar ones included); multiplying the zeros as
     # well makes 5,166, though a zero factor never reaches the kernel and
     # adds no term pair
     calls = [0]
@@ -897,7 +965,8 @@ def test_continuation_skips_zero_coefficients(monkeypatch):
 def test_rank_one_correction_term_pair_budget(monkeypatch):
     # deterministic work gate: cofactor expansion of the flat-type matrix
     # bordered by the column x o grad Q and the row (grad Q, Q) multiplies
-    # 1,537,532 term pairs on (2,1,1) and 1,282,860 on (1,1,1,1)
+    # 1,536,942 term pairs on (2,1,1) and 1,282,252 on (1,1,1,1), all of
+    # them in the determinant
     pairs = count_term_pairs(monkeypatch)
     for part, budget in (((2, 1, 1), 1_700_000), ((1, 1, 1, 1), 1_410_000)):
         p = product_solution(part)
