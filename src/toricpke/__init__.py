@@ -1,5 +1,6 @@
 """Exact verification and classification of toric para-Kahler-Einstein
-Monge-Ampere solutions, with numeric Einstein cross-checks.
+Monge-Ampere solutions, and exact Einstein verdicts with a float
+cross-check.
 
 Polynomials hold integer numerators over one common denominator, and
 there is one multiplication kernel, in pure Python: it multiplies large

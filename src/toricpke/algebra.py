@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -343,6 +344,14 @@ class MultiPoly:
             raise IndexError(f"variable index {i} out of range")
         out = {exp: c * exp[i] for exp, c in self._terms.items() if exp[i]}
         return MultiPoly._reduced(self.nvars, out, self._den)
+
+    def shift(self, exp) -> "MultiPoly":
+        """x^exp * P: exp added to every exponent, with no product."""
+        exp = tuple(exp)
+        if len(exp) != self.nvars or any(e < 0 for e in exp):
+            raise ValueError(f"bad exponent tuple {exp} for nvars={self.nvars}")
+        out = {tuple(map(operator.add, e, exp)): c for e, c in self._terms.items()}
+        return MultiPoly._raw(self.nvars, out, self._den)
 
     def scale_vars(self, factors) -> "MultiPoly":
         """Substitute x_i -> factors[i] * x_i; all factors must be nonzero."""

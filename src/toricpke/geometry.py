@@ -1,4 +1,4 @@
-"""Potentials, metrics and numeric Einstein checks.
+"""Potentials, metrics, and float checks of Einstein verdicts.
 
 A toric potential depends on the products x_i = xi_i * eta_i only; it is
 either a polynomial Phi = P(x) or a log-power Phi = k*log P(x).  For a
@@ -8,9 +8,15 @@ potential plans once how to evaluate P, its gradient and its upper
 Hessian: at a point, one table of their distinct monomials, then one dot
 product with each derivative's coefficients (exact at Fraction points,
 floats at float points).  g(xi, eta) is conjugate to g(x, 1) by
-diag(eta), so log|det g| is a function F of x alone, and the Ricci tensor
-Ric_ij = -d^2 log|det g| / (d xi_i d eta_j) is minus the toric form of
-F, differenced in x by one fourth-order central stencil.
+diag(eta), so log|det g| is a function F of x alone.
+
+Whether Phi is Einstein is decided exactly by einstein.einstein_exponent;
+einstein_residual is the float cross-check of that verdict, one metric
+and one determinant per point.  The numeric Ricci tensor
+Ric_ij = -d^2 log|det g| / (d xi_i d eta_j), minus the toric form of F
+differenced in x by one fourth-order central stencil, and the
+least-squares einstein_fit built on it are the tests' independent
+oracle: no command uses them.
 """
 
 from __future__ import annotations
@@ -89,7 +95,7 @@ class ToricPotential:
                 [[c for _, c in row] for row in rows])
 
     # converted at the first float point, so that a coefficient beyond the
-    # float range raises OverflowError inside einstein_fit
+    # float range raises OverflowError inside the float check that asked
     @functools.cached_property
     def _float_coeffs(self) -> list:
         return [[float(c) for c in row] for row in self._plan[2]]
@@ -286,6 +292,33 @@ def einstein_fit(potential: ToricPotential, points) -> EinsteinFit:
             for j in range(n):
                 resid = max(resid, abs(ric[i][j] - lam * g[i][j]))
     return EinsteinFit(lam=lam, max_residual=resid)
+
+
+def einstein_residual(potential: ToricPotential, lam, C, points) -> float:
+    """max over points of |log|det g| + lam*Phi - log|c||, in floats.
+
+    For Phi = k*log P, det g = k^n*L/P^(n+1) with L the log-type left side
+    of P, so L = C*(eps*P)^e and lam = (n+1-e)/k make the sum the constant
+    log|c|, c = k^n*C; for Phi = P, det g is the flat-type left side, so
+    lam = 0 and c = C.  One metric and one determinant per point.  A zero
+    of P or det g, and a value beyond the float range, raise DomainError.
+    """
+    n = potential.nvars
+    c = Fraction(C) * potential.k**n if potential.kind == "log" else Fraction(C)
+    # math.log takes ints of any size, so c never has to fit a float
+    log_c = math.log(abs(c.numerator)) - math.log(c.denominator)
+    lam = float(lam)
+    worst = 0.0
+    for xi, eta in points:
+        try:
+            d = _det(eval_metric(potential, xi, eta))
+            phi = potential.phi(xi, eta) if lam else 0.0
+        except OverflowError as exc:
+            raise DomainError(f"value beyond float range: {exc}") from exc
+        if not (math.isfinite(d) and d and math.isfinite(phi)):
+            raise DomainError("det g or Phi is zero or beyond float range")
+        worst = max(worst, abs(math.log(abs(d)) + lam * phi - log_c))
+    return worst
 
 
 def four_point_combination(phi, xi, eta, zeta, lam):

@@ -37,7 +37,8 @@ value certifies the coupling without a polynomial product.  The split
 is then certified by comparing P with eps^(1-m)*prod P_b exactly, and
 falls back to one block of all variables when the comparison fails or
 P vanishes at the point.  One block is the whole check, L against
-+-P^n.
++-P^n.  toricpke.einstein decides L = C*P^e, the Einstein condition, at
+the same point and on the same blocks.
 
 Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
@@ -88,7 +89,7 @@ from toricpke.algebra import (
     exact_divide,
     fraction_to_str,
 )
-from toricpke.geometry import toric_hessian_matrix
+from toricpke.geometry import DomainError, toric_hessian_matrix
 
 
 class ProfileMismatchError(ArithmeticError):
@@ -233,6 +234,30 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
 _TEST_PRIME = 2**61 - 1
 
 
+def _test_point(n: int) -> tuple:
+    return tuple(Fraction(1, 2 * i + 3) for i in range(n))
+
+
+def _term_residues(p: MultiPoly):
+    """(den, values): P's common denominator, and (e, v) for each term of den*P.
+
+    v is the value c*x^e of the term c*x^e at the test point, modulo the
+    test prime: the exact value would cost the size of the exponents (a
+    term x^(10^40) has a 10^40-digit value there), the residue costs
+    their bit length.
+    """
+    q = _TEST_PRIME
+    point = [pow(2 * i + 3, -1, q) for i in range(p.nvars)]
+    terms = p.terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    values = [
+        (e, c.numerator * (den // c.denominator)
+         * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
+        for e, c in terms.items()
+    ]
+    return den, values
+
+
 def _euler_matrix(p: MultiPoly):
     """(den, E): P's common denominator, and the Euler matrix of den*P.
 
@@ -241,28 +266,23 @@ def _euler_matrix(p: MultiPoly):
     rows of ma_lhs_log's generators theta_1 Q, ..., theta_n Q, Q, with
     theta_j in place of d_j, at the point.  Over the term values
     v = c*x^e of Q these are V = sum v, U_i = sum e_i*v and
-    T_ij = sum e_i*e_j*v, so E needs no polynomial product.  Its
-    entries are residues modulo the test prime: the exact values would
-    cost the size of the exponents (a term x^(10^40) has a 10^40-digit
-    value there), the residues cost their bit length.
+    T_ij = sum e_i*e_j*v, so E = sum v*w*w^T with w = (e, 1), and E
+    needs no polynomial product.  Its entries are residues modulo the
+    test prime (see _term_residues).
     """
-    n = p.nvars
+    den, values = _term_residues(p)
+    return den, _euler_rows(p.nvars, values)
+
+
+def _euler_rows(n: int, values: list) -> list:
     q = _TEST_PRIME
-    point = [pow(2 * i + 3, -1, q) for i in range(n)]
-    terms = p.terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    values = [
-        (e, c.numerator * (den // c.denominator)
-         * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
-        for e, c in terms.items()
-    ]
     euler = [sum(e[i] * v for e, v in values) % q for i in range(n)]
     rows = [[0] * n + [u] for u in euler]
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = sum(e[i] * e[j] * v for e, v in values) % q
     rows.append(euler + [sum(v for _, v in values) % q])
-    return den, rows
+    return rows
 
 
 def _det_mod(rows: list, q: int) -> int:
@@ -308,8 +328,7 @@ def _point_refutation(den: int, euler: list) -> Optional[PointRefutation]:
     rhs = pow(euler[n][n] * pow(den, -1, q), n, q)
     if lhs in (rhs, -rhs % q):
         return None
-    point = tuple(Fraction(1, 2 * i + 3) for i in range(n))
-    return PointRefutation(point, q, lhs, rhs)
+    return PointRefutation(_test_point(n), q, lhs, rhs)
 
 
 def _coupling_blocks(euler: list) -> list:
@@ -421,32 +440,21 @@ def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:
     """Find the exponent ratio 4*lambda/c = s/q from the log-type left side.
 
     When the left side equals +-Q^e for a rational e >= 0 the ratio is
-    n + 1 - e; the candidate exponent is read off the degrees and the
-    power identity lhs^b = +-Q^a is checked exactly.  Returns None when
-    the left side is not a rational power of Q or the ratio is not
-    positive.
+    n + 1 - e, decided by einstein_exponent with C = +-1.  Returns None
+    when the left side is not +-Q^e (a degenerate Q included) or the ratio
+    is not positive.
     """
+    from toricpke.einstein import einstein_exponent
+
     if q.constant_term() != 1:
         raise ValueError("exponent scan expects constant term 1")
-    n = q.nvars
-    lhs = ma_lhs_log(q)
-    if lhs.is_zero():
+    try:
+        found = einstein_exponent(q)
+    except DomainError:
         return None
-    dq = q.degree()
-    dl = lhs.degree()
-    if dq <= 0:
+    if found.e is None or found.C not in (1, -1):
         return None
-    if dl == 0:
-        if lhs not in (1, -1):
-            return None
-        e = Fraction(0)
-    else:
-        e = Fraction(int(dl), int(dq))
-    a, b = e.numerator, e.denominator
-    power, lhs_b = q**a, lhs**b
-    if lhs_b != power and lhs_b != -power:
-        return None
-    ratio = Fraction(n + 1) - e
+    ratio = q.nvars + 1 - found.e
     if ratio <= 0:
         return None
     return ExponentRatio(ratio.numerator, ratio.denominator)
@@ -576,7 +584,7 @@ class _EulerSeries:
     def order(self, h: int) -> MultiPoly:
         """The x2^(h+1) coefficient, x1*[L - eq_sign*P^2]_h, exact."""
         m = h + 1
-        total = -self.eq_sign * (MultiPoly.variable(1, 0) * self._pair_sums(h)[3])
+        total = -self.eq_sign * self._pair_sums(h)[3].shift((1,))
         for i in range(min(m, len(self.p) - 1) + 1):
             if not self.p[i].is_zero():
                 big_r, s, w, _ = self._pair_sums(m - i)

@@ -94,6 +94,19 @@ def test_euler_derivative_index_out_of_range():
             x(2, 0).euler_derivative(i)
 
 
+def test_shift_is_the_product_with_a_monomial():
+    rng = random.Random(17)
+    for n in range(1, 4):
+        for _ in range(10):
+            p = random_poly(rng, n, 5, max_terms=8)
+            exp = tuple(rng.randint(0, 3) for _ in range(n))
+            assert p.shift(exp) == naive_mul(p, MultiPoly(n, {exp: 1}))
+    assert x(1, 0).shift((10**40,)) == MultiPoly(1, {(10**40 + 1,): 1})
+    for bad in ((1,), (0, -1)):
+        with pytest.raises(ValueError):
+            x(2, 0).shift(bad)
+
+
 # ---------------------------------------------------------------------------
 # determinants
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -30,7 +31,8 @@ from toricpke.cli import (
     main,
 )
 from toricpke import geometry
-from toricpke.geometry import ToricPotential, space_form_potential
+from toricpke.einstein import MAX_SYMBOLIC_PAIRS
+from toricpke.geometry import DomainError, ToricPotential, space_form_potential
 from toricpke.ma_engine import ma_lhs_log
 
 HALF = Fraction(1, 2)
@@ -193,14 +195,13 @@ def test_einstein_check_flags_large_residual(tmp_path, capsys):
 
 
 def test_einstein_check_domain_error(tmp_path, capsys):
-    # for D0 = x^2 the metric determinant is 4*x; at the default sampling
-    # some x = xi*eta lies within reach of the stencil from 0
+    # for D0 = x^2 the metric determinant is 4*x, which is 0 at the origin
     from toricpke.geometry import ToricPotential
 
     pot = ToricPotential("poly", MultiPoly.variable(1, 0) ** 2)
     path = write_potential(tmp_path, pot)
     assert main(["einstein-check", "--potential", path]) == EXIT_DOMAIN
-    assert "det g changes sign on the stencil" in capsys.readouterr().err
+    assert "metric degenerate at the origin" in capsys.readouterr().err
 
 
 def test_report_echo_roundtrip(tmp_path, capsys):
@@ -409,16 +410,32 @@ def test_fractional_potential_exponent_is_usage_error(tmp_path, capsys):
     assert "malformed potential" in capsys.readouterr().err
 
 
-def test_einstein_check_beyond_float_range_is_domain_error(tmp_path, capsys):
+def test_einstein_check_beyond_float_range_keeps_the_exact_verdict(tmp_path, capsys):
     from toricpke.geometry import ToricPotential
 
-    # 10**400 does not convert to a float; 10**307*x1**3 does, and its
-    # values overflow to inf inside the float arithmetic instead
+    # 10**400 does not convert to a float: the exact check finds L = 10**400
+    # = C*P^0, lambda = 2, and the float cross-check reports its failure
     t = MultiPoly.variable(1, 0)
-    for p in (MultiPoly.one(1) + t * 10**400, MultiPoly.one(1) + t**3 * 10**307):
-        path = write_potential(tmp_path, ToricPotential("log", p, 1))
-        assert main(["einstein-check", "--potential", path]) == EXIT_DOMAIN
-        assert "float range" in capsys.readouterr().err
+    path = write_potential(tmp_path, ToricPotential("log", MultiPoly.one(1) + t * 10**400, 1))
+    assert main(["einstein-check", "--potential", path, "--json"]) == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["einstein"] and verdict["lambda_exact"] == "2"
+    assert verdict["lambda"] == 2 and verdict["max_residual"] is None
+    assert "float range" in verdict["cross_check_error"]
+    # k = 10**-400 makes lambda = 2*10**400, beyond the float range: the
+    # number is null and the exact value stays
+    doc = ToricPotential("log", MultiPoly.one(1) + t, 1).to_json_dict()
+    doc["k_den"] = str(10**400)
+    path = tmp_path / "tiny_k.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["einstein-check", "--potential", str(path), "--json"]) == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["lambda"] is None and verdict["lambda_exact"] == str(2 * 10**400)
+    # 10**307*x1**3 has no linear term, so det g = 9*10**307*x/P^2 is 0 at
+    # the origin
+    path = write_potential(tmp_path, ToricPotential("log", MultiPoly.one(1) + t**3 * 10**307, 1))
+    assert main(["einstein-check", "--potential", path]) == EXIT_DOMAIN
+    assert "metric degenerate at the origin" in capsys.readouterr().err
 
 
 def test_potential_zero_denominator_is_usage_error(tmp_path, capsys):
@@ -481,18 +498,153 @@ def test_einstein_check_accepts_every_k1_catalog_potential_up_to_n4(tmp_path, ca
 
 
 def test_einstein_check_on_a_huge_exponent_does_bounded_work(tmp_path, capsys):
-    # the metric's monomial table takes x1**(10^40) in one step, and each
-    # monomial chain has at most n steps, so the plan's size does not grow
-    # with the exponents; at the sample points the term is 0.0
+    # the point test works modulo a prime, so x1**(10^40) costs the bit
+    # length of its exponent; theta log L is not proportional to theta log P
+    # at the point, which refutes, and no float is involved.  The metric's
+    # monomial table takes x1**(10^40) in one step, and each monomial chain
+    # has at most n steps, so the plan's size does not grow with the
+    # exponents either
     p = MultiPoly(2, {(0, 0): 1, (1, 0): 2, (0, 1): 2, (10**40, 1): 1})
     pot = ToricPotential("log", p, 1)
     steps, _, _ = pot._plan
     assert len(steps) <= len(p.terms) * p.nvars
     path = write_potential(tmp_path, pot)
     start = time.perf_counter()
-    assert main(["einstein-check", "--potential", path]) == EXIT_OK
+    assert main(["einstein-check", "--potential", path, "--json"]) == EXIT_REFUTED
     assert time.perf_counter() - start < 1.0
-    assert "Traceback" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    verdict = json.loads(captured.out)["verdict"]
+    assert not verdict["einstein"] and verdict["lambda"] is None
+    cert = verdict["refuted_at"]
+    assert cert["point"] == ["1/3", "1/5"] and cert["modulus"] == str(2**61 - 1)
+    assert len(cert["dlog_lhs"]) == len(cert["dlog_p"]) == 2
+
+
+def test_einstein_check_decides_the_k3_potential_of_a_six_dimensional_block(tmp_path,
+                                                                             capsys):
+    # (6,) at K = 3 is the 84-term cubic (1 + (x1+...+x6)/7)^3, one linear
+    # form: its check runs in one variable, where ma_lhs_log of the whole
+    # cubic takes about 19 s
+    from toricpke.catalog import potential_for_power
+
+    path = write_potential(tmp_path, potential_for_power((6,), 3))
+    start = time.perf_counter()
+    assert main(["einstein-check", "--potential", path, "--json"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["lambda_exact"] == "7/3"
+    assert verdict["lambda"] == pytest.approx(7 / 3, abs=1e-12)
+    assert verdict["max_residual"] < 1e-9 and verdict["cross_check_error"] is None
+
+
+def test_einstein_check_reports_lambda_h_over_k_for_the_catalog(tmp_path, capsys):
+    # every catalog potential with n <= 4 and K <= 3 within MAX_EINSTEIN_TERMS
+    from toricpke.catalog import partitions, potential_for_power
+
+    checked = 0
+    for K in (1, 2, 3):
+        for n in range(1, 5):
+            for part in partitions(n):
+                pot = potential_for_power(part, K)
+                if len(pot.P.terms) > MAX_EINSTEIN_TERMS:
+                    continue
+                h = math.gcd(*(m + 1 for m in part))
+                path = write_potential(tmp_path, pot)
+                assert main(["einstein-check", "--potential", path, "--json"]) == EXIT_OK
+                verdict = json.loads(capsys.readouterr().out)["verdict"]
+                assert verdict["lambda_exact"] == str(Fraction(h, K)), (part, K)
+                checked += 1
+    assert checked == 28
+
+
+def test_einstein_check_term_pair_budget(tmp_path, capsys, monkeypatch):
+    # deterministic work gate: every K = 1 catalog potential with n <= 4,
+    # its blocks of two or more variables checked in one variable,
+    # multiplies 566 term pairs; with ma_lhs_log of every block and the
+    # same power-free check it took 4,706
+    from toricpke import algebra
+    from toricpke.catalog import partitions, potential_for_power
+
+    pairs = [0]
+    mul_terms = algebra.mul_terms
+
+    def counting(a, b):
+        pairs[0] += len(a) * len(b)
+        return mul_terms(a, b)
+
+    paths = [write_potential(tmp_path, potential_for_power(part, 1), f"{i}.json")
+             for i, part in enumerate(p for n in range(1, 5) for p in partitions(n))]
+    monkeypatch.setattr(algebra, "mul_terms", counting)
+    for path in paths:
+        assert main(["einstein-check", "--potential", path]) == EXIT_OK
+    assert 0 < pairs[0] <= 623
+
+
+def test_einstein_check_falls_back_to_the_symbolic_check_within_its_limit(tmp_path,
+                                                                          capsys):
+    # P vanishes at the test point x = (1/3, 1/5), where the point test
+    # cannot decide; the symbolic check does, or exits 2 beyond its limit
+    def vanishing(n, degree):
+        terms = {e: Fraction(1, 1 + sum(e)) for e in _exponents(n, degree)}
+        p = MultiPoly(n, terms)
+        value = p.evaluate([Fraction(1, 2 * i + 3) for i in range(n)])
+        corner = (degree,) + (0,) * (n - 1)
+        terms[corner] -= value * 3**degree
+        return MultiPoly(n, terms)
+
+    small = vanishing(2, 2)
+    assert small.evaluate([Fraction(1, 3), Fraction(1, 5)]) == 0
+    path = write_potential(tmp_path, ToricPotential("log", small, 1))
+    start = time.perf_counter()
+    assert main(["einstein-check", "--potential", path]) == EXIT_REFUTED
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "not Einstein (refuted symbolically)\n"
+    large = vanishing(6, 3)
+    assert len(large.terms) == 84
+    path = write_potential(tmp_path, ToricPotential("log", large, 1))
+    start = time.perf_counter()
+    assert main(["einstein-check", "--potential", path]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
+
+
+def _exponents(n, degree):
+    if n == 0:
+        yield ()
+        return
+    for first in range(degree + 1):
+        for rest in _exponents(n - 1, degree - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, DomainError])
+def test_no_float_changes_an_einstein_check_exit_code(tmp_path, capsys, monkeypatch,
+                                                      error):
+    from toricpke.catalog import potential_for_power
+
+    t = MultiPoly.variable(1, 0)
+    pots = [space_form_potential(8, 2), space_form_potential(0, 3),
+            potential_for_power((2, 1), 2),
+            ToricPotential("log", MultiPoly.one(1) + t + t**2, 1),
+            ToricPotential("poly", t + t**2),
+            ToricPotential("poly", t**2)]
+    paths = [write_potential(tmp_path, pot, f"{i}.json") for i, pot in enumerate(pots)]
+    codes = [main(["einstein-check", "--potential", path]) for path in paths]
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_REFUTED, EXIT_REFUTED, EXIT_DOMAIN]
+    capsys.readouterr()
+
+    def broken(*args):
+        raise error("float failure")
+
+    monkeypatch.setattr(geometry, "eval_metric", broken)
+    for path, code in zip(paths, codes):
+        assert main(["einstein-check", "--potential", path, "--json"]) == code
+        out = capsys.readouterr().out
+        if code == EXIT_OK:
+            verdict = json.loads(out)["verdict"]
+            assert verdict["max_residual"] is None
+            assert verdict["cross_check_error"].endswith("float failure")
 
 
 def test_catalog_gen_builds_no_metric_plan(capsys, monkeypatch):
@@ -606,21 +758,6 @@ def test_einstein_check_bad_step_or_tol_is_usage_error(tmp_path, capsys, option,
     err = capsys.readouterr().err
     assert f"argument {option}" in err and requirement in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("step", [1e-4, 0.05])
-def test_einstein_check_confirms_space_forms_across_the_step_range(tmp_path, capsys,
-                                                                   monkeypatch, step):
-    # the verdict must not hinge on the exact value of RICCI_STEP: the
-    # stencil once stepped in xi, over 1e-4..0.05; at the default sampling
-    # (|eta_i| <= 0.08) a xi-step h moves x_i by up to 0.08*h, and the
-    # x-stencil at each end of that reach still confirms the space forms
-    monkeypatch.setattr(geometry, "RICCI_STEP", 0.08 * step)
-    for n in (1, 2):
-        path = write_potential(tmp_path, space_form_potential(8, n))
-        assert main(["einstein-check", "--potential", path]) == EXIT_OK, \
-            capsys.readouterr().out
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv,limit", [
@@ -741,3 +878,5 @@ def test_process_exit_codes(tmp_path):
         assert proc.returncode == code, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert bool(proc.stdout) == (code in (EXIT_OK, EXIT_REFUTED))
+        if code == EXIT_DOMAIN:
+            assert "metric degenerate at the origin" in proc.stderr

@@ -10,11 +10,13 @@ from conftest import derivative_metric, random_poly
 from toricpke import algebra, geometry
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
 from toricpke.catalog import partitions, potential_for_power, product_solution
+from toricpke.einstein import einstein_exponent
 from toricpke.geometry import (
     DomainError,
     ToricPotential,
     diastasis_eval,
     einstein_fit,
+    einstein_residual,
     eval_metric,
     ricci_numeric,
     space_form_potential,
@@ -298,13 +300,17 @@ def test_det_g_depends_on_x_alone():
                 assert sympy.Matrix(g).det() == sympy.Matrix(g1).det(), (pot, xi, eta)
 
 
-def sympy_ricci(pot, xi, eta):
-    """Exact -d^2 log|det g| / (d xi_i d eta_j) in the null coordinates.
+def sympy_ricci(pot, xi, eta, exact=False):
+    """-d^2 log|det g| / (d xi_i d eta_j) in the null coordinates, as floats.
 
+    Computed exactly, and returned as sympy Rationals when exact is set.
     det g is det(d^2 P/d xi d eta) for kind "poly", and
     k^n*det(P*d^2 P/d xi d eta - grad_xi P*grad_eta P^T)/P^(2n) for kind
-    "log", so log|det g| is a sum of multiples of logs of polynomials Q,
-    each contributing (Q*Q_ij - Q_i*Q_j)/Q^2.
+    "log", so log|det g| is a sum of multiples of log|det N| for matrices N
+    of sympy polynomials (P itself as a 1x1 matrix).  Differentiating
+    Jacobi's formula, d_a d_b log|det N| = tr(N^-1*N_ab) -
+    tr(N^-1*N_a*N^-1*N_b), taken at the point from the exact values of the
+    entries and of their derivatives.
     """
     import sympy
 
@@ -315,25 +321,32 @@ def sympy_ricci(pot, xi, eta):
     p = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
                        * sympy.Mul(*((a * b) ** e for a, b, e in zip(xs, es, exp)))
                        for exp, c in pot.P.terms.items()), *gens)
-    mixed = sympy.Matrix(n, n, lambda i, j: p.diff(xs[i]).diff(es[j]).as_expr())
+    mixed = [[p.diff(xs[i]).diff(es[j]) for j in range(n)] for i in range(n)]
     if pot.kind == "poly":
-        logs = [(1, mixed.det(method="berkowitz"))]
+        logs = [(1, mixed)]
     else:
-        grad_xi = [p.diff(v).as_expr() for v in xs]
-        grad_eta = [p.diff(v).as_expr() for v in es]
-        m = sympy.Matrix(n, n, lambda i, j: p.as_expr() * mixed[i, j]
-                         - grad_xi[i] * grad_eta[j])
-        logs = [(1, m.det(method="berkowitz")), (-2 * n, p.as_expr())]
+        grad_xi = [p.diff(v) for v in xs]
+        grad_eta = [p.diff(v) for v in es]
+        m = [[p * mixed[i][j] - grad_xi[i] * grad_eta[j] for j in range(n)]
+             for i in range(n)]
+        logs = [(1, m), (-2 * n, [[p]])]
     at = [sympy.Rational(v) for v in list(xi) + list(eta)]
+
+    def values(rows, *wrt):
+        return sympy.Matrix([[entry.diff(*wrt)(*at) if wrt else entry(*at)
+                              for entry in row] for row in rows])
+
     ric = [[0] * n for _ in range(n)]
-    for c, q in logs:
-        q = sympy.Poly(q, *gens)
-        q0 = q(*at)
+    for c, rows in logs:
+        inv = values(rows).inv()
+        d_xi = [inv * values(rows, v) for v in xs]
+        d_eta = [inv * values(rows, v) for v in es]
         for i in range(n):
-            qi = q.diff(xs[i])
             for j in range(n):
-                qij = qi.diff(es[j])
-                ric[i][j] -= c * (q0 * qij(*at) - qi(*at) * q.diff(es[j])(*at)) / q0**2
+                second = (inv * values(rows, xs[i], es[j])).trace()
+                ric[i][j] -= c * (second - (d_xi[i] * d_eta[j]).trace())
+    if exact:
+        return ric
     return [[float(v) for v in row] for row in ric]
 
 
@@ -350,6 +363,80 @@ def test_ricci_numeric_matches_sympy():
                         for j in range(n):
                             assert ric[i][j] == pytest.approx(exact[i][j], abs=1e-7), (
                                 pot, xi, eta)
+
+
+def test_float_checks_reject_values_beyond_the_float_range():
+    # 10**307*x1**3 overflows to inf inside the float arithmetic, and
+    # 10**400 does not convert to a float at all; neither may read as a fit
+    t = x(1, 0)
+    points = sample_points(1, 5, seed=1)
+    for p in (MultiPoly.one(1) + t + t**3 * 10**307, MultiPoly.one(1) + t * 10**400):
+        pot = ToricPotential("log", p, 1)
+        with pytest.raises(DomainError, match="float range"):
+            einstein_fit(pot, points)
+        with pytest.raises(DomainError, match="float range"):
+            einstein_residual(pot, 2, 1, points)
+
+
+def test_einstein_check_refutes_a_perturbed_potential(tmp_path, capsys):
+    # a quadratic term x1*x3/7 added to the K = 1 potential of (2,1); the
+    # exact Ricci tensor at a rational point is not a multiple of g there
+    import json
+
+    from toricpke.cli import EXIT_REFUTED, main
+
+    pot = potential_for_power((2, 1), 1)
+    bumped = ToricPotential("log", pot.P + x(3, 0) * x(3, 2) * Fraction(1, 7), pot.k)
+    assert einstein_exponent(pot.P).e is not None
+    assert einstein_exponent(bumped.P).e is None
+    path = tmp_path / "bumped.json"
+    path.write_text(json.dumps(bumped.to_json_dict()), encoding="utf-8")
+    assert main(["einstein-check", "--potential", str(path)]) == EXIT_REFUTED
+    assert "refuted" in capsys.readouterr().out
+    xi = [Fraction(1, 10), Fraction(-1, 20), Fraction(1, 30)]
+    eta = [Fraction(1, 11), Fraction(1, 13), Fraction(-1, 17)]
+    ric = sympy_ricci(bumped, xi, eta, exact=True)
+    g = eval_metric(bumped, xi, eta)
+    # Ric = lambda*g would make every 2x2 cross product Ric_a*g_b - Ric_b*g_a zero
+    entries = [(i, j) for i in range(3) for j in range(3)]
+    assert any(ric[i][j] * g[k][l] != ric[k][l] * g[i][j]
+               for i, j in entries for k, l in entries)
+    # the unperturbed potential has Ric = 1*g at the same point
+    ric = sympy_ricci(pot, xi, eta, exact=True)
+    g = eval_metric(pot, xi, eta)
+    assert all(ric[i][j] == g[i][j] for i, j in entries)
+
+
+def test_exact_lambda_is_h_over_k_and_matches_the_numeric_fit():
+    # every catalog potential with n <= 4 and K <= 3: einstein_exponent
+    # gives lambda = (n+1-e)/k = h/K exactly; for K <= 2 the numeric fit,
+    # an oracle that shares no code with it, agrees within 1e-6
+    for K in (1, 2, 3):
+        for n in range(1, 5):
+            for part in partitions(n):
+                pot = potential_for_power(part, K)
+                found = einstein_exponent(pot.P)
+                h = math.gcd(*(m + 1 for m in part))
+                lam = (n + 1 - found.e) / pot.k
+                assert lam == Fraction(h, K), (part, K)
+                if K <= 2:
+                    fit = einstein_fit(pot, sample_points(n, 3, seed=K))
+                    assert fit.lam == pytest.approx(float(lam), abs=1e-6), (part, K)
+                    assert fit.max_residual < 1e-6, (part, K)
+
+
+@pytest.mark.parametrize("step", [1e-4, 0.05])
+def test_einstein_fit_confirms_space_forms_across_the_step_range(monkeypatch, step):
+    # the fit must not hinge on the exact value of RICCI_STEP: the stencil
+    # once stepped in xi, over 1e-4..0.05; at the default sampling of
+    # einstein-check (|eta_i| <= 0.08) a xi-step h moves x_i by up to
+    # 0.08*h, and the x-stencil at each end of that reach still confirms
+    # the space forms within the default tol
+    monkeypatch.setattr(geometry, "RICCI_STEP", 0.08 * step)
+    for n in (1, 2):
+        fit = einstein_fit(space_form_potential(8, n), sample_points(n, 5, seed=0))
+        assert fit.max_residual < 1e-6
+        assert fit.lam == pytest.approx(n + 1, abs=1e-6)
 
 
 def test_ricci_step_calibration():

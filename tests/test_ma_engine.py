@@ -13,7 +13,25 @@ from toricpke.algebra import (
     NoExactRootError,
     binomial_power,
 )
-from toricpke.catalog import canonicalize, partitions, product_solution
+from toricpke.catalog import (
+    canonicalize,
+    partitions,
+    potential_for_power,
+    product_solution,
+)
+from toricpke.einstein import (
+    MAX_SYMBOLIC_PAIRS,
+    EinsteinExponent,
+    SymbolicLimitError,
+    _block_exponent,
+    _dlog_lhs,
+    _linear_coefficients,
+    _linear_form,
+    _rational_reconstruction,
+    _symbolic_pairs,
+    einstein_exponent,
+)
+from toricpke.geometry import DomainError
 from toricpke.ma_engine import (
     _TEST_PRIME,
     ExponentRatio,
@@ -21,10 +39,12 @@ from toricpke.ma_engine import (
     ProfileMismatchError,
     _coupling_blocks,
     _euler_matrix,
+    _euler_rows,
     _EulerSeries,
     _point_refutation,
     _poly_sort_key,
     _product_blocks,
+    _term_residues,
     axis_profile_check,
     cauchy_data,
     classify_flat,
@@ -604,21 +624,168 @@ def test_scan_rejects_non_power_lhs():
     assert exponent_scan(q) is None
 
 
-def test_scan_raises_the_left_side_to_its_power_once(monkeypatch):
-    # x1 -> -x1 gives the (2,1) product the sign -1, so L^b = -Q^a is
-    # compared after L^b = Q^a fails: Q^a and L^b are each taken once
-    calls = [0]
+def test_scan_takes_no_power_of_q_or_of_its_left_side(monkeypatch):
+    # x1 -> -x1 gives the (2,1) product the sign -1, so C = -1; the check
+    # takes no power of Q or of L: its only power is u'^1, of the
+    # univariate form u of the block (2)
     pow_ = MultiPoly.__pow__
+    bases = []
 
-    def counting(self, k):
-        calls[0] += 1
+    def recording(self, k):
+        bases.append(self.nvars)
         return pow_(self, k)
 
     q = product_solution((2, 1)).scale_vars([-1, 1, 1])
     assert verify_ma_star(q).sign == -1
-    monkeypatch.setattr(MultiPoly, "__pow__", counting)
+    monkeypatch.setattr(MultiPoly, "__pow__", recording)
     assert exponent_scan(q) == ExponentRatio(1, 1)
+    assert bases == [1]
+
+
+# ---------------------------------------------------------------------------
+# exact Einstein exponent
+
+
+def test_left_side_at_the_origin_is_p0_times_the_linear_coefficients():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p = random_poly(rng, n, 3, 6)
+        p = p - p.constant_term() + rng.choice((1, -1))
+        c = p.constant_term() * math.prod(_linear_coefficients(p))
+        assert ma_lhs_log(p).constant_term() == c, p
+        assert ma_lhs_flat(p).constant_term() == math.prod(_linear_coefficients(p)), p
+
+
+def test_point_log_derivatives_match_exact_evaluation():
+    # theta_i L/L, and theta_i A/A for A = ma_lhs_flat, at the test point
+    # and reduced mod the prime, from the Euler matrix and its block T
+    rng = random.Random(43)
+    q = _TEST_PRIME
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p = random_poly(rng, n, 3, 6)
+        p = p - p.constant_term() + 1
+        point = [Fraction(1, 2 * i + 3) for i in range(n)]
+        den, values = _term_residues(p)
+        euler = _euler_rows(n, values)
+        for rows, lhs in ((euler, ma_lhs_log(p)),
+                          ([row[:n] for row in euler[:n]], ma_lhs_flat(p))):
+            value = lhs.evaluate(point)
+            dlog = _dlog_lhs(values, rows)
+            assert (dlog is None) == (value == 0), p
+            if dlog is None:
+                continue
+            for i in range(n):
+                exact = lhs.euler_derivative(i).evaluate(point) / value
+                assert dlog[i] == exact.numerator * pow(exact.denominator, -1, q) % q
+            checked += 1
+    assert checked > 60
+
+
+def test_rational_reconstruction():
+    q = _TEST_PRIME
+    for e in (Fraction(0), Fraction(7, 3), Fraction(5), Fraction(1, 9), Fraction(-2, 5)):
+        r = e.numerator * pow(e.denominator, -1, q) % q
+        assert _rational_reconstruction(r, q, 10, 10) == e
+    # a residue with no small preimage
+    assert _rational_reconstruction(pow(3, 40, q), q, 10, 10) is None
+
+
+def test_linear_form_left_side_matches_the_whole_route():
+    rng = random.Random(47)
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        a = [Fraction(rng.choice((1, 2, 3, -1, -2)), rng.choice((1, 2, 3))) for _ in range(n)]
+        u = MultiPoly(1, {(0,): rng.choice((1, -1)), (1,): rng.choice((1, 2, -1)),
+                          (2,): Fraction(rng.randint(-3, 3), 2),
+                          (3,): Fraction(rng.randint(-3, 3), 3)})
+        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        f = u.substitute([MultiPoly(n, dict(zip(unit, a)))])
+        base, g = _linear_form(f)
+        # the form is <a', x> with a' the linear coefficients of f
+        form = MultiPoly(n, dict(zip(unit, _linear_coefficients(f))))
+        assert base.substitute([form]) == f
+        assert g.substitute([form]) == ma_lhs_log(f)
+        bumped = f + MultiPoly(n, {(1,) + (0,) * (n - 2) + (1,): Fraction(1, 7)})
+        assert _linear_form(bumped) is None
+
+
+def test_blocks_agree_with_one_block_of_all_variables():
+    # the whole product as one block goes through ma_lhs_log and the
+    # power-free check: the exponent must be the one the blocks give
+    for n in (1, 2, 3):
+        for part in partitions(n):
+            for K in (1, 2) if n < 3 else (1,):
+                p = potential_for_power(part, K).P
+                e = einstein_exponent(p).e
+                assert _block_exponent(p, None) == e, (part, K)
+                assert _block_exponent(p, e + Fraction(1, 2)) is None
+
+
+def test_einstein_exponent_of_catalog_products_and_models():
+    assert einstein_exponent(MultiPoly.one(2) + x(2, 0) + x(2, 1) * 3).e == 0
+    for n in (1, 2, 3):
+        for part in partitions(n):
+            p = product_solution(part)
+            found = einstein_exponent(p)
+            # L = +-P^n
+            assert (found.e, abs(found.C)) == (n, 1), part
+            flipped = einstein_exponent(-p)
+            assert flipped.e == n and flipped.C == (-1) ** (n + 1) * found.C
+
+
+def test_einstein_exponent_refutes_at_the_point():
+    q = product_solution((2, 1)) + x(3, 0) * x(3, 2) * Fraction(1, 7)
+    found = einstein_exponent(q)
+    assert found.e is None and found.C is None
+    cert = found.refuted_at
+    assert cert.point == (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+    assert len(cert.dlog_lhs) == len(cert.dlog_p) == 3
+    # one variable: the ratio is no rational of small height in [0, 2]
+    cert = einstein_exponent(MultiPoly.one(1) + x(1, 0) + x(1, 0) ** 2).refuted_at
+    assert cert is not None and len(cert.dlog_p) == 1
+
+
+def test_einstein_exponent_falls_back_where_p_vanishes_at_the_point(monkeypatch):
+    # 1 + x1 + x2 - 23*x1*x2 is 0 at (1/3, 1/5): the symbolic check decides
+    calls = []
+    real = ma_engine.ma_lhs_log
+
+    def recording(q):
+        calls.append(q.nvars)
+        return real(q)
+
+    p = MultiPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -23})
+    monkeypatch.setattr(ma_engine, "ma_lhs_log", recording)
+    found = einstein_exponent(p)
+    assert found.e is None and found.refuted_at is None
     assert calls == [2]
+
+
+def test_einstein_exponent_of_the_flat_kind():
+    q = x(2, 0) * 2 + x(2, 1) * Fraction(1, 3) + 5
+    assert einstein_exponent(q, "poly") == EinsteinExponent(Fraction(2, 3), Fraction(0))
+    found = einstein_exponent(x(2, 0) + x(2, 1) + x(2, 0) * x(2, 1), "poly")
+    assert found.e is None and found.refuted_at.dlog_p is None
+    with pytest.raises(DomainError, match="metric degenerate at the origin"):
+        einstein_exponent(x(1, 0) ** 2, "poly")
+    with pytest.raises(DomainError, match="metric degenerate at the origin"):
+        einstein_exponent(MultiPoly.one(2) + x(2, 0), "log")
+
+
+def test_symbolic_check_beyond_its_limit_is_rejected():
+    # a dense cubic in 6 variables, not a linear form, whose left side
+    # would take about 19 s
+    from itertools import product
+
+    terms = {e: Fraction(1, 1 + sum(e)) for e in product(range(4), repeat=6) if sum(e) <= 3}
+    terms[(0,) * 6] = Fraction(1)
+    p = MultiPoly(6, terms)
+    assert len(p.terms) == 84 and _symbolic_pairs(p, 7) > MAX_SYMBOLIC_PAIRS
+    with pytest.raises(SymbolicLimitError, match="MAX_SYMBOLIC_PAIRS"):
+        _block_exponent(p, None)
 
 
 def test_reduce_fourth_power():
@@ -912,19 +1079,20 @@ def count_term_pairs(monkeypatch):
 
 def test_feasible_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing one datum per k on the Euler
-    # series multiplies 2,870 term pairs here; the nine series of
+    # series multiplies 2,761 term pairs here, and 2,870 with a kernel
+    # product x1*[P^2]_h in place of an exponent shift; the nine series of
     # det M - sigma*P^3 took 7,671, one sign branch for each r of a
     # six-value grid 32,676, all four branches, each tried with both
     # equation signs, 155,748, and expanding the whole residual at every
     # order 3.1M
     pairs = count_term_pairs(monkeypatch)
     assert feasible_k_scan_n2(6) == {2, 3}
-    assert 0 < pairs[0] <= 3_400
+    assert 0 < pairs[0] <= 2_800
 
 
 def test_search_term_pair_budget(monkeypatch):
     # deterministic work gate: one continuation per k plus the verified
-    # images multiply 4,138 term pairs here; the nine series of
+    # images multiply 4,029 term pairs here; the nine series of
     # det M - sigma*P^3 took 8,999, and continuing each r 16,292
     pairs = count_term_pairs(monkeypatch)
     assert len(search_n2([HALF, Fraction(-3)])) == 4
@@ -933,7 +1101,7 @@ def test_search_term_pair_budget(monkeypatch):
 
 def test_long_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing every k up to the order limit
-    # multiplies 39,428 term pairs here; the nine series of
+    # multiplies 38,734 term pairs here; the nine series of
     # det M - sigma*P^3 took 160,330
     pairs = count_term_pairs(monkeypatch)
     assert feasible_k_scan_n2(32) == {2, 3}
