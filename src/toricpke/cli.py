@@ -54,18 +54,22 @@ MAX_POINTS = 100
 # check's point test grows like terms*n^2 (one inverse modulo a prime,
 # then one quadratic form per term), the cross-check like
 # points*terms*n^2, and the linear-form blocks of every catalog potential
-# are checked in one variable: catalog potentials in 6 variables with up
-# to 112 terms take at most 0.03 s at 100 points (2 cores, Python 3.11).
-# Every K = 1 catalog potential up to dimension 4 fits.  A block that is
-# not a linear form needs its symbolic left side, which
-# einstein.MAX_SYMBOLIC_PAIRS bounds.
+# are checked in one variable: the largest catalog potentials within the
+# limit, (2,1,1) at K = 3 (2,695 terms), (3,) at K = 24 (2,925) and (4,)
+# at K = 13 (2,380), take at most 0.26 s at 5 points and 0.75 s at 100,
+# and a random 3,000-term potential in 6 variables is refuted in 0.27 s
+# (2 cores, Python 3.11).  Every catalog potential up to dimension 4 with
+# K <= 3 fits.  A block that is not a linear form needs its symbolic left
+# side, which einstein.MAX_SYMBOLIC_PAIRS bounds.
 MAX_EINSTEIN_NVARS = 6
-MAX_EINSTEIN_TERMS = 200
+MAX_EINSTEIN_TERMS = 3_000
 # Most variables of a polynomial read by verify, classify-flat, axis or
-# report: work grows with nvars even when the polynomial has no terms,
-# as the flat-type matrix has nvars^2 entries.  classify-flat on
-# {"nvars": 600, "terms": []} takes 1.0 s; at 32 each of the four
-# commands takes at most 0.05 s on an empty and on a 10-term sparse
+# report: work grows with nvars even when the polynomial has few or no
+# terms, as the point test's Euler matrix has (nvars+1)^2 entries and the
+# linear coefficients are nvars exponents of nvars entries each.  In 600
+# variables classify-flat takes 0.09 s on {"nvars": 600, "terms": []},
+# and verify 0.42 s on a 10-term sparse input; at 32 each of the four
+# commands takes at most 0.015 s on an empty and on a 10-term sparse
 # input (2 cores, Python 3.11).
 MAX_NVARS = 32
 

@@ -19,7 +19,10 @@ rational reconstruction turns into an e in [0, n+1], or the point
 refutes with a certificate.  ma_engine's blocks then reduce L = C*P^e to
 L_b = C_b*P_b^(e-n+n_b) per block.  A block that is a linear form
 f(<a, x>) is checked in one variable, any other through ma_lhs_log
-within MAX_SYMBOLIC_PAIRS, and either by a power-free identity.
+within MAX_SYMBOLIC_PAIRS, and either by a power-free identity.  The
+same block check, at e = n_b, decides ma_engine.verify_ma_star, and the
+kind "poly" decision decides ma_engine.classify_flat.  ma_engine imports
+this module when those run, as this module imports ma_engine.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from toricpke.geometry import DomainError
 from toricpke.ma_engine import (
     _TEST_PRIME,
     _euler_rows,
+    _linear_coefficients,
     _product_blocks,
     _term_residues,
     _test_point,
@@ -93,11 +97,6 @@ class EinsteinExponent:
     C: Optional[Fraction]
     e: Optional[Fraction]
     refuted_at: Optional[DlogRefutation] = None
-
-
-def _linear_coefficients(p: MultiPoly) -> list:
-    n = p.nvars
-    return [p.coefficient(tuple(int(j == i) for j in range(n))) for i in range(n)]
 
 
 def _inverse_mod(rows: list, q: int) -> Optional[list]:

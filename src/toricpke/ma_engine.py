@@ -31,14 +31,21 @@ other variables set to 0), and the left side is
 L = eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), with L_b the left side of P_b
 in its n_b variables.  So P solves exactly when L_b = c_b*P_b^(n_b) for
 every b, with c_b = L_b(0)/eps^(n_b), and eps^(m-1)*prod c_b = +-1; that
-product is the sign.  Candidate blocks come from testing each pair of
-variables at the same point, in the same Euler form, where a nonzero
-value certifies the coupling without a polynomial product.  The split
-is then certified by comparing P with eps^(1-m)*prod P_b exactly, and
-falls back to one block of all variables when the comparison fails or
-P vanishes at the point.  One block is the whole check, L against
-+-P^n.  toricpke.einstein decides L = C*P^e, the Einstein condition, at
-the same point and on the same blocks.
+product is the sign.  L_b(0) is eps times the product of b's linear
+coefficients, so the sign is eps^(n+1) times the product of all of P's,
+and a sign other than +-1 refutes before any determinant.  Candidate
+blocks come from testing each pair of variables at the same point, in
+the same Euler form, where a nonzero value certifies the coupling
+without a polynomial product.  The split is then certified by comparing
+P with eps^(1-m)*prod P_b exactly, and falls back to one block of all
+variables when the comparison fails or P vanishes at the point.  Each
+block is decided by toricpke.einstein's block check at the exponent n_b,
+which decides L = C*P^e, the Einstein condition, on the same blocks: a
+block that is a linear form f(<a, x>) is checked in one variable, any
+other through ma_lhs_log within einstein.MAX_SYMBOLIC_PAIRS, both by a
+power-free identity.  classify_flat likewise reads the product of the
+linear coefficients, the flat-type left side at the origin, and leaves
+the rest to einstein_exponent.
 
 Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
@@ -171,20 +178,25 @@ def ma_lhs_flat(d0: MultiPoly) -> MultiPoly:
     return determinant(toric_hessian_matrix(d0))
 
 
+def _linear_coefficients(p: MultiPoly) -> list:
+    n = p.nvars
+    return [p.coefficient(tuple(int(j == i) for j in range(n))) for i in range(n)]
+
+
 def classify_flat(d0: MultiPoly) -> FlatClassification:
-    """Accept exactly the affine d0 whose linear coefficients multiply to +-1."""
-    n = d0.nvars
-    lhs = ma_lhs_flat(d0)
-    if lhs != 1 and lhs != -1:
-        return FlatClassification(False, None, None)
-    # accepted solutions are affine with coefficient product +-1
-    assert d0.degree() <= 1, "flat solution with determinant +-1 must be affine"
-    coeffs = tuple(
-        d0.coefficient(tuple(1 if j == i else 0 for j in range(n)))
-        for i in range(n)
-    )
+    """Accept exactly the d0 whose flat-type left side is +-1.
+
+    The left side at the origin is the product of d0's linear
+    coefficients, so a product other than +-1 refutes with no
+    determinant; otherwise einstein_exponent(d0, "poly") decides whether
+    the left side is that constant, with no determinant for an affine d0.
+    """
+    from toricpke.einstein import einstein_exponent
+
+    coeffs = tuple(_linear_coefficients(d0))
     product = math.prod(coeffs, start=Fraction(1))
-    assert product in (1, -1)
+    if product not in (1, -1) or einstein_exponent(d0, "poly").e is None:
+        return FlatClassification(False, None, None)
     return FlatClassification(True, coeffs, product)
 
 
@@ -393,17 +405,19 @@ def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
     """Exact check that the log-type left side L equals +-P^n.
 
     The test point refutes most non-solutions first, with a certificate
-    and no polynomial product (see _point_refutation).  Otherwise, and
-    whenever the witness L is asked for, the check runs block by block:
-    with blocks b of n_b variables, factors P_b (see _product_blocks),
-    L_b = ma_lhs_log(P_b) and c_b = L_b(0)/eps^(n_b), P is a solution
-    exactly when its sign eps^(m-1)*prod c_b is +-1 and L_b =
-    c_b*P_b^(n_b) for every b; no power of P_b is compared when the
-    point test refuted P or the sign is not +-1.  The witness is the
-    full left side eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), which is
-    sign*P^n on acceptance.  One block is the whole check: L = c*P^n,
-    witness L.
+    and no polynomial product (see _point_refutation).  With blocks b of
+    n_b variables and factors P_b (see _product_blocks), P is a solution
+    exactly when its sign eps^(m-1)*prod c_b, c_b = L_b(0)/eps^(n_b), is
+    +-1 and L_b = c_b*P_b^(n_b) for every b.  As L_b(0) = eps*prod a_i
+    over b's linear coefficients a_i, the sign is eps^(n+1)*prod a_i,
+    read before any determinant; each block is then decided by
+    toricpke.einstein's block check at the exponent n_b, within its
+    MAX_SYMBOLIC_PAIRS.  The witness is the full left side: sign*P^n on
+    acceptance, and on a refutation eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b)
+    with L_b = ma_lhs_log(P_b).
     """
+    from toricpke.einstein import _block_exponent
+
     eps = p.constant_term()
     if eps not in (1, -1):
         raise ValueError("log-type candidate needs constant term +-1")
@@ -411,28 +425,24 @@ def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
     refuted_at = _point_refutation(den, euler)
     if refuted_at is not None and not witness:
         return MAResult(False, None, refuted_at)
-    blocks, factors = _product_blocks(p, euler)
-    n, m = p.nvars, len(blocks)
-    lhs = [ma_lhs_log(f) for f in factors]
-    # c_b = L_b(0)/eps^(n_b), as eps = +-1
-    cs = [L.constant_term() * eps ** len(b) for L, b in zip(lhs, blocks)]
-    sign = eps ** (m - 1) * math.prod(cs)
-    # a certificate, or a sign other than +-1, decides before any power
-    solved = refuted_at is None and sign in (1, -1) and all(
-        L == c * f ** len(b) for L, c, f, b in zip(lhs, cs, factors, blocks)
-    )
+    n = p.nvars
+    sign = eps ** (n + 1) * math.prod(_linear_coefficients(p), start=Fraction(1))
+    solved = refuted_at is None and sign in (1, -1)
+    if solved or witness:
+        blocks, factors = _product_blocks(p, euler)
+        # a +-1 sign makes every linear coefficient nonzero, as the block
+        # check needs
+        solved = solved and all(_block_exponent(f, Fraction(len(b))) is not None
+                                for b, f in zip(blocks, factors))
+    if solved:
+        return MAResult(True, int(sign), None, sign * p ** n if witness else None)
     full = None
     if witness:
-        if m == 1:
-            full = lhs[0]
-        else:
-            full = _disjoint_product(n, blocks, [
-                L * f ** (n - len(b)) for L, f, b in zip(lhs, factors, blocks)
-            ])
-        if eps ** ((m - 1) * (n + 1)) == -1:
+        full = _disjoint_product(n, blocks, [
+            ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n else ma_lhs_log(f)
+            for f, b in zip(factors, blocks)])
+        if eps ** ((len(blocks) - 1) * (n + 1)) == -1:
             full = -full
-    if solved:
-        return MAResult(True, int(sign), None, full)
     return MAResult(False, None, refuted_at, full)
 
 

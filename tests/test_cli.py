@@ -97,6 +97,24 @@ def test_classify_flat_accept_and_reject(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("part", [(4,), (6,)])
+def test_classify_flat_refutes_a_catalog_product_at_once(tmp_path, capsys, part):
+    # the linear coefficients multiply to 1, and the point test refutes;
+    # the Bareiss determinant of (4,) took 10 s
+    path = write_poly(tmp_path, product_solution(part))
+    start = time.perf_counter()
+    assert main(["classify-flat", "--poly", path]) == EXIT_REFUTED
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().out == "not a flat solution\n"
+
+
+def test_classify_flat_with_a_zero_linear_coefficient_exits_one(tmp_path, capsys):
+    # the flat-type left side is 0 at the origin: refuted, not degenerate
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    path = write_poly(tmp_path, x1 + x1 * x2 + x2 * x2)
+    assert main(["classify-flat", "--poly", path]) == EXIT_REFUTED
+
+
 def test_axis_check(tmp_path, capsys):
     p = (
         MultiPoly.one(2)
@@ -286,6 +304,47 @@ def test_verify_zero_denominator_is_usage_error(tmp_path, capsys):
     )
     assert main(["verify", "--poly", str(path)]) == EXIT_USAGE
     assert "malformed polynomial" in capsys.readouterr().err
+
+
+def test_verify_accepts_every_catalog_record_up_to_n6(tmp_path, capsys):
+    # (5,) and (6,) are one block each, a linear form checked in one
+    # variable; the whole bordered determinant of (5,) ran past 300 s
+    from toricpke.catalog import standard_catalog
+
+    records = standard_catalog(MAX_CATALOG_N)
+    assert len(records) == 29
+    for record in records:
+        path = write_poly(tmp_path, record.P)
+        start = time.perf_counter()
+        assert main(["verify", "--poly", path]) == EXIT_OK, record.name
+        assert time.perf_counter() - start < 1.0, record.name
+        assert "solution (sign " in capsys.readouterr().out
+
+
+def point_vanishing_input():
+    """(1 + x1 - 12*x1^2)*Q, Q a dense cubic in x2..x6: 168 terms.
+
+    The first factor vanishes at x1 = 1/3, the test point's first
+    coordinate, and with it P and L there, so the point test cannot
+    decide; every linear coefficient is 1, so the sign is 1, and the one
+    block is not a linear form.
+    """
+    q = MultiPoly(5, {e: Fraction(1, max(1, sum(e))) for e in _exponents(5, 3)})
+    x1 = MultiPoly.variable(6, 0)
+    return (MultiPoly.one(6) + x1 - 12 * x1 * x1) * q.embed(6, range(1, 6))
+
+
+def test_verify_on_an_input_vanishing_at_the_point_does_bounded_work(tmp_path, capsys):
+    # the symbolic left side of the one block of 6 variables exceeds the
+    # limit; the whole bordered determinant ran past 90 s
+    p = point_vanishing_input()
+    assert len(p.terms) == 168
+    assert p.evaluate([Fraction(1, 2 * i + 3) for i in range(6)]) == 0
+    path = write_poly(tmp_path, p)
+    start = time.perf_counter()
+    assert main(["verify", "--poly", path]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
 def test_verify_large_exponent_is_refuted(tmp_path, capsys):
@@ -539,7 +598,8 @@ def test_einstein_check_decides_the_k3_potential_of_a_six_dimensional_block(tmp_
 
 
 def test_einstein_check_reports_lambda_h_over_k_for_the_catalog(tmp_path, capsys):
-    # every catalog potential with n <= 4 and K <= 3 within MAX_EINSTEIN_TERMS
+    # every catalog potential with n <= 4 and K <= 3, the largest (2,1,1)
+    # at K = 3 with 2,695 terms
     from toricpke.catalog import partitions, potential_for_power
 
     checked = 0
@@ -547,15 +607,14 @@ def test_einstein_check_reports_lambda_h_over_k_for_the_catalog(tmp_path, capsys
         for n in range(1, 5):
             for part in partitions(n):
                 pot = potential_for_power(part, K)
-                if len(pot.P.terms) > MAX_EINSTEIN_TERMS:
-                    continue
+                assert len(pot.P.terms) <= MAX_EINSTEIN_TERMS, (part, K)
                 h = math.gcd(*(m + 1 for m in part))
                 path = write_potential(tmp_path, pot)
                 assert main(["einstein-check", "--potential", path, "--json"]) == EXIT_OK
                 verdict = json.loads(capsys.readouterr().out)["verdict"]
                 assert verdict["lambda_exact"] == str(Fraction(h, K)), (part, K)
                 checked += 1
-    assert checked == 28
+    assert checked == 33
 
 
 def test_einstein_check_term_pair_budget(tmp_path, capsys, monkeypatch):
@@ -871,6 +930,11 @@ def test_process_exit_codes(tmp_path):
         (["verify", "--poly", str(bad)], EXIT_USAGE),
         (["einstein-check", "--potential", write_potential(tmp_path, pot)],
          EXIT_DOMAIN),
+        # each imports toricpke.einstein, which imports ma_engine, at call time
+        (["verify", "--poly", write_poly(tmp_path, point_vanishing_input(), "v.json")],
+         EXIT_USAGE),
+        (["classify-flat", "--poly",
+          write_poly(tmp_path, product_solution((4,)), "f.json")], EXIT_REFUTED),
     ]
     for argv, code in cases:
         proc = subprocess.run([sys.executable, "-m", "toricpke.cli"] + argv,

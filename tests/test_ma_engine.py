@@ -35,6 +35,7 @@ from toricpke.geometry import DomainError
 from toricpke.ma_engine import (
     _TEST_PRIME,
     ExponentRatio,
+    FlatClassification,
     MAResult,
     ProfileMismatchError,
     _coupling_blocks,
@@ -113,6 +114,58 @@ def test_classify_flat_rejects_cross_term():
 
 def test_classify_flat_rejects_constant():
     assert not classify_flat(MultiPoly.constant(2, 5)).is_solution
+
+
+def sympy_flat_det(d0):
+    """det[x_i*d^2 D0/dx_i dx_j + delta_ij*dD0/dx_j] expanded by sympy."""
+    import sympy
+
+    xs = sympy.symbols(f"x1:{d0.nvars + 1}")
+    f = sum(sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(v ** k for v, k in zip(xs, e))) for e, c in d0.terms.items())
+    n = d0.nvars
+    a = sympy.Matrix(n, n, lambda i, j: xs[i] * sympy.diff(f, xs[i], xs[j])
+                     + (sympy.diff(f, xs[j]) if i == j else 0))
+    return sympy.expand(a.det())
+
+
+def test_classify_flat_matches_a_sympy_determinant():
+    # random D0 whose linear coefficients mostly multiply to +-1, half of
+    # them affine; the flat-type left side 1 - (15/8)*(x1 + x2) of the
+    # last one vanishes at the test point, so the symbolic check decides
+    rng = random.Random(17)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        d0 = MultiPoly.constant(n, rng.choice(COEFF_POOL))
+        if rng.random() < 0.5:
+            d0 = d0 + random_poly(rng, n, 3, 4)
+        a = [rng.choice(COEFF_POOL) for _ in range(n - 1)]
+        if rng.random() < 0.8:
+            a.append(rng.choice((1, -1)) / math.prod(a, start=Fraction(1)))
+        else:
+            a.append(rng.choice(COEFF_POOL))
+        for i, c in enumerate(a):
+            e = tuple(int(j == i) for j in range(n))
+            d0 = d0 + MultiPoly(n, {e: c - d0.coefficient(e)})
+        cases.append(d0)
+    cases.append(x(2, 0) + x(2, 1) - Fraction(15, 8) * x(2, 0) * x(2, 1))
+    accepted = 0
+    for d0 in cases:
+        det = sympy_flat_det(d0)
+        result = classify_flat(d0)
+        assert result.is_solution == (det in (1, -1)), d0
+        if result.is_solution:
+            assert result.coeff_product == det
+            assert result.coeffs == tuple(_linear_coefficients(d0))
+            accepted += 1
+    assert 5 < accepted < len(cases) - 5
+
+
+def test_classify_flat_with_a_zero_linear_coefficient_is_refuted():
+    # the flat-type left side is 0 at the origin, a refutation and not a
+    # degenerate metric
+    assert classify_flat(x(2, 0) + x(2, 0) * x(2, 1)) == FlatClassification(False, None, None)
 
 
 def test_flat_degree_inequality():
@@ -313,12 +366,11 @@ def product_of(factors):
 
 
 def test_block_route_matches_whole_route_on_catalog_images():
-    # (4,) is one block, where the two routes are one computation
+    # (4,) is one block, a linear form, which the block route checks in
+    # one variable and the whole route through the bordered determinant
     rng = random.Random(61)
     for n in (1, 2, 3, 4):
         for part in partitions(n):
-            if part == (4,):
-                continue
             p = seeded_image(product_solution(part), rng)
             blocks, _ = blocks_of(p)
             assert sorted(map(len, blocks)) == sorted(part), part
@@ -415,11 +467,24 @@ def test_the_pair_test_handles_huge_exponents():
 
 
 def test_block_route_term_pair_budget(monkeypatch):
-    # deterministic work gate: the blocks multiply 919 term pairs on
-    # (2,1,1) and 43,801 on (3,1); the whole route took 2,043,003 and
-    # 2,987,316
+    # deterministic work gate: the blocks, linear forms checked in one
+    # variable, multiply 248 term pairs on (2,1,1) and 347 on (3,1), and
+    # 919 and 43,801 with ma_lhs_log of every block and P_b**n_b; the
+    # whole route took 2,043,003 and 2,987,316
     pairs = count_term_pairs(monkeypatch)
-    for part, budget in (((2, 1, 1), 12_000), ((3, 1), 82_000)):
+    for part, budget in (((2, 1, 1), 300), ((3, 1), 420)):
+        p = product_solution(part)
+        pairs[0] = 0
+        assert verify_ma_star(p).sign == 1
+        assert 0 < pairs[0] <= budget, part
+
+
+def test_one_block_catalog_term_pair_budget(monkeypatch):
+    # deterministic work gate: (4,), (5,) and (6,) are one block each, a
+    # linear form checked in one variable, which multiplies 472, 883 and
+    # 1,545 term pairs; ma_lhs_log of (4,) alone took 5,151,258
+    pairs = count_term_pairs(monkeypatch)
+    for part, budget in (((4,), 560), ((5,), 1_050), ((6,), 1_850)):
         p = product_solution(part)
         pairs[0] = 0
         assert verify_ma_star(p).sign == 1
@@ -427,19 +492,22 @@ def test_block_route_term_pair_budget(monkeypatch):
 
 
 def test_the_block_test_multiplies_no_polynomial(monkeypatch):
-    # on a non-product the pair test finds one block, so where the point
-    # test is inconclusive verify_ma_star multiplies exactly what
-    # ma_lhs_log(p) and p**n do (c = L(0) is 1 here)
+    # on a non-product the product check finds one block, of 81 terms and
+    # not a linear form, so where the point test is inconclusive (and the
+    # sign is 1) the block needs the symbolic left side of all four
+    # variables, beyond MAX_SYMBOLIC_PAIRS: verify_ma_star raises before
+    # any determinant or power
+    def refuse(*args):
+        raise AssertionError("a determinant or a power ran")
+
     monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
     p = product_solution((1, 1, 1, 1))
     p = p + MultiPoly(4, {(1, 1, 0, 0): Fraction(1, 7)})
-    pairs = count_term_pairs(monkeypatch)
-    ma_lhs_log(p)
-    p ** p.nvars
-    whole = pairs[0]
-    pairs[0] = 0
-    assert not verify_ma_star(p).is_solution
-    assert pairs[0] == whole
+    assert blocks_of(p) == ([(0, 1, 2, 3)], [p]) and _linear_form(p) is None
+    monkeypatch.setattr(ma_engine, "ma_lhs_log", refuse)
+    monkeypatch.setattr(MultiPoly, "__pow__", refuse)
+    with pytest.raises(SymbolicLimitError, match="estimated at 73953405 term pairs"):
+        verify_ma_star(p)
 
 
 # ---------------------------------------------------------------------------
@@ -570,17 +638,15 @@ def test_refutation_multiplies_no_term_pair(monkeypatch):
 
 
 def test_a_sign_other_than_one_takes_no_power(monkeypatch):
-    # a bumped linear coefficient moves c = L(0) = P(0)*prod P_i(0) off
-    # +-1, which refutes a one-block P before P**n
+    # a bumped linear coefficient moves the sign eps^(n+1)*prod a_i =
+    # L(0)*eps^n off +-1, which refutes P from its linear coefficients,
+    # before any determinant or power
     monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
     p = product_solution((2,)) + MultiPoly(2, {(1, 0): Fraction(2, 11)})
+    assert ma_lhs_log(p).constant_term() not in (1, -1)
     pairs = count_term_pairs(monkeypatch)
-    lhs = ma_lhs_log(p)
-    assert lhs.constant_term() not in (1, -1)
-    alone = pairs[0]
-    pairs[0] = 0
     assert verify_ma_star(p) == MAResult(False, None)
-    assert pairs[0] == alone
+    assert pairs[0] == 0
 
 
 def test_a_witness_after_a_certificate_takes_no_power(monkeypatch):
