@@ -9,8 +9,8 @@ powers of the product-of-projective-spaces metrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from toricpke.algebra import MultiPoly, Scalar
 from toricpke.geometry import ToricPotential
@@ -20,8 +20,7 @@ class AmbiguousCanonicalFormError(ArithmeticError):
     """Sign normalization is undetermined for this polynomial."""
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     name: str
     partition: tuple
     n: int

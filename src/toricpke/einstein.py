@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from toricpke import ma_engine
 from toricpke.algebra import MultiPoly, fraction_to_str
@@ -53,14 +52,20 @@ from toricpke.ma_engine import (
 # 10 s near 10^7 estimated pairs (2 cores, Python 3.11); the dense 84-term
 # cubic in 6 variables takes 19 s.
 MAX_SYMBOLIC_PAIRS = 1_000_000
+# The witness of a refuted verify, the whole left side of each block that
+# no verdict needs, is built only within this many estimated pairs.  It
+# admits the perturbed (1,1,1,1) product (81 terms, 7.4*10^7 estimated,
+# 0.27 s); of 16 random sparse polynomials in 5-6 variables estimated at
+# 1.3-6.6*10^7 the slowest took 11 s; the dense 84-term cubic in 6
+# variables (1.2*10^9) is refused at once (2 cores, Python 3.11).
+MAX_WITNESS_PAIRS = 100_000_000
 
 
 class SymbolicLimitError(ValueError):
-    """A symbolic left side is estimated beyond MAX_SYMBOLIC_PAIRS."""
+    """A symbolic left side is estimated beyond its limit."""
 
 
-@dataclass(frozen=True)
-class DlogRefutation:
+class DlogRefutation(NamedTuple):
     """Residues of theta_i log L and theta_i log P at the test point.
 
     L = C*P^e makes theta_i log L = e*theta_i log P for every i, and
@@ -86,8 +91,7 @@ class DlogRefutation:
         }
 
 
-@dataclass(frozen=True)
-class EinsteinExponent:
+class EinsteinExponent(NamedTuple):
     """L = C*(eps*P)^e exactly, with eps = P(0) and C = L(0); or a refutation.
 
     C and e are None on a refutation, and refuted_at is its certificate
@@ -214,13 +218,17 @@ def _symbolic_pairs(p: MultiPoly, size: int, bareiss: bool = False) -> int:
                for k in range(2, size + 1))
 
 
-def _check_symbolic_size(p: MultiPoly, size: int, bareiss: bool = False) -> None:
+def _check_symbolic_size(p: MultiPoly, size: int, bareiss: bool = False,
+                         witness: bool = False) -> None:
+    """Raise SymbolicLimitError beyond MAX_SYMBOLIC_PAIRS (MAX_WITNESS_PAIRS for a witness)."""
     pairs = _symbolic_pairs(p, size, bareiss)
-    if pairs > MAX_SYMBOLIC_PAIRS:
+    name, limit = (("MAX_WITNESS_PAIRS", MAX_WITNESS_PAIRS) if witness
+                   else ("MAX_SYMBOLIC_PAIRS", MAX_SYMBOLIC_PAIRS))
+    if pairs > limit:
         raise SymbolicLimitError(
             f"the symbolic left side of a block of {p.nvars} variables and "
             f"{len(p.terms)} terms is estimated at {pairs} term pairs, "
-            f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}")
+            f"exceeding {name} = {limit}")
 
 
 def _linear_form(f: MultiPoly) -> Optional[tuple]:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from toricpke.algebra import MultiPoly, PolyMatrix, Scalar, json_int
 
@@ -39,24 +39,45 @@ class DomainError(ArithmeticError):
     """Evaluation hit a zero of P or of det g, or left the float range."""
 
 
-@dataclass(frozen=True)
 class ToricPotential:
-    """Phi = P(x) (kind "poly") or Phi = k*log P(x) (kind "log")."""
+    """Phi = P(x) (kind "poly") or Phi = k*log P(x) (kind "log").
 
-    kind: str
-    P: MultiPoly
-    k: Scalar = Fraction(1)
+    Immutable, so that the plan derived on first use cannot go stale; equal
+    and hashed by (kind, P, k).
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("poly", "log"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        object.__setattr__(self, "k", Fraction(self.k))
-        c0 = self.P.constant_term()
-        if self.kind == "log":
-            if c0 not in (1, -1):
+    def __init__(self, kind: str, P: MultiPoly, k: Scalar = Fraction(1)):
+        if kind not in ("poly", "log"):
+            raise ValueError(f"unknown potential kind {kind!r}")
+        k = Fraction(k)
+        if kind == "log":
+            if P.constant_term() not in (1, -1):
                 raise ValueError("log potential needs P(0) = +-1")
-            if self.k <= 0:
+            if k <= 0:
                 raise ValueError("log potential needs a positive exponent")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.kind, self.P, self.k
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ToricPotential(kind={self.kind!r}, P={self.P!r}, k={self.k!r})"
 
     @property
     def nvars(self) -> int:
@@ -127,8 +148,7 @@ class ToricPotential:
         )
 
 
-@dataclass(frozen=True)
-class EinsteinFit:
+class EinsteinFit(NamedTuple):
     lam: float
     max_residual: float
 

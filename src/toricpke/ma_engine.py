@@ -76,9 +76,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from toricpke.algebra import (
     BinomialProfile,
@@ -103,8 +102,7 @@ class ProfileMismatchError(ArithmeticError):
     """An axis restriction fails the binomial-power or companion check."""
 
 
-@dataclass(frozen=True)
-class PointRefutation:
+class PointRefutation(NamedTuple):
     """Residues of L(pt) and P(pt)^n modulo a prime, neither equal nor opposite.
 
     Reduction modulo a prime is a ring map on the rationals whose
@@ -126,24 +124,21 @@ class PointRefutation:
         }
 
 
-@dataclass(frozen=True)
-class MAResult:
+class MAResult(NamedTuple):
     is_solution: bool
     sign: Optional[int]  # +1 or -1 when is_solution
     refuted_at: Optional[PointRefutation] = None  # set when the point test refutes
     witness: Optional[MultiPoly] = None  # the left side, when asked for
 
 
-@dataclass(frozen=True)
-class AxisProfile:
+class AxisProfile(NamedTuple):
     axis: int
     epsilon: int
     r: Scalar
     k: int
 
 
-@dataclass(frozen=True)
-class CauchyData:
+class CauchyData(NamedTuple):
     """Axis data P(x1,0), dP/dx2(x1,0) plus the sign/shape parameters."""
 
     P0: MultiPoly
@@ -154,8 +149,7 @@ class CauchyData:
     k: int
 
 
-@dataclass(frozen=True)
-class ExponentRatio:
+class ExponentRatio(NamedTuple):
     """The positive rational s/q with gcd(s, q) = 1."""
 
     s: int
@@ -166,8 +160,7 @@ class ExponentRatio:
         return Fraction(self.s, self.q)
 
 
-@dataclass(frozen=True)
-class FlatClassification:
+class FlatClassification(NamedTuple):
     is_solution: bool
     coeffs: Optional[tuple]  # linear coefficients k_i when accepted
     coeff_product: Optional[Scalar]
@@ -414,9 +407,9 @@ def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
     toricpke.einstein's block check at the exponent n_b, within its
     MAX_SYMBOLIC_PAIRS.  The witness is the full left side: sign*P^n on
     acceptance, and on a refutation eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b)
-    with L_b = ma_lhs_log(P_b).
+    with L_b = ma_lhs_log(P_b), each within MAX_WITNESS_PAIRS.
     """
-    from toricpke.einstein import _block_exponent
+    from toricpke.einstein import _block_exponent, _check_symbolic_size
 
     eps = p.constant_term()
     if eps not in (1, -1):
@@ -438,6 +431,8 @@ def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
         return MAResult(True, int(sign), None, sign * p ** n if witness else None)
     full = None
     if witness:
+        for f, b in zip(factors, blocks):
+            _check_symbolic_size(f, len(b) + 1, witness=True)
         full = _disjoint_product(n, blocks, [
             ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n else ma_lhs_log(f)
             for f, b in zip(factors, blocks)])

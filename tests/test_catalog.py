@@ -213,6 +213,26 @@ def test_solution_record_fields():
     assert MultiPoly.from_json_dict(doc["P"]) == rec.P
 
 
+def test_solution_record_json_and_repr_keep_their_shape():
+    rec = solution_record((1,), 1)
+    one = {"exp": [0], "num": "1", "den": "1"}
+    assert rec.to_json_dict() == {
+        "name": "DP^1 (K=1)", "partition": [1], "n": 1,
+        "P": {"nvars": 1, "terms": [one, {"exp": [1], "num": "1", "den": "1"},
+                                    {"exp": [2], "num": "1", "den": "4"}]},
+        "h": 2, "K": 1,
+        "potential": {"kind": "log",
+                      "P": {"nvars": 1, "terms": [one, {"exp": [1], "num": "1", "den": "2"}]},
+                      "k_num": 1, "k_den": 1},
+        "min_embedding_dim": 1, "manifold_label": "DP^1",
+    }
+    assert repr(rec) == (
+        "SolutionRecord(name='DP^1 (K=1)', partition=(1,), n=1, "
+        "P=MultiPoly(1 + x1 + 1/4*x1^2), h=2, K=1, potential=ToricPotential("
+        "kind='log', P=MultiPoly(1 + 1/2*x1), k=Fraction(1, 1)), "
+        "min_embedding_dim=1, manifold_label='DP^1')")
+
+
 def test_standard_catalog_covers_small_partitions():
     records = standard_catalog(3, 1)
     expected = {part for n in (1, 2, 3) for part in partitions(n)}

@@ -31,7 +31,7 @@ from toricpke.cli import (
     main,
 )
 from toricpke import geometry
-from toricpke.einstein import MAX_SYMBOLIC_PAIRS
+from toricpke.einstein import MAX_SYMBOLIC_PAIRS, MAX_WITNESS_PAIRS
 from toricpke.geometry import DomainError, ToricPotential, space_form_potential
 from toricpke.ma_engine import ma_lhs_log
 
@@ -278,6 +278,7 @@ def test_verify_refutation_report_rechecks_exactly(tmp_path, capsys):
 
 def test_verify_witness_is_the_whole_left_side(tmp_path, capsys):
     for p, code in ((perturbed_product((1, 1)), EXIT_REFUTED),
+                    (perturbed_product((2, 1)), EXIT_REFUTED),
                     (product_solution((2, 1)), EXIT_OK)):
         path = write_poly(tmp_path, p)
         assert main(["verify", "--poly", path, "--json", "--witness"]) == code
@@ -345,6 +346,20 @@ def test_verify_on_an_input_vanishing_at_the_point_does_bounded_work(tmp_path, c
     assert main(["verify", "--poly", path]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
+
+
+def test_refuted_witness_of_a_large_block_does_bounded_work(tmp_path, capsys):
+    # one more x2 makes the sign 2, so verify refutes with no determinant;
+    # the witness needs the symbolic left side of the one 6-variable
+    # block, which exceeds its limit (it ran past 8 s unbounded)
+    p = point_vanishing_input() + MultiPoly.variable(6, 1)
+    path = write_poly(tmp_path, p)
+    assert main(["verify", "--poly", path]) == EXIT_REFUTED
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", "--poly", path, "--witness"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeding MAX_WITNESS_PAIRS = {MAX_WITNESS_PAIRS}" in capsys.readouterr().err
 
 
 def test_verify_large_exponent_is_refuted(tmp_path, capsys):
@@ -495,6 +510,22 @@ def test_einstein_check_beyond_float_range_keeps_the_exact_verdict(tmp_path, cap
     path = write_potential(tmp_path, ToricPotential("log", MultiPoly.one(1) + t**3 * 10**307, 1))
     assert main(["einstein-check", "--potential", path]) == EXIT_DOMAIN
     assert "metric degenerate at the origin" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("kind", "foo", "unknown potential kind 'foo'"),
+    ("P", (MultiPoly.one(1) * 2 + MultiPoly.variable(1, 0)).to_json_dict(),
+     "log potential needs P(0) = +-1"),
+    ("k_num", -1, "log potential needs a positive exponent"),
+])
+def test_bad_potential_message(tmp_path, capsys, field, value, message):
+    doc = space_form_potential(8, 1).to_json_dict()
+    doc[field] = value
+    path = tmp_path / "bad_pot.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["einstein-check", "--potential", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"error: malformed potential JSON in {path}: {message}\n"
 
 
 def test_potential_zero_denominator_is_usage_error(tmp_path, capsys):
@@ -944,3 +975,21 @@ def test_process_exit_codes(tmp_path):
         assert bool(proc.stdout) == (code in (EXIT_OK, EXIT_REFUTED))
         if code == EXIT_DOMAIN:
             assert "metric degenerate at the origin" in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["toricpke.cli", "toricpke", "toricpke.einstein"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # dataclasses imports inspect, ast, dis and tokenize, and each
+    # @dataclass execs its generated methods: start-up work that no
+    # command needs, paid by every process
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(toricpke.__file__)),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    code = ("import sys; before = set(sys.modules); import " + module
+            + "; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert not loaded & {"dataclasses", "inspect"}

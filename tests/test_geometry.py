@@ -564,3 +564,34 @@ def test_potential_json_roundtrip():
     doc = pot.to_json_dict()
     assert doc["kind"] == "log"
     assert ToricPotential.from_json_dict(doc) == pot
+
+
+def test_potential_is_an_immutable_value_that_plans_once(monkeypatch):
+    p = MultiPoly.one(2) + x(2, 0) * 2 + x(2, 1)
+    pot = ToricPotential("log", p, 2)
+    assert type(pot.k) is Fraction and pot.k == 2
+    assert type(ToricPotential("poly", p).k) is Fraction
+    same = ToricPotential(kind="log", P=MultiPoly.one(2) + x(2, 1) + x(2, 0) * 2,
+                          k=Fraction(2))
+    assert same == pot and hash(same) == hash(pot) and len({pot, same}) == 1
+    assert pot != ToricPotential("log", p, 3) and pot != ToricPotential("poly", p, 2)
+    assert pot != ("log", p, Fraction(2))
+    for name in ("kind", "P", "k", "other"):
+        with pytest.raises(AttributeError):
+            setattr(pot, name, 1)
+    with pytest.raises(AttributeError):
+        del pot.k
+    assert pot.k == 2
+    # the plan takes P's 2 first and 3 upper second derivatives once per
+    # instance, whatever the number of points
+    calls = []
+    derivative = MultiPoly.partial_derivative
+    monkeypatch.setattr(MultiPoly, "partial_derivative",
+                        lambda self, i: calls.append(i) or derivative(self, i))
+    eval_metric(pot, [THIRD, HALF], [1, 1])
+    assert len(calls) == 5
+    eval_metric(pot, [0.1, 0.2], [1.0, 1.0])
+    eval_metric(pot, [HALF, THIRD], [1, 1])
+    assert len(calls) == 5
+    eval_metric(same, [THIRD, HALF], [1, 1])
+    assert len(calls) == 10

@@ -34,6 +34,7 @@ from toricpke.einstein import (
 from toricpke.geometry import DomainError
 from toricpke.ma_engine import (
     _TEST_PRIME,
+    CauchyData,
     ExponentRatio,
     FlatClassification,
     MAResult,
@@ -940,6 +941,22 @@ def test_axis_profile_rejects_a_wrong_companion(extra):
 
 # ---------------------------------------------------------------------------
 # Cauchy continuation
+
+
+def test_records_keep_their_defaults_and_fields():
+    res = MAResult(False, None)
+    assert res.refuted_at is None and res.witness is None
+    assert repr(res) == ("MAResult(is_solution=False, sign=None, "
+                         "refuted_at=None, witness=None)")
+    assert EinsteinExponent(None, None).refuted_at is None
+    cd = cauchy_data(1, -1, 2, 3)
+    assert cd == CauchyData(binomial_power(1, Fraction(2), 3),
+                            -Fraction(2, 3) * binomial_power(1, Fraction(2), 2),
+                            1, -1, Fraction(2), 3)
+    assert repr(cd) == (
+        "CauchyData(P0=MultiPoly(1 + 3/2*x1 + 3/4*x1^2 + 1/8*x1^3), "
+        "P1=MultiPoly(-2/3 - 2/3*x1 - 1/6*x1^2), epsilon=1, sigma=-1, "
+        "r=Fraction(2, 1), k=3)")
 
 
 def test_continuation_reconstructs_cubic_with_intermediates():
