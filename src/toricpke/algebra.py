@@ -10,9 +10,10 @@ dense term maps by Kronecker substitution and small or sparse ones by a
 schoolbook loop.  The public API takes and returns Fractions.
 
 The module also provides polynomial matrices with two independent
-determinant routes (fraction-free elimination and cofactor expansion),
-exact division, exact q-th roots and recognition of binomial powers
-eps*(1 + t/r)^k of univariate polynomials.
+determinants: cofactor expansion with memoized minors, which the program
+runs, and fraction-free (Bareiss) elimination, the tests' oracle for it.
+It also provides exact division, exact q-th roots and recognition of
+binomial powers eps*(1 + t/r)^k of univariate polynomials.
 """
 
 from __future__ import annotations
@@ -551,7 +552,8 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Intermediate divisions by the previous pivot are exact over the
-    polynomial ring, keeping entry growth minimal.
+    polynomial ring, keeping entry growth minimal.  No command runs it:
+    it is the tests' oracle for determinant_cofactor.
     """
     if m.rows != m.cols:
         raise ValueError("determinant requires a square matrix")
@@ -580,7 +582,7 @@ def determinant(m: PolyMatrix) -> MultiPoly:
 
 
 def determinant_cofactor(m: PolyMatrix) -> MultiPoly:
-    """Determinant by first-row cofactor expansion, the log-type route's.
+    """Determinant by Laplace expansion with memoized minors: the program's route.
 
     It shares no code with determinant; tests check each against the other.
     """
@@ -590,18 +592,24 @@ def determinant_cofactor(m: PolyMatrix) -> MultiPoly:
 
 
 def _cofactor_det(a: list) -> MultiPoly:
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    nv = a[0][0].nvars
-    total = MultiPoly.zero(nv)
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = a[0][j] * _cofactor_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    # the minors of the last k rows, keyed by the bitmask of their k
+    # columns, each built once by expanding along the row above: at most
+    # n*2^(n-1) products, none with a zero entry or a zero minor
+    zero = MultiPoly.zero(a[0][0].nvars)
+    minors = {1 << j: p for j, p in enumerate(a[-1]) if not p.is_zero()}
+    for row in reversed(a[:-1]):
+        entries = [(1 << j, p) for j, p in enumerate(row) if not p.is_zero()]
+        wider = {}
+        for mask, minor in minors.items():
+            for bit, p in entries:
+                if not mask & bit:
+                    key = mask | bit
+                    prev = wider.get(key, zero)
+                    # the sign is that of bit's place among key's columns
+                    odd = (mask & (bit - 1)).bit_count() % 2
+                    wider[key] = prev - p * minor if odd else prev + p * minor
+        minors = {k: v for k, v in wider.items() if not v.is_zero()}
+    return minors.get((1 << len(a)) - 1, zero)
 
 
 def adjugate(m: PolyMatrix) -> PolyMatrix:

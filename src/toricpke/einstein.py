@@ -46,17 +46,18 @@ from toricpke.ma_engine import (
 
 
 # The symbolic left side of a block runs only while _symbolic_pairs
-# estimates its determinant within this many term pairs.  Of 145 random
-# dense and sparse polynomials in 2-6 variables, both determinant routes,
-# the slowest within the limit took 0.65 s, and beyond it times reached
-# 10 s near 10^7 estimated pairs (2 cores, Python 3.11); the dense 84-term
-# cubic in 6 variables takes 19 s.
+# estimates its determinant within this many term pairs.  Of 380 random
+# dense and sparse polynomials in 2-6 variables estimated at 5*10^4 to
+# 10^6, both left sides, the slowest took 0.24 s, and beyond the limit
+# times reached 35 s near 8*10^7 estimated pairs (2 cores, Python 3.11);
+# the dense 84-term cubic in 6 variables takes 7 s.
 MAX_SYMBOLIC_PAIRS = 1_000_000
 # The witness of a refuted verify, the whole left side of each block that
 # no verdict needs, is built only within this many estimated pairs.  It
 # admits the perturbed (1,1,1,1) product (81 terms, 7.4*10^7 estimated,
-# 0.27 s); of 16 random sparse polynomials in 5-6 variables estimated at
-# 1.3-6.6*10^7 the slowest took 11 s; the dense 84-term cubic in 6
+# 0.16 s); of 12 random polynomials in 2-6 variables estimated at
+# 10^7-10^8 the slowest, two sparse ones in 5 variables of degree 25 and
+# 32 (7.9*10^7), took 25 and 30 s; the dense 84-term cubic in 6
 # variables (1.2*10^9) is refused at once (2 cores, Python 3.11).
 MAX_WITNESS_PAIRS = 100_000_000
 
@@ -198,30 +199,26 @@ def _exponent_at_point(p: MultiPoly, den: int, values: list, euler: list):
     return DlogRefutation(_test_point(n), q, tuple(dlog_l), tuple(dlog_p)), None
 
 
-def _symbolic_pairs(p: MultiPoly, size: int, bareiss: bool = False) -> int:
+def _symbolic_pairs(p: MultiPoly, size: int) -> int:
     """Term pairs a size x size determinant of p's derivatives is estimated to take.
 
     Every entry is a derivative of p (or an Euler derivative), of at most
     t terms and total degree d, and each column shifts the exponents by a
     fixed amount, so a j x j minor has at most m_j = min(C(t + j - 1, j),
-    C(n + j*d, n)) terms.  Cofactor expansion multiplies an entry by a
-    (k-1)-minor size!/k!*k times for each k; Bareiss elimination, at step
-    k, multiplies two pairs of k+1-minors and divides by a k-minor for each
-    of its (size-k-1)^2 entries.
+    C(n + j*d, n)) terms.  For each k the memoized Laplace expansion of
+    determinant_cofactor multiplies an entry by a (k-1)-minor C(size, k)*k
+    times; the count here takes size!/k!*k such products, no fewer, so it
+    bounds the expansion's pairs from above.
     """
     t, d, n = len(p.terms), p.degree(), p.nvars
     m = [min(math.comb(t + j - 1, j), math.comb(n + j * d, n)) for j in range(size + 1)]
-    if bareiss:
-        return sum((size - k - 1) ** 2 * (2 * m[k + 1] ** 2 + m[k + 2] * m[k])
-                   for k in range(size - 1))
     return sum(math.factorial(size) // math.factorial(k) * k * t * m[k - 1]
                for k in range(2, size + 1))
 
 
-def _check_symbolic_size(p: MultiPoly, size: int, bareiss: bool = False,
-                         witness: bool = False) -> None:
+def _check_symbolic_size(p: MultiPoly, size: int, witness: bool = False) -> None:
     """Raise SymbolicLimitError beyond MAX_SYMBOLIC_PAIRS (MAX_WITNESS_PAIRS for a witness)."""
-    pairs = _symbolic_pairs(p, size, bareiss)
+    pairs = _symbolic_pairs(p, size)
     name, limit = (("MAX_WITNESS_PAIRS", MAX_WITNESS_PAIRS) if witness
                    else ("MAX_SYMBOLIC_PAIRS", MAX_SYMBOLIC_PAIRS))
     if pairs > limit:
@@ -317,7 +314,7 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
         if dlog is not None and any(dlog):
             return EinsteinExponent(None, None, DlogRefutation(
                 _test_point(n), _TEST_PRIME, tuple(dlog), None))
-        _check_symbolic_size(p, n, bareiss=True)
+        _check_symbolic_size(p, n)
         if ma_engine.ma_lhs_flat(p).is_constant():
             return EinsteinExponent(c, Fraction(0))
         return EinsteinExponent(None, None)

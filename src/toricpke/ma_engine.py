@@ -90,7 +90,7 @@ from toricpke.algebra import (
     adjugate,  # noqa: F401  re-bound by perfbench/tracing.py
     binomial_power,
     binomial_profile,
-    determinant,
+    determinant,  # noqa: F401  re-bound by perfbench/tracing.py
     determinant_cofactor,
     exact_divide,
     fraction_to_str,
@@ -168,7 +168,7 @@ class FlatClassification(NamedTuple):
 
 def ma_lhs_flat(d0: MultiPoly) -> MultiPoly:
     """Exact determinant of the flat-type Monge-Ampere matrix."""
-    return determinant(toric_hessian_matrix(d0))
+    return determinant_cofactor(toric_hessian_matrix(d0))
 
 
 def _linear_coefficients(p: MultiPoly) -> list:
@@ -228,8 +228,6 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
     n = q.nvars
     generators = [q.euler_derivative(i) for i in range(n)] + [q]
     rows = [[g.partial_derivative(j) for j in range(n)] + [g] for g in generators]
-    # entries have low degree; cofactor expansion avoids the term swell of
-    # fraction-free intermediates here
     return determinant_cofactor(PolyMatrix(rows))
 
 

@@ -143,6 +143,21 @@ def test_bareiss_matches_cofactor_on_random_matrices():
             [[random_poly(rng, 2, 2, 3) for _ in range(3)] for _ in range(3)]
         )
         assert determinant(m) == determinant_cofactor(m)
+    # sizes 1-6 with sparse entries, so the memoized expansion skips zero
+    # entries and zero minors; then a zero row and a repeated row
+    zero = MultiPoly.zero(2)
+    for size in range(1, 7):
+        for _ in range(6):
+            rows = [[random_poly(rng, 2, 2, 2) if rng.random() < 0.6 else zero
+                     for _ in range(size)] for _ in range(size)]
+            m = PolyMatrix(rows)
+            assert determinant(m) == determinant_cofactor(m), size
+            if size > 1:
+                i, j = rng.sample(range(size), 2)
+                for singular in (rows[:i] + [[zero] * size] + rows[i + 1:],
+                                 rows[:i] + [rows[j]] + rows[i + 1:]):
+                    m = PolyMatrix(singular)
+                    assert determinant(m) == determinant_cofactor(m) == zero
 
 
 def test_adjugate_times_matrix_is_det_times_identity():

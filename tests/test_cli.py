@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, determinism, JSON round trips."""
 
 import argparse
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -697,6 +699,80 @@ def test_einstein_check_falls_back_to_the_symbolic_check_within_its_limit(tmp_pa
     assert main(["einstein-check", "--potential", path]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
+
+
+def flat_inconclusive_input(n, extra):
+    """x1 + ... + xn plus extra random terms of degree >= 2, exponents 0-2.
+
+    One of those terms has the coefficient 1/(2^61 - 1): the test prime
+    divides the denominator, so the point test cannot decide, and
+    classify-flat and einstein-check (kind "poly") need the symbolic
+    flat-type left side.
+    """
+    rng = random.Random(0)
+    pool = [e for e in itertools.product(range(3), repeat=n) if sum(e) >= 2]
+    exps = rng.sample(pool, extra)
+    terms = {tuple(int(i == j) for j in range(n)): 1 for i in range(n)}
+    terms.update((e, rng.choice([-3, -2, -1, 1, 2, 3])) for e in exps)
+    terms[exps[0]] = Fraction(1, 2**61 - 1)
+    return MultiPoly(n, terms)
+
+
+def test_flat_fallback_decides_within_its_limit(tmp_path, capsys, monkeypatch):
+    # deterministic work gate: the memoized cofactor expansion of the
+    # 5-variable flat-type matrix multiplies 36,320 term pairs here, where
+    # Bareiss elimination took 827,918; the Bareiss estimate, 32,162,360,
+    # made both commands exit 2
+    from toricpke import algebra
+
+    pairs = [0]
+    mul_terms = algebra.mul_terms
+
+    def counting(a, b):
+        pairs[0] += len(a) * len(b)
+        return mul_terms(a, b)
+
+    p = flat_inconclusive_input(5, 10)
+    flat = write_poly(tmp_path, p)
+    pot = write_potential(tmp_path, ToricPotential("poly", p))
+    monkeypatch.setattr(algebra, "mul_terms", counting)
+    for argv in (["classify-flat", "--poly", flat], ["einstein-check", "--potential", pot]):
+        pairs[0] = 0
+        start = time.perf_counter()
+        assert main(argv) == EXIT_REFUTED, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert 0 < pairs[0] <= 40_000, argv
+    capsys.readouterr()
+    large = flat_inconclusive_input(6, 12)
+    assert len(large.terms) == 18
+    flat = write_poly(tmp_path, large, "large.json")
+    pot = write_potential(tmp_path, ToricPotential("poly", large), "large_pot.json")
+    for argv in (["classify-flat", "--poly", flat], ["einstein-check", "--potential", pot]):
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert "estimated at 9879732 term pairs" in err
+        assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in err
+
+
+def test_no_command_path_runs_bareiss(tmp_path, capsys, monkeypatch):
+    # Bareiss elimination is the tests' oracle; production takes every
+    # determinant by memoized cofactor expansion
+    from toricpke import algebra, ma_engine
+    from toricpke.catalog import partitions
+
+    def refuse(*args):
+        raise AssertionError("Bareiss elimination ran")
+
+    monkeypatch.setattr(algebra, "determinant", refuse)
+    monkeypatch.setattr(ma_engine, "determinant", refuse)
+    for p in (flat_inconclusive_input(3, 4), flat_inconclusive_input(5, 10)):
+        assert main(["classify-flat", "--poly", write_poly(tmp_path, p)]) == EXIT_REFUTED
+        pot = write_potential(tmp_path, ToricPotential("poly", p))
+        assert main(["einstein-check", "--potential", pot]) == EXIT_REFUTED
+    for part in (part for n in range(1, 4) for part in partitions(n)):
+        path = write_poly(tmp_path, product_solution(part), "product.json")
+        assert main(["verify", "--poly", path]) == EXIT_OK, part
+    assert main(["scan-k", "--k-max", "6"]) == EXIT_OK
 
 
 def _exponents(n, degree):

@@ -844,7 +844,7 @@ def test_einstein_exponent_of_the_flat_kind():
 
 def test_symbolic_check_beyond_its_limit_is_rejected():
     # a dense cubic in 6 variables, not a linear form, whose left side
-    # would take about 19 s
+    # would take about 7 s
     from itertools import product
 
     terms = {e: Fraction(1, 1 + sum(e)) for e in product(range(4), repeat=6) if sum(e) <= 3}
@@ -853,6 +853,24 @@ def test_symbolic_check_beyond_its_limit_is_rejected():
     assert len(p.terms) == 84 and _symbolic_pairs(p, 7) > MAX_SYMBOLIC_PAIRS
     with pytest.raises(SymbolicLimitError, match="MAX_SYMBOLIC_PAIRS"):
         _block_exponent(p, None)
+
+
+def test_symbolic_estimate_bounds_the_determinant_term_pairs(monkeypatch):
+    # _symbolic_pairs(p, size) must bound the term pairs of both symbolic
+    # left sides, ma_lhs_log (size n+1) and ma_lhs_flat (size n), so that
+    # a limit on the estimate is a limit on the work
+    rng = random.Random(41)
+    polys = [product_solution(part) for n in range(1, 5) for part in partitions(n)]
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        p = random_poly(rng, n, 4, 8)
+        polys.append(p - p.constant_term() + 1)
+    pairs = count_term_pairs(monkeypatch)
+    for p in polys:
+        for lhs, size in ((ma_lhs_log, p.nvars + 1), (ma_lhs_flat, p.nvars)):
+            pairs[0] = 0
+            lhs(p)
+            assert pairs[0] <= _symbolic_pairs(p, size), (p, lhs.__name__)
 
 
 def test_reduce_fourth_power():
@@ -1214,12 +1232,14 @@ def test_continuation_skips_zero_coefficients(monkeypatch):
 
 
 def test_rank_one_correction_term_pair_budget(monkeypatch):
-    # deterministic work gate: cofactor expansion of the flat-type matrix
-    # bordered by the column x o grad Q and the row (grad Q, Q) multiplies
-    # 1,536,942 term pairs on (2,1,1) and 1,282,252 on (1,1,1,1), all of
-    # them in the determinant
+    # deterministic work gate: memoized Laplace expansion of the flat-type
+    # matrix bordered by the column x o grad Q and the row (grad Q, Q)
+    # multiplies 1,046,256 term pairs on (2,1,1) and 855,504 on
+    # (1,1,1,1), all of them in the determinant; first-row cofactor
+    # expansion, each minor rebuilt wherever it recurs, took 1,536,768
+    # and 1,282,104
     pairs = count_term_pairs(monkeypatch)
-    for part, budget in (((2, 1, 1), 1_700_000), ((1, 1, 1, 1), 1_410_000)):
+    for part, budget in (((2, 1, 1), 1_100_000), ((1, 1, 1, 1), 900_000)):
         p = product_solution(part)
         expected = (p ** p.nvars).terms
         pairs[0] = 0
