@@ -24,8 +24,6 @@ from toricpke.algebra import (
     exact_divide,
     nth_root,
 )
-from toricpke.geometry import ToricPotential, space_form_potential
-
 __all__ = [
     "KERNEL_BACKEND",
     "BinomialProfile",
@@ -45,3 +43,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # geometry is compiled on first use of one of its names, so that
+    # importing the package (every command does) does not compile it
+    if name in ("ToricPotential", "space_form_potential"):
+        from toricpke import geometry
+
+        return getattr(geometry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,6 +14,10 @@ determinants: cofactor expansion with memoized minors, which the program
 runs, and fraction-free (Bareiss) elimination, the tests' oracle for it.
 It also provides exact division, exact q-th roots and recognition of
 binomial powers eps*(1 + t/r)^k of univariate polynomials.
+
+Two names shared by the solvers and the float checks live here, the
+module every other one imports, so that neither loads the other:
+DomainError, and toric_hessian_matrix, the flat-type Monge-Ampere matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import heapq
 import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from toricpke._pykernel import mul_terms
@@ -46,6 +51,10 @@ class NoExactRootError(ArithmeticError):
 
 class NotBinomialPowerError(ArithmeticError):
     """Raised when a univariate polynomial is not eps*(1 + t/r)^k."""
+
+
+class DomainError(ArithmeticError):
+    """Evaluation hit a zero of P or of det g, or left the float range."""
 
 
 def _as_scalar(c) -> Fraction:
@@ -192,6 +201,15 @@ class MultiPoly:
     def terms(self) -> dict:
         den = self._den
         return {e: Fraction(c, den) for e, c in self._terms.items()}
+
+    @property
+    def integer_terms(self) -> tuple:
+        """(den, numerators): P = sum of numerators[e]*x^e over den, no Fraction built.
+
+        numerators is a read-only view of the stored map, nonzero ints
+        coprime with den > 0 as a whole.
+        """
+        return self._den, MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -489,16 +507,43 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
+        """Read the JSON schema straight into integer numerators, in one pass.
+
+        Each num/den is reduced, and the numerators are put over the lcm
+        of the reduced denominators, which leaves the stored form in
+        lowest terms.  A malformed term (an exponent that is not a list,
+        a repeated exponent, a zero coefficient's included, a field that
+        is not an integer, den 0) is reported before a nonpositive nvars,
+        and that before the first exponent of the wrong length or with a
+        negative entry.
+        """
         nvars = json_int(data["nvars"])
-        terms = {}
+        read = {}  # exponent -> reduced (num, den), zero coefficients too
+        bad = None
+        den = 1
         for t in data["terms"]:
-            if not isinstance(t["exp"], list):
-                raise ValueError(f"exponent must be a JSON list, got {t['exp']!r:.40}")
-            exp = tuple(json_int(e) for e in t["exp"])
-            if exp in terms:
+            exp = t["exp"]
+            if not isinstance(exp, list):
+                raise ValueError(f"exponent must be a JSON list, got {exp!r:.40}")
+            # json_int rejects a bool, which is an int subclass
+            exp = tuple([e if type(e) is int else json_int(e) for e in exp])
+            if exp in read:
                 raise ValueError(f"exponent {list(exp)} repeats")
-            terms[exp] = Fraction(json_int(t["num"]), json_int(t["den"]))
-        return cls(nvars, terms)
+            num, d = json_int(t["num"]), json_int(t["den"])
+            if not d:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+            g = math.gcd(num, d) if d > 0 else -math.gcd(num, d)
+            num, d = num // g, d // g
+            read[exp] = num, d
+            den = math.lcm(den, d)
+            if bad is None and (len(exp) != nvars or any(e < 0 for e in exp)):
+                bad = exp
+        if nvars < 1:
+            raise ValueError("nvars must be positive")
+        if bad is not None:
+            raise ValueError(f"bad exponent tuple {bad} for nvars={nvars}")
+        terms = {e: num * (den // d) for e, (num, d) in read.items() if num}
+        return cls._raw(nvars, terms, den)
 
     def __str__(self):
         if not self._terms:
@@ -546,6 +591,18 @@ class PolyMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
+
+
+def toric_hessian_matrix(d0: MultiPoly) -> PolyMatrix:
+    """Matrix (d^2 D0/dx_i dx_j)*x_i + (d D0/dx_j)*delta_ij.
+
+    Entry (i, j) is d/dx_j of the Euler derivative x_i*dD0/dx_i, so the
+    matrix needs no polynomial product.  Its determinant is the
+    flat-type Monge-Ampere left side.
+    """
+    n = d0.nvars
+    return PolyMatrix([[g.partial_derivative(j) for j in range(n)]
+                       for g in map(d0.euler_derivative, range(n))])
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:

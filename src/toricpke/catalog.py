@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from toricpke.algebra import MultiPoly, Scalar
-from toricpke.geometry import ToricPotential
+
+if TYPE_CHECKING:
+    from toricpke.geometry import ToricPotential
 
 
 class AmbiguousCanonicalFormError(ArithmeticError):
@@ -98,6 +100,10 @@ def potential_for_power(partition, K: int) -> ToricPotential:
 
     K = h reproduces product_solution exactly.
     """
+    # imported here, so that search-n2, which needs only canonicalize,
+    # does not compile geometry
+    from toricpke.geometry import ToricPotential
+
     return ToricPotential("log", _block_product(*_power_exponents(partition, K)),
                           Fraction(1))
 
@@ -153,7 +159,7 @@ def min_embedding_dim(potential: ToricPotential) -> int:
     if k.denominator != 1:
         raise ValueError("embedding bound needs an integral folded power")
     folded = potential.P ** k.numerator
-    return len(folded.terms) - 1
+    return len(folded.integer_terms[1]) - 1
 
 
 def manifold_label(partition) -> str:

@@ -10,6 +10,11 @@ Each ``cmd_*`` function maps the parsed arguments to
 the one place that times a command, turns its exceptions into exit codes
 (UsageError and ValueError 2, DomainError 3) and prints the human line or
 the canonical JSON report.
+
+Every command runs in a fresh process, which compiles each module it
+imports, so a module that only some commands run is imported inside
+them: geometry by einstein-check, catalog by catalog (and by
+ma_engine.search_n2), and einstein by the decisions that use it.
 """
 
 from __future__ import annotations
@@ -24,10 +29,8 @@ import sys
 import time
 from fractions import Fraction
 
-from toricpke import catalog as cat
-from toricpke import geometry, ma_engine
-from toricpke.algebra import MAX_COEFF_DIGITS, MultiPoly, fraction_to_str
-from toricpke.geometry import DomainError, ToricPotential
+from toricpke import ma_engine
+from toricpke.algebra import MAX_COEFF_DIGITS, DomainError, MultiPoly, fraction_to_str
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -107,7 +110,9 @@ def _read_poly(path: str, nvars=None) -> MultiPoly:
     return p
 
 
-def _read_potential(path: str) -> ToricPotential:
+def _read_potential(path: str):
+    from toricpke.geometry import ToricPotential
+
     return _read_json(path, "potential", ToricPotential.from_json_dict)
 
 
@@ -296,13 +301,17 @@ def _parse_partition(text: str) -> tuple:
 
 
 def _check_terms(part: tuple, K: int) -> None:
-    terms = cat.potential_terms(part, K)
+    from toricpke.catalog import potential_terms
+
+    terms = potential_terms(part, K)
     if terms > MAX_CATALOG_TERMS:
         raise UsageError(f"the potential of {part} at K={K} has {terms} terms, "
                          f"exceeding MAX_CATALOG_TERMS = {MAX_CATALOG_TERMS}")
 
 
 def cmd_catalog(args):
+    from toricpke import catalog as cat
+
     if args.action == "list":
         for n in range(1, args.max_n + 1):
             for part in cat.partitions(n):
@@ -327,7 +336,7 @@ def cmd_einstein_check(args):
     if potential.nvars > MAX_EINSTEIN_NVARS:
         raise UsageError(f"potential in {potential.nvars} variables exceeds "
                          f"MAX_EINSTEIN_NVARS = {MAX_EINSTEIN_NVARS}")
-    terms = len(potential.P.terms)
+    terms = len(potential.P.integer_terms[1])
     if terms > MAX_EINSTEIN_TERMS:
         raise UsageError(f"potential of {terms} terms exceeds "
                          f"MAX_EINSTEIN_TERMS = {MAX_EINSTEIN_TERMS}")
@@ -335,7 +344,7 @@ def cmd_einstein_check(args):
         raise UsageError("einstein-check needs at least 3 sample points")
     inputs = {"potential": potential.to_json_dict(), "points": args.points,
               "seed": args.seed}
-    # imported here, so that no other command compiles the module
+    from toricpke import geometry
     from toricpke.einstein import einstein_exponent
 
     found = einstein_exponent(potential.P, potential.kind)

@@ -33,8 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from toricpke import ma_engine
-from toricpke.algebra import MultiPoly, fraction_to_str
-from toricpke.geometry import DomainError
+from toricpke.algebra import DomainError, MultiPoly, fraction_to_str
 from toricpke.ma_engine import (
     _TEST_PRIME,
     _euler_rows,
@@ -210,7 +209,7 @@ def _symbolic_pairs(p: MultiPoly, size: int) -> int:
     times; the count here takes size!/k!*k such products, no fewer, so it
     bounds the expansion's pairs from above.
     """
-    t, d, n = len(p.terms), p.degree(), p.nvars
+    t, d, n = len(p.integer_terms[1]), p.degree(), p.nvars
     m = [min(math.comb(t + j - 1, j), math.comb(n + j * d, n)) for j in range(size + 1)]
     return sum(math.factorial(size) // math.factorial(k) * k * t * m[k - 1]
                for k in range(2, size + 1))
@@ -224,7 +223,7 @@ def _check_symbolic_size(p: MultiPoly, size: int, witness: bool = False) -> None
     if pairs > limit:
         raise SymbolicLimitError(
             f"the symbolic left side of a block of {p.nvars} variables and "
-            f"{len(p.terms)} terms is estimated at {pairs} term pairs, "
+            f"{len(p.integer_terms[1])} terms is estimated at {pairs} term pairs, "
             f"exceeding {name} = {limit}")
 
 

@@ -27,16 +27,18 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from toricpke.algebra import MultiPoly, PolyMatrix, Scalar, json_int
+from toricpke.algebra import (
+    DomainError,
+    MultiPoly,
+    Scalar,
+    json_int,
+    toric_hessian_matrix,  # noqa: F401  re-bound by perfbench/tracing.py
+)
 
 P_ZERO_TOL = 1e-9
 # Step in x of the Ricci stencil: on the projective models of dimension 1-3
 # and the K = 1 catalog potentials of dimension 1-4 the residual is < 2e-7.
 RICCI_STEP = 1e-4
-
-
-class DomainError(ArithmeticError):
-    """Evaluation hit a zero of P or of det g, or left the float range."""
 
 
 class ToricPotential:
@@ -151,18 +153,6 @@ class ToricPotential:
 class EinsteinFit(NamedTuple):
     lam: float
     max_residual: float
-
-
-def toric_hessian_matrix(d0: MultiPoly) -> PolyMatrix:
-    """Matrix (d^2 D0/dx_i dx_j)*x_i + (d D0/dx_j)*delta_ij.
-
-    Entry (i, j) is d/dx_j of the Euler derivative x_i*dD0/dx_i, so the
-    matrix needs no polynomial product.  Its determinant is the
-    flat-type Monge-Ampere left side.
-    """
-    n = d0.nvars
-    return PolyMatrix([[g.partial_derivative(j) for j in range(n)]
-                       for g in map(d0.euler_derivative, range(n))])
 
 
 def _toric_form(grad, upper, xi, eta) -> list:

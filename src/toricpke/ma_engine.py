@@ -81,6 +81,7 @@ from typing import NamedTuple, Optional
 
 from toricpke.algebra import (
     BinomialProfile,
+    DomainError,
     MultiPoly,
     NoExactRootError,
     NotBinomialPowerError,
@@ -94,8 +95,8 @@ from toricpke.algebra import (
     determinant_cofactor,
     exact_divide,
     fraction_to_str,
+    toric_hessian_matrix,
 )
-from toricpke.geometry import DomainError, toric_hessian_matrix
 
 
 class ProfileMismatchError(ArithmeticError):
@@ -251,13 +252,9 @@ def _term_residues(p: MultiPoly):
     """
     q = _TEST_PRIME
     point = [pow(2 * i + 3, -1, q) for i in range(p.nvars)]
-    terms = p.terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    values = [
-        (e, c.numerator * (den // c.denominator)
-         * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
-        for e, c in terms.items()
-    ]
+    den, numerators = p.integer_terms
+    values = [(e, c * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
+              for e, c in numerators.items()]
     return den, values
 
 

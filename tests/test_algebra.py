@@ -753,3 +753,60 @@ def test_json_roundtrip_and_grlex_order():
 def test_json_rejects_bad_payload():
     with pytest.raises((ValueError, KeyError, TypeError)):
         MultiPoly.from_json_dict({"nvars": 1, "terms": [{"exp": [0]}]})
+
+
+@st.composite
+def json_documents(draw):
+    """(nvars, terms) in the JSON schema: unreduced fractions, negative
+    denominators, zero numerators, exponents as ints or decimal strings."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * nvars),
+                         unique=True, max_size=8))
+    spell = st.sampled_from([lambda v: v, str, lambda v: f" {v} ", lambda v: f"{v:+d}"])
+    terms = []
+    for exp in exps:
+        num = draw(st.integers(-40, 40))
+        den = draw(st.integers(-30, 30).filter(bool))
+        k = draw(st.integers(1, 12))  # a common factor left in
+        terms.append({"exp": [draw(spell)(e) for e in exp],
+                      "num": draw(spell)(num * k), "den": draw(spell)(den * k)})
+    return nvars, terms
+
+
+@given(json_documents())
+def test_json_reader_equals_the_fraction_constructor(doc):
+    nvars, terms = doc
+    expected = MultiPoly(nvars, {
+        tuple(int(e) for e in t["exp"]): Fraction(int(t["num"]), int(t["den"]))
+        for t in terms})
+    got = MultiPoly.from_json_dict({"nvars": nvars, "terms": terms})
+    assert got == expected and hash(got) == hash(expected)
+    # storage order too: evaluate sums float terms in it
+    den, numerators = got.integer_terms
+    assert (den, list(numerators.items())) == (
+        expected.integer_terms[0], list(expected.integer_terms[1].items()))
+
+
+def _term(exp, num=1, den=1):
+    return {"exp": exp, "num": num, "den": den}
+
+
+@pytest.mark.parametrize("nvars,terms,error,message", [
+    (2, [_term([1])], ValueError, r"bad exponent tuple \(1,\) for nvars=2"),
+    (1, [_term([0]), _term(["-2"])], ValueError, r"bad exponent tuple \(-2,\) for nvars=1"),
+    (0, [], ValueError, "nvars must be positive"),
+    # a zero coefficient still claims its exponent
+    (1, [_term([1], num=0), _term([1])], ValueError, r"exponent \[1\] repeats"),
+    (1, [_term([1]), _term([" 1"])], ValueError, r"exponent \[1\] repeats"),
+    (1, [_term([0], num=3, den="0")], ZeroDivisionError, r"Fraction\(3, 0\)"),
+    (1, [_term([0], num=True)], ValueError, "expected an integer or a decimal string"),
+    (1, [_term(["1" * (MAX_COEFF_DIGITS + 1)])], ValueError,
+     f"integer of {MAX_COEFF_DIGITS + 1} digits exceeds"),
+    # a malformed term wins over nvars, and nvars over an exponent's shape
+    (0, [_term([1, 1]), _term([0], den=0)], ZeroDivisionError, r"Fraction\(1, 0\)"),
+    (0, [_term([1, 1])], ValueError, "nvars must be positive"),
+    (1, [_term([1, 1]), _term([-1])], ValueError, r"bad exponent tuple \(1, 1\)"),
+])
+def test_json_reader_errors(nvars, terms, error, message):
+    with pytest.raises(error, match=message):
+        MultiPoly.from_json_dict({"nvars": nvars, "terms": terms})

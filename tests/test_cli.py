@@ -1042,6 +1042,9 @@ def test_process_exit_codes(tmp_path):
          EXIT_USAGE),
         (["classify-flat", "--poly",
           write_poly(tmp_path, product_solution((4,)), "f.json")], EXIT_REFUTED),
+        # catalog imports geometry at call time, and search-n2 catalog
+        (["catalog", "gen", "--partition", "2,1"], EXIT_OK),
+        (["search-n2", "--grid=1"], EXIT_OK),
     ]
     for argv, code in cases:
         proc = subprocess.run([sys.executable, "-m", "toricpke.cli"] + argv,
@@ -1069,3 +1072,37 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     loaded = set(proc.stdout.split())
     assert module in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+_OPTIONAL = {"toricpke.geometry", "toricpke.catalog"}
+
+
+@pytest.mark.parametrize("run,unloaded", [
+    ("import toricpke", _OPTIONAL | {"toricpke.einstein", "toricpke.paracomplex"}),
+    ("import toricpke.cli", _OPTIONAL | {"toricpke.einstein", "toricpke.paracomplex"}),
+    ("from toricpke.cli import main; main(['verify', '--poly', POLY])", _OPTIONAL),
+    ("from toricpke.cli import main; main(['scan-k', '--k-max', '3'])", _OPTIONAL),
+    ("from toricpke.cli import main; main(['search-n2', '--grid=1'])",
+     {"toricpke.geometry"}),
+])
+def test_commands_compile_only_the_modules_they_run(tmp_path, run, unloaded):
+    # with bytecode writing off every process compiles each module it
+    # imports from source: geometry serves einstein-check and catalog
+    # records, and catalog the catalog and search-n2 commands
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(toricpke.__file__)),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    poly = write_poly(tmp_path, product_solution((2, 1)))
+    code = (f"import sys; POLY = {poly!r}; {run}; "
+            "print('modules:', *sorted(sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *out, modules = proc.stdout.splitlines()
+    loaded = set(modules.split()[1:])
+    assert "toricpke.algebra" in loaded
+    assert not loaded & unloaded
+    if "verify" in run:
+        assert out == ["solution (sign +)"]
+    elif "scan-k" in run:
+        assert out == ["feasible k: [2, 3]"]
