@@ -5,9 +5,12 @@ denominator: a map from exponent tuples to nonzero ints, and a
 denominator whose gcd with all the numerators is 1.  That form is unique,
 so equality and hashing compare it directly, and sums and products run on
 ints, with one gcd per result instead of one per coefficient.  Products
-go through ``mul_terms`` (see toricpke._pykernel), which multiplies large
-dense term maps by Kronecker substitution and small or sparse ones by a
-schoolbook loop.  The public API takes and returns Fractions.
+go through ``dot_terms`` (see toricpke._pykernel), which takes a whole
+sum of products, by Kronecker substitution when it is large and dense
+and by one schoolbook accumulator when it is small or sparse; ``_dot``
+hands it a sum of polynomial products over their common denominator
+and reduces the result by one gcd, and ``*`` a single product.  The
+public API takes and returns Fractions.
 
 The module also provides polynomial matrices with two independent
 determinants: cofactor expansion with memoized minors, which the program
@@ -29,7 +32,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
-from toricpke._pykernel import mul_terms
+from toricpke._pykernel import dot_terms
 
 Scalar = Fraction
 
@@ -307,8 +310,8 @@ class MultiPoly:
         if not self._terms or not other._terms:
             return MultiPoly.zero(self.nvars)
         return MultiPoly._reduced(
-            self.nvars, mul_terms(self._terms, other._terms), self._den * other._den
-        )
+            self.nvars, dot_terms([(1, self._terms, other._terms)]),
+            self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -648,11 +651,27 @@ def determinant_cofactor(m: PolyMatrix) -> MultiPoly:
     return _cofactor_det(m.entries)
 
 
+def _dot(nvars: int, items) -> MultiPoly:
+    """Sum c*p*q over items (c, p, q) by one kernel call over the lcm of
+    their denominators and one gcd; c is an int or Fraction, and q = None
+    gives the plain addend c*p.  Items with a zero factor are skipped."""
+    items = [(c, p, q) for c, p, q in items
+             if c and p._terms and (q is None or q._terms)]
+    if not items:
+        return MultiPoly.zero(nvars)
+    dens = [c.denominator * p._den * (1 if q is None else q._den) for c, p, q in items]
+    den = math.lcm(*dens)
+    return MultiPoly._reduced(nvars, dot_terms([
+        (c.numerator * (den // d), p._terms, None if q is None else q._terms)
+        for (c, p, q), d in zip(items, dens)]), den)
+
+
 def _cofactor_det(a: list) -> MultiPoly:
     # the minors of the last k rows, keyed by the bitmask of their k
-    # columns, each built once by expanding along the row above: at most
-    # n*2^(n-1) products, none with a zero entry or a zero minor
-    zero = MultiPoly.zero(a[0][0].nvars)
+    # columns, each built once by expanding along the row above, as one
+    # sum of products: at most n*2^(n-1) products, none with a zero entry
+    # or a zero minor
+    nvars = a[0][0].nvars
     minors = {1 << j: p for j, p in enumerate(a[-1]) if not p.is_zero()}
     for row in reversed(a[:-1]):
         entries = [(1 << j, p) for j, p in enumerate(row) if not p.is_zero()]
@@ -660,13 +679,13 @@ def _cofactor_det(a: list) -> MultiPoly:
         for mask, minor in minors.items():
             for bit, p in entries:
                 if not mask & bit:
-                    key = mask | bit
-                    prev = wider.get(key, zero)
-                    # the sign is that of bit's place among key's columns
+                    # the sign is that of bit's place among the columns
                     odd = (mask & (bit - 1)).bit_count() % 2
-                    wider[key] = prev - p * minor if odd else prev + p * minor
-        minors = {k: v for k, v in wider.items() if not v.is_zero()}
-    return minors.get((1 << len(a)) - 1, zero)
+                    wider.setdefault(mask | bit, []).append(
+                        (-1 if odd else 1, p, minor))
+        minors = {k: v for k, items in wider.items()
+                  if not (v := _dot(nvars, items)).is_zero()}
+    return minors.get((1 << len(a)) - 1, MultiPoly.zero(nvars))
 
 
 def adjugate(m: PolyMatrix) -> PolyMatrix:
@@ -733,7 +752,9 @@ def exact_divide(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         qexp = tuple(re - le for re, le in zip(rexp, lead_exp))
         qc, r = divmod(rc, lead_c)
         if r or any(e < 0 for e in qexp):
-            raise NotDivisibleError(f"{a} is not divisible by {b}")
+            raise NotDivisibleError(f"irreducible remainder term x^{rexp}: "
+                                    f"{len(a._terms)}-term dividend, "
+                                    f"{len(b._terms)}-term divisor")
         quotient[qexp] = qc
         for be, bc in b_rest:
             e2 = tuple(q + e for q, e in zip(qexp, be))

@@ -64,8 +64,10 @@ two-variable left side while it runs.  It writes P = sum_h P_h*x2^h in
 the Euler form above, where x2*d/dx2 multiplies the x2^h coefficient by
 h, so the x2^(h+1) coefficient of det[[T, U], [U^T, P]] -
 sigma*x1*x2*P^2, x1 times the x2^h coefficient of L - sigma*P^2, is a
-sum of products of univariate coefficients (sums over pairs of lower
-coefficients are kept between orders).  It is affine in P_{h+1}, with
+sum of products of univariate coefficients, built in one accumulator
+by one call of algebra's _dot; the products of pairs of lower
+coefficients are taken once and kept between orders, and each sum over
+them is again one call.  It is affine in P_{h+1}, with
 a slope computed once from the axis data, so P_{h+1} follows by one
 exact division.  Every rejection is a certificate; acceptance requires
 verify_ma_star to give the candidate the sign sigma.
@@ -88,6 +90,7 @@ from toricpke.algebra import (
     NotDivisibleError,
     PolyMatrix,
     Scalar,
+    _dot,
     adjugate,  # noqa: F401  re-bound by perfbench/tracing.py
     binomial_power,
     binomial_profile,
@@ -532,14 +535,15 @@ class _EulerSeries:
         sum_{i+r=m} T_i*R_r - P_i*((2i^2 - i*m)*S_r + W_r),
     where R_r, S_r and W_r sum (l-s)^2/2*P_l*P_s, U_l*U_s and
     l*s*U_l*U_s over ordered l + s = r.  Coefficients past the end of the
-    list count as zero, and the list only grows, so entry r of these sums
-    reads P_0..P_r only and is final, and kept, once P_r exists.
+    list count as zero, and the list only grows, so R_r and the products
+    P_l*P_s and U_l*U_s of l + s = r read P_0..P_r only and are final,
+    and kept, once P_r exists.
     """
 
     def __init__(self, coeffs: list, eq_sign: int):
         self.p, self.u, self.t = [], [], []
         self.eq_sign = eq_sign
-        self._sums = {}
+        self._pairs = {}
         for c in coeffs:
             self.append(c)
 
@@ -557,40 +561,42 @@ class _EulerSeries:
         """
         return self.t[0] * self.p[0] - self.u[0] ** 2
 
-    def _pair_sums(self, r: int) -> tuple:
-        """(R_r, S_r, W_r, [P^2]_r) from P_l*P_j and U_l*U_j, l <= j = r - l.
+    def _pair_products(self, r: int) -> tuple:
+        """(R_r, [(c, (j-l)^2, P_l*P_j)], [(c, l*j, U_l*U_j)]), l <= j = r - l.
 
-        A pair with P_l or P_j zero adds nothing and is skipped.
+        c = 2 counts both orders of a pair, 1 the square.  Each product is
+        taken once; a pair with P_l or P_j zero adds nothing and is skipped.
         """
-        sums = self._sums.get(r)
-        if sums is None:
-            big_r = s = w = sq = MultiPoly.zero(1)
+        found = self._pairs.get(r)
+        if found is None:
+            pp, uu = [], []
             for l in range(max(0, r - len(self.p) + 1), r // 2 + 1):
                 j = r - l
-                if self.p[l].is_zero() or self.p[j].is_zero():
-                    continue
-                c = 1 if l == j else 2
-                pp = self.p[l] * self.p[j]
-                uu = self.u[l] * self.u[j]
-                big_r = big_r + (j - l) ** 2 * pp
-                sq = sq + c * pp
-                s = s + c * uu
-                w = w + c * l * j * uu
-            sums = (big_r, s, w, sq)
+                if not (self.p[l].is_zero() or self.p[j].is_zero()):
+                    c = 1 if l == j else 2
+                    pp.append((c, (j - l) ** 2, self.p[l] * self.p[j]))
+                    uu.append((c, l * j, self.u[l] * self.u[j]))
+            found = (_dot(1, [(d, p, None) for _, d, p in pp]), pp, uu)
             if r < len(self.p):
-                self._sums[r] = sums
-        return sums
+                self._pairs[r] = found
+        return found
 
     def order(self, h: int) -> MultiPoly:
-        """The x2^(h+1) coefficient, x1*[L - eq_sign*P^2]_h, exact."""
+        """The x2^(h+1) coefficient, x1*[L - eq_sign*P^2]_h, exact.
+
+        One sum of products, with [P^2]_h as plain addends, and each
+        (2i^2 - i*m)*S_r + W_r one sum built from the products U_l*U_j.
+        """
         m = h + 1
-        total = -self.eq_sign * self._pair_sums(h)[3].shift((1,))
+        items = [(-self.eq_sign * c, p.shift((1,)), None)
+                 for c, _, p in self._pair_products(h)[1]]
         for i in range(min(m, len(self.p) - 1) + 1):
             if not self.p[i].is_zero():
-                big_r, s, w, _ = self._pair_sums(m - i)
-                total = (total + self.t[i] * big_r
-                         - self.p[i] * ((2 * i * i - i * m) * s + w))
-        return total
+                big_r, _, uu = self._pair_products(m - i)
+                combo = _dot(1, [(c * (2 * i * i - i * m + lj), u, None)
+                                 for c, lj, u in uu])
+                items += [(1, self.t[i], big_r), (-1, self.p[i], combo)]
+        return _dot(1, items)
 
 
 def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiPoly]:
@@ -614,7 +620,7 @@ def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiP
     probe = series.probe()
     for h in range(1, degree_bound):
         try:
-            nxt = exact_divide(-series.order(h), probe) * Fraction(1, (h + 1) ** 2)
+            nxt = exact_divide(series.order(h), probe) * Fraction(-1, (h + 1) ** 2)
         except NotDivisibleError:
             return None
         series.append(nxt)

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic: derivatives, determinants, divisions, roots."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from toricpke.algebra import (
     NotBinomialPowerError,
     NotDivisibleError,
     PolyMatrix,
+    _dot,
     adjugate,
     binomial_power,
     binomial_profile,
@@ -194,6 +196,18 @@ def test_divide_reports_a_non_integral_quotient_coefficient():
     # quotient by the primitive 1 + 2*x, and the rest cancels exactly
     with pytest.raises(NotDivisibleError):
         exact_divide(MultiPoly.one(1) + x(1, 0) * 3, MultiPoly.one(1) + x(1, 0) * 2)
+
+
+def test_not_divisible_message_stays_short_for_a_large_dividend():
+    # the message names the irreducible exponent and the term counts, and
+    # prints neither operand
+    a = MultiPoly(2, {(i, j): i + j + 1 for i in range(100) for j in range(100)})
+    b = MultiPoly.one(2) + x(2, 0) * 3 - x(2, 1)
+    with pytest.raises(NotDivisibleError) as info:
+        exact_divide(a, b)
+    message = str(info.value)
+    assert "10000-term dividend" in message and "3-term divisor" in message
+    assert len(message) < 150
 
 
 def test_zero_dividend():
@@ -526,6 +540,108 @@ def test_stored_form_is_canonical(triple):
     assert hash(a * 3 * THIRD) == hash(a)
 
 
+# ---------------------------------------------------------------------------
+# the fused kernel: a sum of products in one accumulator (property-based)
+#
+# Each example draws up to four items c*p*q of the wide polynomials above,
+# of one shape, with scalars that mix signs, denominators and sizes; an
+# item with q = None is the plain addend c*p.
+
+SCALARS = (1, -1, 3, -7, 10**30 + 7, -(10**25) - 3, HALF, Fraction(-5, 12),
+           Fraction(7, 10**20))
+
+
+def wide_items(rng, nvars, spread, count):
+    return [(rng.choice(SCALARS), wide_poly(rng, nvars, spread),
+             None if rng.random() < 0.25 else wide_poly(rng, nvars, spread))
+            for _ in range(count)]
+
+
+def naive_terms(items):
+    """Sum of s*a*b over integer term maps by plain dictionary loops."""
+    acc = {}
+    for s, a, b in items:
+        for ea, ca in a.items():
+            for eb, cb in ({(0,) * len(ea): 1} if b is None else b).items():
+                e = tuple(map(sum, zip(ea, eb)))
+                acc[e] = acc.get(e, 0) + s * ca * cb
+    return {e: c for e, c in acc.items() if c}
+
+
+def kernel_layout(items):
+    """Radices, strides, box and slot width of items (s, a, b), as the kernel
+    derives them: one box from the largest degree of any item in each
+    variable, one width from the sum of the items' coefficient bounds."""
+    nvars = len(next(iter(items[0][1])))
+    radices = [1 + max(max(e[v] for e in a) + max(e[v] for e in b) for _, a, b in items)
+               for v in range(nvars)]
+    strides = [math.prod(radices[v + 1:]) for v in range(nvars)]
+    bound = sum(abs(s) * max(map(abs, a.values())) * max(map(abs, b.values()))
+                * min(len(a), len(b)) for s, a, b in items)
+    return radices, strides, math.prod(radices), bound.bit_length() // 8 + 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.integers(min_value=1, max_value=4))
+def test_fused_sums_match_the_sum_of_products(rng, nvars, spread, count):
+    items = wide_items(rng, nvars, spread, count)
+    one = MultiPoly.one(nvars)
+    naive = MultiPoly.zero(nvars)
+    for c, p, q in items:
+        naive = naive + naive_mul(p, one if q is None else q) * c
+    fused = _dot(nvars, items)
+    assert fused == naive
+    assert fused == sum(((p if q is None else p * q) * c for c, p, q in items),
+                        MultiPoly.zero(nvars))
+    # every item and its negation, operands swapped, cancel to zero
+    negated = [(-c, one if q is None else q, p) for c, p, q in items]
+    assert _dot(nvars, items + negated).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.integers(min_value=1, max_value=4))
+def test_both_forced_kernel_paths_match_naive_sums(rng, nvars, spread, count):
+    from toricpke import _pykernel
+
+    unit = {(0,) * nvars: 1}
+    items = [(s.numerator, dict(p.integer_terms[1]),
+              unit if q is None else dict(q.integer_terms[1]))
+             for s, p, q in wide_items(rng, nvars, spread, count)
+             if s.denominator == 1 and not p.is_zero()
+             and (q is None or not q.is_zero())]
+    if not items:
+        return
+    want = naive_terms(items)
+    cancelling = items + [(-s, b, a) for s, a, b in items]
+    assert _pykernel.dot_terms(items) == want
+    assert _pykernel.dot_terms(cancelling) == {}
+    radices, strides, box, width = kernel_layout(items)
+    assert _pykernel._schoolbook(items, radices, strides) == want
+    if nvars == 1:
+        assert _pykernel._schoolbook_univariate(items) == want
+    if box <= 10**5:
+        assert _pykernel._kronecker(items, radices, strides, box, width) == want
+        layout = kernel_layout(cancelling)
+        assert _pykernel._kronecker(cancelling, *layout) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_pairs)
+def test_one_item_is_the_product(triple):
+    from toricpke import _pykernel
+
+    a, b, _ = triple
+    if a.is_zero() or b.is_zero():
+        return
+    ta, tb = dict(a.integer_terms[1]), dict(b.integer_terms[1])
+    product = _pykernel.dot_terms([(1, ta, tb)])
+    assert product == naive_terms([(1, ta, tb)])
+    assert product == _pykernel.dot_terms([(1, tb, ta)])
+    assert _pykernel.dot_terms([(-3, ta, None)]) == {e: -3 * c for e, c in ta.items()}
+
+
 def small_entries(nvars):
     exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * nvars)
     return st.dictionaries(exps, small_fraction, max_size=3).map(
@@ -624,15 +740,26 @@ def test_kronecker_slots_hold_the_coefficient_bound(monkeypatch):
     calls = []
     kronecker = _pykernel._kronecker
 
-    def counted(*args):
-        calls.append(args[-1])
-        return kronecker(*args)
+    def counted(items, radices, strides, box, width):
+        calls.append(width)
+        return kronecker(items, radices, strides, box, width)
 
     monkeypatch.setattr(_pykernel, "_kronecker", counted)
     assert (16 * m * m).bit_length() == 64
     assert a * a == naive_mul(a, a)
     assert a * b == naive_mul(a, b)
-    assert calls == [9, 9]
+    # a fused sum takes its width from the sum of its items' bounds: with
+    # m = 2**29 + 1 one product fits 8-byte slots, and a sum of two, whose
+    # middle coefficient reaches 32*m**2 with either sign, needs 9
+    m = 2**29 + 1
+    a = MultiPoly(1, {(i,): m for i in range(16)})
+    assert (16 * m * m).bit_length() == 63 and (32 * m * m).bit_length() == 64
+    assert a * a == naive_mul(a, a)
+    fused = _dot(1, [(1, a, a), (-1, a, -a)])
+    assert fused == naive_mul(a, a) * 2
+    assert fused.coefficient((15,)) == 32 * m * m
+    assert _dot(1, [(-1, a, a), (1, a, -a)]) == -fused
+    assert calls == [9, 9, 8, 9, 9]
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +789,9 @@ def test_box_sparse_product_takes_the_schoolbook_path(monkeypatch):
     # over a hundred term pairs, still far fewer than the box
     wide = sum((m ** (900 * j) * (j + 1) for j in range(12)), MultiPoly.zero(4))
     assert wide * wide == naive_mul(wide, wide)
+    # the box of a sum is that of its largest item, paid once
+    assert _dot(4, [(1, wide, wide), (-2, square, wide), (3, m, None)]) == (
+        naive_mul(wide, wide) - naive_mul(square, wide) * 2 + m * 3)
 
 
 def test_json_roundtrip_of_ten_thousand_digit_coefficients():

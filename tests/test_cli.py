@@ -659,15 +659,15 @@ def test_einstein_check_term_pair_budget(tmp_path, capsys, monkeypatch):
     from toricpke.catalog import partitions, potential_for_power
 
     pairs = [0]
-    mul_terms = algebra.mul_terms
+    dot_terms = algebra.dot_terms
 
-    def counting(a, b):
-        pairs[0] += len(a) * len(b)
-        return mul_terms(a, b)
+    def counting(items):
+        pairs[0] += sum(len(a) * len(b) for _, a, b in items if b is not None)
+        return dot_terms(items)
 
     paths = [write_potential(tmp_path, potential_for_power(part, 1), f"{i}.json")
              for i, part in enumerate(p for n in range(1, 5) for p in partitions(n))]
-    monkeypatch.setattr(algebra, "mul_terms", counting)
+    monkeypatch.setattr(algebra, "dot_terms", counting)
     for path in paths:
         assert main(["einstein-check", "--potential", path]) == EXIT_OK
     assert 0 < pairs[0] <= 623
@@ -726,16 +726,16 @@ def test_flat_fallback_decides_within_its_limit(tmp_path, capsys, monkeypatch):
     from toricpke import algebra
 
     pairs = [0]
-    mul_terms = algebra.mul_terms
+    dot_terms = algebra.dot_terms
 
-    def counting(a, b):
-        pairs[0] += len(a) * len(b)
-        return mul_terms(a, b)
+    def counting(items):
+        pairs[0] += sum(len(a) * len(b) for _, a, b in items if b is not None)
+        return dot_terms(items)
 
     p = flat_inconclusive_input(5, 10)
     flat = write_poly(tmp_path, p)
     pot = write_potential(tmp_path, ToricPotential("poly", p))
-    monkeypatch.setattr(algebra, "mul_terms", counting)
+    monkeypatch.setattr(algebra, "dot_terms", counting)
     for argv in (["classify-flat", "--poly", flat], ["einstein-check", "--potential", pot]):
         pairs[0] = 0
         start = time.perf_counter()

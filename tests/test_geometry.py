@@ -76,11 +76,11 @@ def test_hessian_multiplies_no_polynomials(monkeypatch):
     # the matrix is built from derivatives alone; products by the
     # variable x_i took up to n^2 kernel calls
     calls = [0]
-    mul_terms = algebra.mul_terms
+    dot_terms = algebra.dot_terms
 
-    def counting(a, b):
+    def counting(items):
         calls[0] += 1
-        return mul_terms(a, b)
+        return dot_terms(items)
 
     products = [product_solution(part) for n in range(1, 5) for part in partitions(n)]
     # x_i*D0_ij + delta_ij*D0_j, built the long way round
@@ -91,7 +91,7 @@ def test_hessian_multiplies_no_polynomials(monkeypatch):
         want.append([[grad[j].partial_derivative(i) * x(n, i)
                       + (grad[j] if i == j else 0) for j in range(n)]
                      for i in range(n)])
-    monkeypatch.setattr(algebra, "mul_terms", counting)
+    monkeypatch.setattr(algebra, "dot_terms", counting)
     got = [toric_hessian_matrix(d0).entries for d0 in products]
     assert calls == [0]
     assert got == want

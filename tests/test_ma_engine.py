@@ -1166,22 +1166,26 @@ def test_one_branch_scan_matches_the_all_branch_scan():
 
 
 def count_term_pairs(monkeypatch):
-    """Count the term pairs the multiplication kernel is handed."""
+    """Count the term pairs the kernel is handed, over every item of every sum.
+
+    A plain addend (s, a, None) multiplies no term pair.
+    """
     pairs = [0]
-    mul_terms = algebra.mul_terms
+    dot_terms = algebra.dot_terms
 
-    def counting(a, b):
-        pairs[0] += len(a) * len(b)
-        return mul_terms(a, b)
+    def counting(items):
+        pairs[0] += sum(len(a) * len(b) for _, a, b in items if b is not None)
+        return dot_terms(items)
 
-    monkeypatch.setattr(algebra, "mul_terms", counting)
+    monkeypatch.setattr(algebra, "dot_terms", counting)
     return pairs
 
 
 def test_feasible_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing one datum per k on the Euler
-    # series multiplies 2,761 term pairs here, and 2,870 with a kernel
-    # product x1*[P^2]_h in place of an exponent shift; the nine series of
+    # series multiplies 2,264 term pairs here, counted over every item of
+    # every fused sum; a kernel product x1*[P^2]_h in place of an exponent
+    # shift added 109 when the count was 2,761; the nine series of
     # det M - sigma*P^3 took 7,671, one sign branch for each r of a
     # six-value grid 32,676, all four branches, each tried with both
     # equation signs, 155,748, and expanding the whole residual at every
@@ -1193,7 +1197,7 @@ def test_feasible_scan_term_pair_budget(monkeypatch):
 
 def test_search_term_pair_budget(monkeypatch):
     # deterministic work gate: one continuation per k plus the verified
-    # images multiply 4,029 term pairs here; the nine series of
+    # images multiply 2,538 term pairs here; the nine series of
     # det M - sigma*P^3 took 8,999, and continuing each r 16,292
     pairs = count_term_pairs(monkeypatch)
     assert len(search_n2([HALF, Fraction(-3)])) == 4
@@ -1202,7 +1206,7 @@ def test_search_term_pair_budget(monkeypatch):
 
 def test_long_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing every k up to the order limit
-    # multiplies 38,734 term pairs here; the nine series of
+    # multiplies 38,237 term pairs here; the nine series of
     # det M - sigma*P^3 took 160,330
     pairs = count_term_pairs(monkeypatch)
     assert feasible_k_scan_n2(32) == {2, 3}
@@ -1212,23 +1216,22 @@ def test_long_scan_term_pair_budget(monkeypatch):
 def test_continuation_skips_zero_coefficients(monkeypatch):
     # deterministic work gate: the cubic has P_h = 0 for h > 3, and the
     # series skips those coefficients, so continuing it to the order limit
-    # makes 585 products (scalar ones included); multiplying the zeros as
-    # well makes 5,166, though a zero factor never reaches the kernel and
-    # adds no term pair
-    calls = [0]
-    mul = MultiPoly.__mul__
+    # hands the kernel 126 items (plain addends included); taking the
+    # zeros as well hands it 316, and _dot 4,512 items where 592 do,
+    # though a zero factor never reaches the kernel and adds no term pair
+    items = [0]
+    dot_terms = algebra.dot_terms
 
-    def counting(a, b):
-        calls[0] += 1
-        return mul(a, b)
+    def counting(terms):
+        items[0] += len(terms)
+        return dot_terms(terms)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
-    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    monkeypatch.setattr(algebra, "dot_terms", counting)
     cubic = taylor_continue_n2(cauchy_data(1, 1, 3, 3), 32)
     assert cubic == taylor_continue_n2(cauchy_data(1, 1, 3, 3), 6)
-    calls[0] = 0
+    items[0] = 0
     taylor_continue_n2(cauchy_data(1, 1, 3, 3), 32)
-    assert 0 < calls[0] <= 700
+    assert 0 < items[0] <= 150
 
 
 def test_rank_one_correction_term_pair_budget(monkeypatch):
