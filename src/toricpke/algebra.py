@@ -9,8 +9,9 @@ go through ``dot_terms`` (see toricpke._pykernel), which takes a whole
 sum of products, by Kronecker substitution when it is large and dense
 and by one schoolbook accumulator when it is small or sparse; ``_dot``
 hands it a sum of polynomial products over their common denominator
-and reduces the result by one gcd, and ``*`` a single product.  The
-public API takes and returns Fractions.
+and reduces the result by one gcd, and ``*`` a single product, both
+through ``_kernel``, the meter of ``symbolic_budget``.  The public API
+takes and returns Fractions.
 
 The module also provides polynomial matrices with two independent
 determinants: cofactor expansion with memoized minors, which the program
@@ -25,6 +26,7 @@ DomainError, and toric_hessian_matrix, the flat-type Monge-Ampere matrix.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import operator
@@ -42,6 +44,11 @@ _DECIMAL_CHUNK = 4000
 # JSON coefficient strings longer than this are rejected, which bounds the
 # parse work of a hostile input.
 MAX_COEFF_DIGITS = 100_000
+# Most kernel term pairs the work in one symbolic_budget may take.
+MAX_SYMBOLIC_PAIRS = 1_200_000
+# The open budget's count of term pairs, or None: module state, as the
+# operators that reach the kernel take no budget argument.
+_metered = None
 
 
 class NotDivisibleError(ArithmeticError):
@@ -58,6 +65,37 @@ class NotBinomialPowerError(ArithmeticError):
 
 class DomainError(ArithmeticError):
     """Evaluation hit a zero of P or of det g, or left the float range."""
+
+
+class SymbolicLimitError(ValueError):
+    """Symbolic work would pass MAX_SYMBOLIC_PAIRS kernel term pairs."""
+
+
+@contextlib.contextmanager
+def symbolic_budget():
+    """Meter the kernel term pairs of the enclosed work against MAX_SYMBOLIC_PAIRS."""
+    global _metered
+    if _metered is not None:  # inside another budget, count toward it
+        yield
+        return
+    _metered = 0
+    try:
+        yield
+    finally:
+        _metered = None
+
+
+def _kernel(items) -> dict:
+    # the one call of dot_terms: inside a budget, count the items' term
+    # pairs (a plain addend has none) and stop before passing the limit
+    global _metered
+    if _metered is not None:
+        _metered += sum(len(a) * len(b) for _, a, b in items if b is not None)
+        if _metered > MAX_SYMBOLIC_PAIRS:
+            raise SymbolicLimitError(
+                f"symbolic work reaches {_metered} kernel term pairs, "
+                f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}")
+    return dot_terms(items)
 
 
 def _as_scalar(c) -> Fraction:
@@ -310,7 +348,7 @@ class MultiPoly:
         if not self._terms or not other._terms:
             return MultiPoly.zero(self.nvars)
         return MultiPoly._reduced(
-            self.nvars, dot_terms([(1, self._terms, other._terms)]),
+            self.nvars, _kernel([(1, self._terms, other._terms)]),
             self._den * other._den)
 
     __rmul__ = __mul__
@@ -661,7 +699,7 @@ def _dot(nvars: int, items) -> MultiPoly:
         return MultiPoly.zero(nvars)
     dens = [c.denominator * p._den * (1 if q is None else q._den) for c, p, q in items]
     den = math.lcm(*dens)
-    return MultiPoly._reduced(nvars, dot_terms([
+    return MultiPoly._reduced(nvars, _kernel([
         (c.numerator * (den // d), p._terms, None if q is None else q._terms)
         for (c, p, q), d in zip(items, dens)]), den)
 
@@ -887,9 +925,8 @@ def binomial_profile(p: MultiPoly) -> BinomialProfile:
 
 
 def binomial_power(epsilon: int, r, k: int) -> MultiPoly:
-    """Build eps*(1 + x/r)^k as a univariate polynomial."""
+    """Build eps*(1 + x/r)^k from its coefficients eps*C(k, j)/r^j, with no product."""
     r = _as_scalar(r)
     if r == 0:
         raise ValueError("r must be nonzero")
-    base = MultiPoly.one(1) + MultiPoly.variable(1, 0) * (1 / r)
-    return epsilon * base**k
+    return MultiPoly(1, {(j,): epsilon * math.comb(k, j) / r**j for j in range(k + 1)})

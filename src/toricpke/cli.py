@@ -63,7 +63,7 @@ MAX_POINTS = 100
 # and a random 3,000-term potential in 6 variables is refuted in 0.27 s
 # (2 cores, Python 3.11).  Every catalog potential up to dimension 4 with
 # K <= 3 fits.  A block that is not a linear form needs its symbolic left
-# side, which einstein.MAX_SYMBOLIC_PAIRS bounds.
+# side, metered within algebra.MAX_SYMBOLIC_PAIRS kernel term pairs.
 MAX_EINSTEIN_NVARS = 6
 MAX_EINSTEIN_TERMS = 3_000
 # Most variables of a polynomial read by verify, classify-flat, axis or

@@ -18,9 +18,9 @@ theta log L and theta log P must be proportional, with a ratio that
 rational reconstruction turns into an e in [0, n+1], or the point
 refutes with a certificate.  ma_engine's blocks then reduce L = C*P^e to
 L_b = C_b*P_b^(e-n+n_b) per block.  A block that is a linear form
-f(<a, x>) is checked in one variable, any other through ma_lhs_log
-within MAX_SYMBOLIC_PAIRS, and either by a power-free identity.  The
-same block check, at e = n_b, decides ma_engine.verify_ma_star, and the
+f(<a, x>) is checked in one variable, any other through ma_lhs_log,
+and either by a power-free identity, metered by algebra.symbolic_budget.
+The same block check, at e = n_b, decides ma_engine.verify_ma_star, and the
 kind "poly" decision decides ma_engine.classify_flat.  ma_engine imports
 this module when those run, as this module imports ma_engine.
 """
@@ -33,7 +33,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from toricpke import ma_engine
-from toricpke.algebra import DomainError, MultiPoly, fraction_to_str
+from toricpke.algebra import DomainError, MultiPoly, fraction_to_str, symbolic_budget
+from toricpke.algebra import MAX_SYMBOLIC_PAIRS, SymbolicLimitError  # noqa: F401  re-exported
 from toricpke.ma_engine import (
     _TEST_PRIME,
     _euler_rows,
@@ -42,27 +43,6 @@ from toricpke.ma_engine import (
     _term_residues,
     _test_point,
 )
-
-
-# The symbolic left side of a block runs only while _symbolic_pairs
-# estimates its determinant within this many term pairs.  Of 380 random
-# dense and sparse polynomials in 2-6 variables estimated at 5*10^4 to
-# 10^6, both left sides, the slowest took 0.24 s, and beyond the limit
-# times reached 35 s near 8*10^7 estimated pairs (2 cores, Python 3.11);
-# the dense 84-term cubic in 6 variables takes 7 s.
-MAX_SYMBOLIC_PAIRS = 1_000_000
-# The witness of a refuted verify, the whole left side of each block that
-# no verdict needs, is built only within this many estimated pairs.  It
-# admits the perturbed (1,1,1,1) product (81 terms, 7.4*10^7 estimated,
-# 0.16 s); of 12 random polynomials in 2-6 variables estimated at
-# 10^7-10^8 the slowest, two sparse ones in 5 variables of degree 25 and
-# 32 (7.9*10^7), took 25 and 30 s; the dense 84-term cubic in 6
-# variables (1.2*10^9) is refused at once (2 cores, Python 3.11).
-MAX_WITNESS_PAIRS = 100_000_000
-
-
-class SymbolicLimitError(ValueError):
-    """A symbolic left side is estimated beyond its limit."""
 
 
 class DlogRefutation(NamedTuple):
@@ -198,35 +178,6 @@ def _exponent_at_point(p: MultiPoly, den: int, values: list, euler: list):
     return DlogRefutation(_test_point(n), q, tuple(dlog_l), tuple(dlog_p)), None
 
 
-def _symbolic_pairs(p: MultiPoly, size: int) -> int:
-    """Term pairs a size x size determinant of p's derivatives is estimated to take.
-
-    Every entry is a derivative of p (or an Euler derivative), of at most
-    t terms and total degree d, and each column shifts the exponents by a
-    fixed amount, so a j x j minor has at most m_j = min(C(t + j - 1, j),
-    C(n + j*d, n)) terms.  For each k the memoized Laplace expansion of
-    determinant_cofactor multiplies an entry by a (k-1)-minor C(size, k)*k
-    times; the count here takes size!/k!*k such products, no fewer, so it
-    bounds the expansion's pairs from above.
-    """
-    t, d, n = len(p.integer_terms[1]), p.degree(), p.nvars
-    m = [min(math.comb(t + j - 1, j), math.comb(n + j * d, n)) for j in range(size + 1)]
-    return sum(math.factorial(size) // math.factorial(k) * k * t * m[k - 1]
-               for k in range(2, size + 1))
-
-
-def _check_symbolic_size(p: MultiPoly, size: int, witness: bool = False) -> None:
-    """Raise SymbolicLimitError beyond MAX_SYMBOLIC_PAIRS (MAX_WITNESS_PAIRS for a witness)."""
-    pairs = _symbolic_pairs(p, size)
-    name, limit = (("MAX_WITNESS_PAIRS", MAX_WITNESS_PAIRS) if witness
-                   else ("MAX_SYMBOLIC_PAIRS", MAX_SYMBOLIC_PAIRS))
-    if pairs > limit:
-        raise SymbolicLimitError(
-            f"the symbolic left side of a block of {p.nvars} variables and "
-            f"{len(p.integer_terms[1])} terms is estimated at {pairs} term pairs, "
-            f"exceeding {name} = {limit}")
-
-
 def _linear_form(f: MultiPoly) -> Optional[tuple]:
     """(u, g) with f = u(<a, x>) and ma_lhs_log(f) = g(<a, x>), or None.
 
@@ -252,21 +203,24 @@ def _block_exponent(f: MultiPoly, e: Optional[Fraction]) -> Optional[Fraction]:
     u(<a, x>) in two or more variables is checked in one variable, as
     g = C*u^e for its univariate left side g (see _linear_form); any other
     f, one variable included (its rescaling to u would cost the size of
-    its exponents), as g = C*f^e for g = ma_lhs_log(f), within
-    MAX_SYMBOLIC_PAIRS.  With e = s/q, by
-    default deg g/deg u, the identity holds exactly when
-    q*u*d_i g = s*g*d_i u for every i: no power is taken.
+    its exponents), as g = C*f^e for g = ma_lhs_log(f), both metered
+    within MAX_SYMBOLIC_PAIRS kernel term pairs.
     """
     pair = _linear_form(f) if f.nvars > 1 else None
-    if pair is None:
-        _check_symbolic_size(f, f.nvars + 1)
-        pair = f, ma_engine.ma_lhs_log(f)
-    base, lhs = pair
+    if pair is not None:
+        return _power_exponent(*pair, e)
+    with symbolic_budget():
+        return _power_exponent(f, ma_engine.ma_lhs_log(f), e)
+
+
+def _power_exponent(u: MultiPoly, g: MultiPoly, e: Optional[Fraction]) -> Optional[Fraction]:
+    """The e with g = C*u^e, or None: with e = s/q, by default deg g/deg u,
+    exactly when q*u*d_i g = s*g*d_i u for every i, so no power is taken."""
     if e is None:
-        e = Fraction(lhs.degree(), base.degree())
+        e = Fraction(g.degree(), u.degree())
     s, q = e.numerator, e.denominator
-    for i in range(base.nvars):
-        if q * base * lhs.partial_derivative(i) != s * lhs * base.partial_derivative(i):
+    for i in range(u.nvars):
+        if q * u * g.partial_derivative(i) != s * g * u.partial_derivative(i):
             return None
     return e
 
@@ -290,7 +244,7 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
     give it.  Kind "poly": an affine P needs no determinant; otherwise
     the point test on the block T of the Euler matrix (det T =
     x_1*...*x_n*den^n*det A) refutes unless theta_i log det A reads zero
-    for every i, and ma_lhs_flat(P), within MAX_SYMBOLIC_PAIRS, decides.
+    for every i, and ma_lhs_flat(P), metered likewise, decides.
     """
     n = p.nvars
     c = math.prod(_linear_coefficients(p), start=Fraction(1))
@@ -313,8 +267,9 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
         if dlog is not None and any(dlog):
             return EinsteinExponent(None, None, DlogRefutation(
                 _test_point(n), _TEST_PRIME, tuple(dlog), None))
-        _check_symbolic_size(p, n)
-        if ma_engine.ma_lhs_flat(p).is_constant():
+        with symbolic_budget():
+            flat = ma_engine.ma_lhs_flat(p)
+        if flat.is_constant():
             return EinsteinExponent(c, Fraction(0))
         return EinsteinExponent(None, None)
     refuted_at, e = _exponent_at_point(p, den, values, euler)

@@ -42,10 +42,12 @@ variables when the comparison fails or P vanishes at the point.  Each
 block is decided by toricpke.einstein's block check at the exponent n_b,
 which decides L = C*P^e, the Einstein condition, on the same blocks: a
 block that is a linear form f(<a, x>) is checked in one variable, any
-other through ma_lhs_log within einstein.MAX_SYMBOLIC_PAIRS, both by a
-power-free identity.  classify_flat likewise reads the product of the
-linear coefficients, the flat-type left side at the origin, and leaves
-the rest to einstein_exponent.
+other through ma_lhs_log, both by a power-free identity.  Every symbolic
+left side, and the witness as a whole, runs in algebra.symbolic_budget,
+which raises SymbolicLimitError before the kernel product that would
+pass MAX_SYMBOLIC_PAIRS term pairs.  classify_flat likewise reads the
+product of the linear coefficients, the flat-type left side at the
+origin, and leaves the rest to einstein_exponent.
 
 Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
@@ -98,6 +100,7 @@ from toricpke.algebra import (
     determinant_cofactor,
     exact_divide,
     fraction_to_str,
+    symbolic_budget,
     toric_hessian_matrix,
 )
 
@@ -402,12 +405,13 @@ def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
     +-1 and L_b = c_b*P_b^(n_b) for every b.  As L_b(0) = eps*prod a_i
     over b's linear coefficients a_i, the sign is eps^(n+1)*prod a_i,
     read before any determinant; each block is then decided by
-    toricpke.einstein's block check at the exponent n_b, within its
-    MAX_SYMBOLIC_PAIRS.  The witness is the full left side: sign*P^n on
-    acceptance, and on a refutation eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b)
-    with L_b = ma_lhs_log(P_b), each within MAX_WITNESS_PAIRS.
+    toricpke.einstein's block check at the exponent n_b.  The witness is
+    the full left side: sign*P^n on acceptance, and on a refutation
+    eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b) with L_b = ma_lhs_log(P_b).
+    Each block's symbolic left side, and the witness as a whole, is
+    metered within MAX_SYMBOLIC_PAIRS kernel term pairs.
     """
-    from toricpke.einstein import _block_exponent, _check_symbolic_size
+    from toricpke.einstein import _block_exponent
 
     eps = p.constant_term()
     if eps not in (1, -1):
@@ -425,17 +429,16 @@ def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
         # check needs
         solved = solved and all(_block_exponent(f, Fraction(len(b))) is not None
                                 for b, f in zip(blocks, factors))
-    if solved:
-        return MAResult(True, int(sign), None, sign * p ** n if witness else None)
     full = None
     if witness:
-        for f, b in zip(factors, blocks):
-            _check_symbolic_size(f, len(b) + 1, witness=True)
-        full = _disjoint_product(n, blocks, [
-            ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n else ma_lhs_log(f)
-            for f, b in zip(factors, blocks)])
-        if eps ** ((len(blocks) - 1) * (n + 1)) == -1:
-            full = -full
+        with symbolic_budget():
+            full = sign * p ** n if solved else _disjoint_product(n, blocks, [
+                ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n else ma_lhs_log(f)
+                for f, b in zip(factors, blocks)])
+    if solved:
+        return MAResult(True, int(sign), None, full)
+    if full is not None and eps ** ((len(blocks) - 1) * (n + 1)) == -1:
+        full = -full
     return MAResult(False, None, refuted_at, full)
 
 

@@ -7,13 +7,33 @@ The direct log-type oracle expands the full determinant of the log-type
 matrix and divides by Q^(n-1), a route the engine itself does not take.
 The metric oracle builds every derivative of P as a polynomial and
 evaluates each on its own, where eval_metric fills one monomial table.
+count_term_pairs wraps the kernel entry to count the work handed to it,
+independently of algebra's own meter.
 """
 
 import random
 from fractions import Fraction
 
+from toricpke import algebra
 from toricpke.algebra import MultiPoly, determinant, exact_divide
 from toricpke.ma_engine import log_ma_matrix
+
+
+def count_term_pairs(monkeypatch) -> list:
+    """Count the term pairs the kernel is handed, over every item of every sum.
+
+    Returns a one-element list that each kernel call adds its pairs to; a
+    plain addend (s, a, None) multiplies no term pair.
+    """
+    pairs = [0]
+    dot_terms = algebra.dot_terms
+
+    def counting(items):
+        pairs[0] += sum(len(a) * len(b) for _, a, b in items if b is not None)
+        return dot_terms(items)
+
+    monkeypatch.setattr(algebra, "dot_terms", counting)
+    return pairs
 
 
 def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:

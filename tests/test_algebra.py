@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import naive_mul, naive_pow, random_nonzero_poly, random_poly
+from conftest import count_term_pairs, naive_mul, naive_pow, random_nonzero_poly, random_poly
 from toricpke.algebra import (
     MAX_COEFF_DIGITS,
     BinomialProfile,
@@ -396,6 +396,24 @@ def test_profile_rejects_a_sparse_high_degree_input_by_its_term_count():
 def test_profile_roundtrip(epsilon, r, k):
     p = binomial_power(epsilon, r, k)
     assert binomial_profile(p) == BinomialProfile(epsilon, r, k)
+
+
+def test_binomial_power_matches_the_product_of_its_factors(monkeypatch):
+    # built from its coefficients with no kernel call, it equals the
+    # power of 1 + x/r built through the kernel, stored form included,
+    # for every order the continuation reaches
+    from toricpke.cli import MAX_ORDER
+
+    x = MultiPoly.variable(1, 0)
+    rs = [Fraction(v) for v in (1, 2, 7, -1, -3)] + [
+        Fraction(1, 2), Fraction(5, 3), Fraction(-1, 2), Fraction(-7, 4)]
+    want = {(epsilon, r, k): epsilon * (MultiPoly.one(1) + x * (1 / r)) ** k
+            for epsilon in (1, -1) for r in rs for k in range(MAX_ORDER + 1)}
+    pairs = count_term_pairs(monkeypatch)
+    for (epsilon, r, k), p in want.items():
+        got = binomial_power(epsilon, r, k)
+        assert got.integer_terms == p.integer_terms, (epsilon, r, k)
+    assert pairs == [0]
 
 
 # ---------------------------------------------------------------------------

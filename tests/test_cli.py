@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import toricpke
+from conftest import count_term_pairs
 from toricpke.algebra import MAX_COEFF_DIGITS, MultiPoly
 from toricpke.catalog import product_solution
 from toricpke.cli import (
@@ -33,7 +34,7 @@ from toricpke.cli import (
     main,
 )
 from toricpke import geometry
-from toricpke.einstein import MAX_SYMBOLIC_PAIRS, MAX_WITNESS_PAIRS
+from toricpke.einstein import MAX_SYMBOLIC_PAIRS
 from toricpke.geometry import DomainError, ToricPotential, space_form_potential
 from toricpke.ma_engine import ma_lhs_log
 
@@ -353,7 +354,8 @@ def test_verify_on_an_input_vanishing_at_the_point_does_bounded_work(tmp_path, c
 def test_refuted_witness_of_a_large_block_does_bounded_work(tmp_path, capsys):
     # one more x2 makes the sign 2, so verify refutes with no determinant;
     # the witness needs the symbolic left side of the one 6-variable
-    # block, which exceeds its limit (it ran past 8 s unbounded)
+    # block, which passes MAX_SYMBOLIC_PAIRS metered kernel term pairs (it
+    # ran past 8 s unbounded)
     p = point_vanishing_input() + MultiPoly.variable(6, 1)
     path = write_poly(tmp_path, p)
     assert main(["verify", "--poly", path]) == EXIT_REFUTED
@@ -361,7 +363,20 @@ def test_refuted_witness_of_a_large_block_does_bounded_work(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["verify", "--poly", path, "--witness"]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
-    assert f"exceeding MAX_WITNESS_PAIRS = {MAX_WITNESS_PAIRS}" in capsys.readouterr().err
+    assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
+
+
+def test_accepted_witness_of_a_large_solution_does_bounded_work(tmp_path, capsys):
+    # verify accepts the (5,) catalog solution by its one-variable block
+    # check; its witness sign*P^5 passes MAX_SYMBOLIC_PAIRS metered kernel
+    # term pairs (unbounded, it took about 36 s and 25 MB of JSON)
+    path = write_poly(tmp_path, product_solution((5,)))
+    assert main(["verify", "--poly", path]) == EXIT_OK
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", "--poly", path, "--witness"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
 def test_verify_large_exponent_is_refuted(tmp_path, capsys):
@@ -655,19 +670,11 @@ def test_einstein_check_term_pair_budget(tmp_path, capsys, monkeypatch):
     # its blocks of two or more variables checked in one variable,
     # multiplies 566 term pairs; with ma_lhs_log of every block and the
     # same power-free check it took 4,706
-    from toricpke import algebra
     from toricpke.catalog import partitions, potential_for_power
-
-    pairs = [0]
-    dot_terms = algebra.dot_terms
-
-    def counting(items):
-        pairs[0] += sum(len(a) * len(b) for _, a, b in items if b is not None)
-        return dot_terms(items)
 
     paths = [write_potential(tmp_path, potential_for_power(part, 1), f"{i}.json")
              for i, part in enumerate(p for n in range(1, 5) for p in partitions(n))]
-    monkeypatch.setattr(algebra, "dot_terms", counting)
+    pairs = count_term_pairs(monkeypatch)
     for path in paths:
         assert main(["einstein-check", "--potential", path]) == EXIT_OK
     assert 0 < pairs[0] <= 623
@@ -721,37 +728,25 @@ def flat_inconclusive_input(n, extra):
 def test_flat_fallback_decides_within_its_limit(tmp_path, capsys, monkeypatch):
     # deterministic work gate: the memoized cofactor expansion of the
     # 5-variable flat-type matrix multiplies 36,320 term pairs here, where
-    # Bareiss elimination took 827,918; the Bareiss estimate, 32,162,360,
-    # made both commands exit 2
-    from toricpke import algebra
-
-    pairs = [0]
-    dot_terms = algebra.dot_terms
-
-    def counting(items):
-        pairs[0] += sum(len(a) * len(b) for _, a, b in items if b is not None)
-        return dot_terms(items)
-
-    p = flat_inconclusive_input(5, 10)
-    flat = write_poly(tmp_path, p)
-    pot = write_potential(tmp_path, ToricPotential("poly", p))
-    monkeypatch.setattr(algebra, "dot_terms", counting)
-    for argv in (["classify-flat", "--poly", flat], ["einstein-check", "--potential", pot]):
-        pairs[0] = 0
-        start = time.perf_counter()
-        assert main(argv) == EXIT_REFUTED, argv
-        assert time.perf_counter() - start < 1.0, argv
-        assert 0 < pairs[0] <= 40_000, argv
-    capsys.readouterr()
-    large = flat_inconclusive_input(6, 12)
-    assert len(large.terms) == 18
-    flat = write_poly(tmp_path, large, "large.json")
-    pot = write_potential(tmp_path, ToricPotential("poly", large), "large_pot.json")
-    for argv in (["classify-flat", "--poly", flat], ["einstein-check", "--potential", pot]):
-        assert main(argv) == EXIT_USAGE, argv
-        err = capsys.readouterr().err
-        assert "estimated at 9879732 term pairs" in err
-        assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in err
+    # Bareiss elimination took 827,918, and of the 6-variable one 308,134,
+    # within MAX_SYMBOLIC_PAIRS; a size estimate of 9,879,732 pairs made
+    # both commands exit 2 on the larger input
+    cases = []
+    for n, extra, budget in ((5, 10, 40_000), (6, 12, 320_000)):
+        p = flat_inconclusive_input(n, extra)
+        cases.append((write_poly(tmp_path, p, f"flat{n}.json"),
+                      write_potential(tmp_path, ToricPotential("poly", p), f"pot{n}.json"),
+                      budget))
+    assert len(flat_inconclusive_input(6, 12).terms) == 18
+    pairs = count_term_pairs(monkeypatch)
+    for flat, pot, budget in cases:
+        for argv in (["classify-flat", "--poly", flat],
+                     ["einstein-check", "--potential", pot]):
+            pairs[0] = 0
+            start = time.perf_counter()
+            assert main(argv) == EXIT_REFUTED, argv
+            assert time.perf_counter() - start < 1.0, argv
+            assert 0 < pairs[0] <= budget, argv
 
 
 def test_no_command_path_runs_bareiss(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import derivative_metric, random_poly
+from conftest import count_term_pairs, derivative_metric, random_poly
 from toricpke import algebra, geometry
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
 from toricpke.catalog import partitions, potential_for_power, product_solution
@@ -75,13 +75,6 @@ def test_hessian_multiplies_no_polynomials(monkeypatch):
     # deterministic work gate: entry (i, j) is d/dx_j of x_i*dD0/dx_i, so
     # the matrix is built from derivatives alone; products by the
     # variable x_i took up to n^2 kernel calls
-    calls = [0]
-    dot_terms = algebra.dot_terms
-
-    def counting(items):
-        calls[0] += 1
-        return dot_terms(items)
-
     products = [product_solution(part) for n in range(1, 5) for part in partitions(n)]
     # x_i*D0_ij + delta_ij*D0_j, built the long way round
     want = []
@@ -91,9 +84,9 @@ def test_hessian_multiplies_no_polynomials(monkeypatch):
         want.append([[grad[j].partial_derivative(i) * x(n, i)
                       + (grad[j] if i == j else 0) for j in range(n)]
                      for i in range(n)])
-    monkeypatch.setattr(algebra, "dot_terms", counting)
+    pairs = count_term_pairs(monkeypatch)
     got = [toric_hessian_matrix(d0).entries for d0 in products]
-    assert calls == [0]
+    assert pairs == [0]
     assert got == want
 
 

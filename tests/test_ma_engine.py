@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import COEFF_POOL, direct_lhs_log, random_poly
+from conftest import COEFF_POOL, count_term_pairs, direct_lhs_log, random_poly
 from toricpke import algebra, ma_engine
 from toricpke.algebra import (
     MultiPoly,
@@ -28,7 +28,6 @@ from toricpke.einstein import (
     _linear_coefficients,
     _linear_form,
     _rational_reconstruction,
-    _symbolic_pairs,
     einstein_exponent,
 )
 from toricpke.geometry import DomainError
@@ -492,23 +491,60 @@ def test_one_block_catalog_term_pair_budget(monkeypatch):
         assert 0 < pairs[0] <= budget, part
 
 
-def test_the_block_test_multiplies_no_polynomial(monkeypatch):
+def test_the_block_test_stops_at_the_pair_limit(monkeypatch):
     # on a non-product the product check finds one block, of 81 terms and
     # not a linear form, so where the point test is inconclusive (and the
     # sign is 1) the block needs the symbolic left side of all four
-    # variables, beyond MAX_SYMBOLIC_PAIRS: verify_ma_star raises before
-    # any determinant or power
+    # variables: its determinant starts, and with the power-free identity
+    # it passes MAX_SYMBOLIC_PAIRS, so verify_ma_star raises having handed
+    # the kernel no more than that many term pairs, and takes no power
     def refuse(*args):
-        raise AssertionError("a determinant or a power ran")
+        raise AssertionError("a power ran")
 
     monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
     p = product_solution((1, 1, 1, 1))
     p = p + MultiPoly(4, {(1, 1, 0, 0): Fraction(1, 7)})
     assert blocks_of(p) == ([(0, 1, 2, 3)], [p]) and _linear_form(p) is None
-    monkeypatch.setattr(ma_engine, "ma_lhs_log", refuse)
+    started = []
+    lhs_log = ma_engine.ma_lhs_log
+    monkeypatch.setattr(ma_engine, "ma_lhs_log", lambda q: started.append(q) or lhs_log(q))
     monkeypatch.setattr(MultiPoly, "__pow__", refuse)
-    with pytest.raises(SymbolicLimitError, match="estimated at 73953405 term pairs"):
+    pairs = count_term_pairs(monkeypatch)
+    with pytest.raises(SymbolicLimitError,
+                       match=f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}"):
         verify_ma_star(p)
+    assert started == [p]
+    assert 0 < pairs[0] <= MAX_SYMBOLIC_PAIRS
+
+
+def test_the_meter_counts_the_pairs_the_kernel_is_handed(monkeypatch):
+    # within a budget of exactly the term pairs that an independent count
+    # finds in ma_lhs_log, it runs to the end; with one pair fewer it
+    # raises at the last product, having counted them all, before the
+    # kernel is handed that product.  The continuation also hands the
+    # kernel plain addends, which take no pair.
+    rng = random.Random(43)
+    polys = [product_solution(part) for n in range(1, 5) for part in partitions(n)]
+    for _ in range(40):
+        p = random_poly(rng, rng.randint(1, 4), 4, 8)
+        polys.append(p - p.constant_term() + 1)
+    works = [(ma_lhs_log, p) for p in polys] + [(feasible_k_scan_n2, 6)]
+    pairs = count_term_pairs(monkeypatch)
+    for work, arg in works:
+        pairs[0] = 0
+        want = work(arg)
+        total = pairs[0]
+        if not total:  # a polynomial with no product to take
+            continue
+        monkeypatch.setattr(algebra, "MAX_SYMBOLIC_PAIRS", total)
+        with algebra.symbolic_budget():
+            assert work(arg) == want
+        monkeypatch.setattr(algebra, "MAX_SYMBOLIC_PAIRS", total - 1)
+        pairs[0] = 0
+        with pytest.raises(SymbolicLimitError, match=f"reaches {total} kernel term pairs"):
+            with algebra.symbolic_budget():
+                work(arg)
+        assert pairs[0] < total, arg
 
 
 # ---------------------------------------------------------------------------
@@ -850,27 +886,9 @@ def test_symbolic_check_beyond_its_limit_is_rejected():
     terms = {e: Fraction(1, 1 + sum(e)) for e in product(range(4), repeat=6) if sum(e) <= 3}
     terms[(0,) * 6] = Fraction(1)
     p = MultiPoly(6, terms)
-    assert len(p.terms) == 84 and _symbolic_pairs(p, 7) > MAX_SYMBOLIC_PAIRS
+    assert len(p.terms) == 84
     with pytest.raises(SymbolicLimitError, match="MAX_SYMBOLIC_PAIRS"):
         _block_exponent(p, None)
-
-
-def test_symbolic_estimate_bounds_the_determinant_term_pairs(monkeypatch):
-    # _symbolic_pairs(p, size) must bound the term pairs of both symbolic
-    # left sides, ma_lhs_log (size n+1) and ma_lhs_flat (size n), so that
-    # a limit on the estimate is a limit on the work
-    rng = random.Random(41)
-    polys = [product_solution(part) for n in range(1, 5) for part in partitions(n)]
-    for _ in range(150):
-        n = rng.randint(1, 4)
-        p = random_poly(rng, n, 4, 8)
-        polys.append(p - p.constant_term() + 1)
-    pairs = count_term_pairs(monkeypatch)
-    for p in polys:
-        for lhs, size in ((ma_lhs_log, p.nvars + 1), (ma_lhs_flat, p.nvars)):
-            pairs[0] = 0
-            lhs(p)
-            assert pairs[0] <= _symbolic_pairs(p, size), (p, lhs.__name__)
 
 
 def test_reduce_fourth_power():
@@ -1165,27 +1183,12 @@ def test_one_branch_scan_matches_the_all_branch_scan():
         assert feasible_k_scan_n2(6) == all_branch_scan(6, grid), grid
 
 
-def count_term_pairs(monkeypatch):
-    """Count the term pairs the kernel is handed, over every item of every sum.
-
-    A plain addend (s, a, None) multiplies no term pair.
-    """
-    pairs = [0]
-    dot_terms = algebra.dot_terms
-
-    def counting(items):
-        pairs[0] += sum(len(a) * len(b) for _, a, b in items if b is not None)
-        return dot_terms(items)
-
-    monkeypatch.setattr(algebra, "dot_terms", counting)
-    return pairs
-
-
 def test_feasible_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing one datum per k on the Euler
-    # series multiplies 2,264 term pairs here, counted over every item of
-    # every fused sum; a kernel product x1*[P^2]_h in place of an exponent
-    # shift added 109 when the count was 2,761; the nine series of
+    # series multiplies 2,127 term pairs here, counted over every item of
+    # every fused sum (2,264 with binomial_power built by the kernel); a
+    # kernel product x1*[P^2]_h in place of an exponent shift added 109
+    # when the count was 2,761; the nine series of
     # det M - sigma*P^3 took 7,671, one sign branch for each r of a
     # six-value grid 32,676, all four branches, each tried with both
     # equation signs, 155,748, and expanding the whole residual at every
@@ -1197,7 +1200,7 @@ def test_feasible_scan_term_pair_budget(monkeypatch):
 
 def test_search_term_pair_budget(monkeypatch):
     # deterministic work gate: one continuation per k plus the verified
-    # images multiply 2,538 term pairs here; the nine series of
+    # images multiply 2,401 term pairs here; the nine series of
     # det M - sigma*P^3 took 8,999, and continuing each r 16,292
     pairs = count_term_pairs(monkeypatch)
     assert len(search_n2([HALF, Fraction(-3)])) == 4
@@ -1206,7 +1209,8 @@ def test_search_term_pair_budget(monkeypatch):
 
 def test_long_scan_term_pair_budget(monkeypatch):
     # deterministic work gate: continuing every k up to the order limit
-    # multiplies 38,237 term pairs here; the nine series of
+    # multiplies 32,040 term pairs here (38,237 with binomial_power built
+    # by the kernel); the nine series of
     # det M - sigma*P^3 took 160,330
     pairs = count_term_pairs(monkeypatch)
     assert feasible_k_scan_n2(32) == {2, 3}
@@ -1216,7 +1220,7 @@ def test_long_scan_term_pair_budget(monkeypatch):
 def test_continuation_skips_zero_coefficients(monkeypatch):
     # deterministic work gate: the cubic has P_h = 0 for h > 3, and the
     # series skips those coefficients, so continuing it to the order limit
-    # hands the kernel 126 items (plain addends included); taking the
+    # hands the kernel 86 items (plain addends included); taking the
     # zeros as well hands it 316, and _dot 4,512 items where 592 do,
     # though a zero factor never reaches the kernel and adds no term pair
     items = [0]
