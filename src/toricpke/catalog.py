@@ -197,6 +197,8 @@ def partitions(n: int):
 
 def standard_catalog(max_n: int = 3, K: int = 1) -> list:
     """Records for every partition of every dimension up to max_n."""
+    if max_n < 1:
+        raise ValueError("max_n must be positive")
     records = []
     for n in range(1, max_n + 1):
         for part in partitions(n):

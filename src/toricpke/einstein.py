@@ -1,32 +1,70 @@
-"""Exact decision whether a toric potential is Einstein.
+"""The exact decision whether the left side L of P is C*(eps*P)^e.
 
-For Phi = k*log P, det g = k^n*L/P^(n+1) with L = ma_lhs_log(P), a
-function of x alone, and Ric = lambda*g holds exactly when log|det g| +
-lambda*Phi is pluriharmonic, which for a toric function smooth at 0
-means constant: L = C*(eps*P)^e with eps = P(0), C = L(0) and lambda =
-(n+1-e)/k.  For Phi = P, det g = ma_lhs_flat(P), and Ric = lambda*g
-holds exactly when that is a nonzero constant C, with lambda = 0.  At
-the origin L is P(0)*prod a_i, resp. prod a_i, for the linear
-coefficients a_i of P, so a zero a_i means the metric is degenerate
-there.
+Every verdict on a potential is a case of this one decision, with
+L = ma_engine.ma_lhs_log(P) and eps = P(0) = +-1.  For Phi = k*log P,
+det g = k^n*L/P^(n+1), a function of x alone, and Ric = lambda*g holds
+exactly when log|det g| + lambda*Phi is pluriharmonic, which for a toric
+function smooth at 0 means constant: L = C*(eps*P)^e with lambda =
+(n+1-e)/k (einstein_exponent).  The normalized equation L = +-P^n is the
+case e = n with C*eps^n = +-1 (star_decision, which decides
+ma_engine.verify_ma_star).  For Phi = P, det g = ma_lhs_flat(P), and
+Ric = lambda*g holds exactly when that is a nonzero constant C, with
+lambda = 0 (kind "poly", which decides ma_engine.classify_flat).
 
-einstein_exponent works at ma_engine's test point first, modulo the
-prime 2^61 - 1.  By Jacobi's formula theta_i log L = tr(E^-1*theta_i E)
-- 1 for the Euler matrix E of ma_engine._euler_matrix, where
-theta_i E holds the same term sums with one more factor e_i: the vectors
-theta log L and theta log P must be proportional, with a ratio that
-rational reconstruction turns into an e in [0, n+1], or the point
-refutes with a certificate.  ma_engine's blocks then reduce L = C*P^e to
-L_b = C_b*P_b^(e-n+n_b) per block.  A block that is a linear form
-f(<a, x>) is checked in one variable, any other through ma_lhs_log,
-and either by a power-free identity, metered by algebra.symbolic_budget.
-The same block check, at e = n_b, decides ma_engine.verify_ma_star, and the
-kind "poly" decision decides ma_engine.classify_flat.  ma_engine imports
-this module when those run, as this module imports ma_engine.
+The value at the origin.  L(0) is eps*prod a_i, and the flat-type left
+side prod a_i, over the linear coefficients a_i of P (origin_value).
+That is C, the sign of the normalized equation is eps^n*L(0), and a zero
+a_i makes the metric degenerate at the origin.
+
+The Euler matrix.  Let Q = den*P over P's common denominator den and
+theta_i = x_i*d/dx_i.  At a point x with nonzero coordinates, column
+j <= n of ma_lhs_log's bordered matrix, times x_j, is (T_.j, U_j) in
+E = [[T, U], [U^T, V]], with V = Q(x), U_i = x_i*Q_i and T_ij =
+x_i*x_j*Q_ij + delta_ij*U_i: the rows of the generators theta_1 Q, ...,
+theta_n Q, Q with theta_j in place of d_j.  L has degree n+1 in P, so
+det E = x_1*...*x_n*den^(n+1)*L(x), and likewise det T =
+x_1*...*x_n*den^n*ma_lhs_flat(P)(x).  Over the term values v = c*x^e of
+Q these are V = sum v, U_i = sum e_i*v and T_ij = sum e_i*e_j*v, so
+E = sum v*w*w^T with w = (e, 1) and needs no polynomial product.  It is
+taken at the test point x_i = 1/(2i+3), i = 0..n-1, modulo the prime
+2^61 - 1, where a term costs the bit length of its exponents rather than
+their size (a term x^(10^40) has a 10^40-digit value there).
+
+The point certificates.  For e = n, residues of L(pt) and P(pt)^n = (V/den)^n
+that are neither equal nor opposite refute (PointRefutation).  For a
+free e, Jacobi's formula gives theta_i log L = tr(E^-1*theta_i E) - 1,
+where theta_i E holds the same term sums with one more factor e_i, so
+L = C*P^e needs the vectors theta log L and theta log P = U/V to be
+proportional, with a ratio that rational reconstruction turns into an e
+in [0, n+1]; the residues refute otherwise (DlogRefutation).  By the
+Schwartz-Zippel lemma a nonzero polynomial rarely vanishes at a point;
+a test that reads zero, or a prime that divides den, leaves the
+decision to the symbolic check.
+
+The blocks.  If P*P_ij - P_i*P_j (P^2 times the mixed partial of log P)
+vanishes for every i and j in different blocks, then P =
+eps^(1-m)*prod P_b over its m blocks, P_b the restriction of P to block
+b (the other variables set to 0), and L = eps^((m-1)(n+1))*prod
+L_b*P_b^(n-n_b), L_b the left side of P_b in its n_b variables.  So
+L = C*(eps*P)^e exactly when every block has L_b = C_b*(eps*P_b)^(e-n+n_b);
+for e = n these are L_b = c_b*P_b^(n_b), c_b = L_b(0)/eps^(n_b), and the
+sign eps^(m-1)*prod c_b must be +-1, which refutes before any
+determinant.  At the test point x_i*x_j*(Q*Q_ij - Q_i*Q_j) is
+V*T_ij - U_i*U_j for i != j: a nonzero residue certifies a coupling, a
+zero one may be an accident, so the split is certified by comparing P
+with eps^(1-m)*prod P_b exactly, and falls back to one block of all
+variables when the comparison fails or P vanishes at the point.
+
+The block check.  A block that is a linear form f(<a, x>) is checked in
+one variable, any other through ma_lhs_log, and either by a power-free
+identity, metered by algebra.symbolic_budget.  One loop over the blocks
+serves every case (_block_loop).  ma_engine imports this module inside
+the functions that use it, as this module imports ma_engine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -34,15 +72,35 @@ from typing import NamedTuple, Optional
 
 from toricpke import ma_engine
 from toricpke.algebra import DomainError, MultiPoly, fraction_to_str, symbolic_budget
-from toricpke.algebra import MAX_SYMBOLIC_PAIRS, SymbolicLimitError  # noqa: F401  re-exported
-from toricpke.ma_engine import (
-    _TEST_PRIME,
-    _euler_rows,
-    _linear_coefficients,
-    _product_blocks,
-    _term_residues,
-    _test_point,
-)
+
+# The modulus of the point tests (see the module docstring).
+_TEST_PRIME = 2**61 - 1
+
+
+def _test_point(n: int) -> tuple:
+    return tuple(Fraction(1, 2 * i + 3) for i in range(n))
+
+
+class PointRefutation(NamedTuple):
+    """Residues of L(pt) and P(pt)^n modulo a prime, neither equal nor opposite.
+
+    Reduction modulo a prime is a ring map on the rationals whose
+    denominators it does not divide, so L(pt) != +-P(pt)^n, and P solves
+    the equation with neither sign.
+    """
+
+    point: tuple  # Fractions
+    modulus: int
+    lhs: int
+    rhs: int
+
+    def to_json_dict(self) -> dict:
+        return {
+            "point": [fraction_to_str(v) for v in self.point],
+            "modulus": str(self.modulus),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+        }
 
 
 class DlogRefutation(NamedTuple):
@@ -83,37 +141,119 @@ class EinsteinExponent(NamedTuple):
     refuted_at: Optional[DlogRefutation] = None
 
 
-def _inverse_mod(rows: list, q: int) -> Optional[list]:
-    """Inverse of an integer matrix modulo the prime q, or None if singular."""
+def linear_coefficients(p: MultiPoly) -> list:
+    n = p.nvars
+    return [p.coefficient(tuple(int(j == i) for j in range(n))) for i in range(n)]
+
+
+def origin_value(p: MultiPoly, kind: str = "log") -> Fraction:
+    """L(0): eps*prod a_i for kind "log", eps = P(0), and prod a_i for "poly"."""
+    c = math.prod(linear_coefficients(p), start=Fraction(1))
+    return c * p.constant_term() if kind == "log" else c
+
+
+def _euler(p: MultiPoly):
+    """(den, values, E): den, (e, v) for each term of Q = den*P, and Q's Euler matrix.
+
+    v is the value c*x^e of the term at the test point and E = sum
+    v*w*w^T, w = (e, 1), both modulo the test prime.
+    """
+    q = _TEST_PRIME
+    n = p.nvars
+    point = [pow(2 * i + 3, -1, q) for i in range(n)]
+    den, numerators = p.integer_terms
+    values = [(e, c * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
+              for e, c in numerators.items()]
+    euler = [sum(e[i] * v for e, v in values) % q for i in range(n)]
+    rows = [[0] * n + [u] for u in euler]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = sum(e[i] * e[j] * v for e, v in values) % q
+    rows.append(euler + [sum(v for _, v in values) % q])
+    return den, values, rows
+
+
+def _front_end(p: MultiPoly, kind: str = "log"):
+    """(den, values, E) of P (see _euler), once the kind and, for "log", P(0) = +-1 hold."""
+    if kind == "log":
+        if p.constant_term() not in (1, -1):
+            raise ValueError("log-type candidate needs constant term +-1")
+    elif kind != "poly":
+        raise ValueError(f"unknown potential kind {kind!r}")
+    return _euler(p)
+
+
+def _eliminate(rows: list, inverse: bool = False):
+    """(det, inv) of an integer matrix modulo the test prime.
+
+    Forward elimination gives the determinant.  When the inverse is asked
+    for, the rows also carry the identity and each pivot row is
+    normalized, and back-substitution then leaves the inverse in place of
+    the identity; otherwise, and when the matrix is singular, inv is None.
+    """
+    q = _TEST_PRIME
     n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    a = [list(row) + ([int(i == j) for j in range(n)] if inverse else [])
+         for i, row in enumerate(rows)]
+    det = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] % q), None)
         if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k] % q
         inv = pow(a[k][k], -1, q)
-        a[k] = [v * inv % q for v in a[k]]
-        for i in range(n):
-            f = a[i][k]
-            if i != k and f:
+        if inverse:
+            a[k] = [v * inv % q for v in a[k]]
+            inv = 1
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % q
+            if f:
                 a[i] = [(u - f * w) % q for u, w in zip(a[i], a[k])]
-    return [row[n:] for row in a]
+    if not inverse:
+        return det % q, None
+    for k in reversed(range(n)):
+        for i in range(k):
+            f = a[i][k]
+            if f:
+                a[i] = [(u - f * w) % q for u, w in zip(a[i], a[k])]
+    return det % q, [row[n:] for row in a]
+
+
+def _point_refutation(den: int, euler: list) -> Optional[PointRefutation]:
+    """Refute L = +-P^n at the test point from P's Euler matrix, or return None.
+
+    None when the prime divides den, or when the residues are equal or
+    opposite: for a non-solution both L - P^n and L + P^n are nonzero.
+    """
+    q = _TEST_PRIME
+    if den % q == 0:
+        return None
+    n = len(euler) - 1
+    lhs = _eliminate(euler)[0] * pow(den, -(n + 1), q) % q
+    for i in range(n):
+        lhs = lhs * (2 * i + 3) % q  # 1/x_i
+    rhs = pow(euler[n][n] * pow(den, -1, q), n, q)
+    if lhs in (rhs, -rhs % q):
+        return None
+    return PointRefutation(_test_point(n), q, lhs, rhs)
 
 
 def _dlog_lhs(values: list, rows: list) -> Optional[list]:
     """theta_i log L at the test point, i = 1..n, or None where L is 0 there.
 
-    rows is sum v*w*w^T over the term values (e, v) of _term_residues,
-    with w = (e, 1) for the Euler matrix E or w = e for its block T, and
-    its determinant is x_1*...*x_n times a constant times the left side L,
+    rows is sum v*w*w^T over the term values (e, v) of _euler, with
+    w = (e, 1) for the Euler matrix E or w = e for its block T, and its
+    determinant is x_1*...*x_n times a constant times the left side L,
     log-type for E and flat-type for T.  theta_i rows = sum e_i*v*w*w^T,
     one more factor e_i per term, so by Jacobi's formula theta_i log L =
     tr(rows^-1*theta_i rows) - 1 = sum e_i*v*(w^T*rows^-1*w) - 1, one
     pass over the terms.
     """
     q = _TEST_PRIME
-    inv = _inverse_mod(rows, q)
+    inv = _eliminate(rows, inverse=True)[1]
     if inv is None:
         return None
     n = len(values[0][0])
@@ -148,13 +288,12 @@ def _rational_reconstruction(r: int, q: int, num_bound: int, den_bound: int):
 def _exponent_at_point(p: MultiPoly, den: int, values: list, euler: list):
     """(certificate, e): a DlogRefutation, or the exponent the point allows.
 
-    At the test point theta_i log L comes from the Euler matrix E (see
-    _dlog_lhs), and theta_i log P = U_i/V.  When the
-    two vectors are proportional their ratio is e, found by rational
-    reconstruction with the bounds of DlogRefutation; e is None when the
-    test is inconclusive: the prime divides den, P(pt) or L(pt) reads
-    zero, theta log P reads zero, or deg P is too large for the
-    reconstruction to be unique.
+    When theta log L (see _dlog_lhs) and theta log P = U/V are
+    proportional their ratio is e, found by rational reconstruction with
+    the bounds of DlogRefutation; e is None when the test is
+    inconclusive: the prime divides den, P(pt) or L(pt) reads zero,
+    theta log P reads zero, or deg P is too large for the reconstruction
+    to be unique.
     """
     q = _TEST_PRIME
     n = p.nvars
@@ -178,6 +317,56 @@ def _exponent_at_point(p: MultiPoly, den: int, values: list, euler: list):
     return DlogRefutation(_test_point(n), q, tuple(dlog_l), tuple(dlog_p)), None
 
 
+def _coupling_blocks(euler: list) -> list:
+    """Candidate blocks: the classes of the pairs of variables whose
+    V*T_ij - U_i*U_j reads nonzero in P's Euler matrix; where P vanishes,
+    the one block of all variables."""
+    n = len(euler) - 1
+    value = euler[n][n]
+    if not value:
+        return [tuple(range(n))]
+    # union-find in its quick-find form: label[i] names x_i's class
+    label = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if label[i] == label[j]:
+                continue
+            if (value * euler[i][j] - euler[i][n] * euler[j][n]) % _TEST_PRIME:
+                old = label[j]
+                label = [label[i] if lab == old else lab for lab in label]
+    blocks = {}
+    for i, lab in enumerate(label):
+        blocks.setdefault(lab, []).append(i)
+    return [tuple(b) for b in blocks.values()]
+
+
+def disjoint_product(n: int, blocks: list, factors: list) -> MultiPoly:
+    """The product of factors[b], each a polynomial in the variables blocks[b]."""
+    return functools.reduce(
+        operator.mul, (f.embed(n, b) for f, b in zip(factors, blocks))
+    )
+
+
+def _product_blocks(p: MultiPoly, euler: list):
+    """Blocks b and factors P_b with P = eps^(1-m)*prod P_b exactly.
+
+    P_b is P with the variables outside b set to 0, in b's own variables,
+    eps = P(0) must be +-1, and euler is P's Euler matrix.  When the
+    coupling test finds one block, or the product does not reproduce P,
+    the one block of all variables is returned.
+    """
+    n = p.nvars
+    blocks = _coupling_blocks(euler)
+    if len(blocks) == 1:
+        return blocks, [p]
+    factors = [p.restrict(b) for b in blocks]
+    # eps^(1-m)*prod P_b = P  <=>  prod P_b = eps^(m-1)*P, as eps = +-1
+    target = p if p.constant_term() ** (len(blocks) - 1) == 1 else -p
+    if disjoint_product(n, blocks, factors) != target:
+        return [tuple(range(n))], [p]
+    return blocks, factors
+
+
 def _linear_form(f: MultiPoly) -> Optional[tuple]:
     """(u, g) with f = u(<a, x>) and ma_lhs_log(f) = g(<a, x>), or None.
 
@@ -187,7 +376,7 @@ def _linear_form(f: MultiPoly) -> Optional[tuple]:
     prod(a_i)*[u'^(n-1)*L_1(u)](<a, x>), L_1 the one-variable left side.
     """
     n = f.nvars
-    a = _linear_coefficients(f)
+    a = linear_coefficients(f)
     d0 = f.partial_derivative(0)
     if not all(a[0] * f.partial_derivative(i) == a[i] * d0 for i in range(1, n)):
         return None
@@ -225,43 +414,64 @@ def _power_exponent(u: MultiPoly, g: MultiPoly, e: Optional[Fraction]) -> Option
     return e
 
 
+def _block_loop(n: int, blocks: list, factors: list,
+                e: Optional[Fraction]) -> Optional[Fraction]:
+    """The e with L = C*(eps*P)^e over P's blocks, or None; e, if given, is the only one tried.
+
+    Each block must have L_b = C_b*(eps*P_b)^(e-n+n_b); with no e given,
+    the first block's degrees give it.  Every linear coefficient of P
+    must be nonzero.
+    """
+    for b, f in zip(blocks, factors):
+        eb = _block_exponent(f, None if e is None else e - n + len(b))
+        if eb is None:
+            return None
+        e = eb + n - len(b)
+    return e
+
+
+def star_decision(p: MultiPoly, want_blocks: bool = False):
+    """(sign, refuted_at, blocks, factors) for L = sign*P^n, the case e = n.
+
+    sign is eps^n*L(0) when that is +-1 and the blocks hold, else None;
+    refuted_at is the PointRefutation when the point test found one.
+    blocks and factors are P's blocks when the decision reached them or
+    want_blocks is set, else None.  ValueError when P(0) is not +-1.
+    """
+    den, _, euler = _front_end(p)
+    refuted_at = _point_refutation(den, euler)
+    if refuted_at is not None and not want_blocks:
+        return None, refuted_at, None, None
+    n = p.nvars
+    sign = p.constant_term() ** n * origin_value(p)
+    solved = refuted_at is None and sign in (1, -1)
+    blocks = factors = None
+    if solved or want_blocks:
+        blocks, factors = _product_blocks(p, euler)
+        # a +-1 sign makes every linear coefficient nonzero
+        solved = solved and _block_loop(n, blocks, factors, Fraction(n)) is not None
+    return (int(sign) if solved else None), refuted_at, blocks, factors
+
+
 def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
     """Decide exactly whether the left side L of P is C*(eps*P)^e, eps = P(0).
 
-    For Phi = k*log P, det g = k^n*L/P^(n+1) with L = ma_lhs_log(P), and
-    Ric = lambda*g holds exactly when L = C*(eps*P)^e, lambda =
-    (n+1-e)/k.  For Phi = P (kind "poly"), det g = ma_lhs_flat(P), and Ric
-    = lambda*g holds exactly when that is a nonzero constant C, lambda = 0.
-    At the origin L is P(0)*prod a_i, resp. prod a_i, for the linear
-    coefficients a_i of P; DomainError when it is 0 (the metric is
-    degenerate there).
-
-    Kind "log": the point test (_exponent_at_point) refutes with a
-    certificate, or proposes e.  P's blocks (_product_blocks) then give
-    L = eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), so L = C*(eps*P)^e exactly
-    when every block has L_b = C_b*(eps*P_b)^(e-n+n_b), each checked by
-    _block_exponent; with no e from the point, the first block's degrees
-    give it.  Kind "poly": an affine P needs no determinant; otherwise
-    the point test on the block T of the Euler matrix (det T =
-    x_1*...*x_n*den^n*det A) refutes unless theta_i log det A reads zero
-    for every i, and ma_lhs_flat(P), metered likewise, decides.
+    C = L(0) (see origin_value); DomainError when it is 0, as the metric
+    is degenerate there.  Kind "log": the point test (_exponent_at_point)
+    refutes with a certificate, or proposes e, and the blocks decide
+    (_block_loop).  Kind "poly": an affine P needs no determinant;
+    otherwise the point test on the block T of the Euler matrix refutes
+    unless theta_i log det T reads zero for every i, and ma_lhs_flat(P),
+    metered likewise, decides.
     """
-    n = p.nvars
-    c = math.prod(_linear_coefficients(p), start=Fraction(1))
-    if kind == "log":
-        eps = p.constant_term()
-        if eps not in (1, -1):
-            raise ValueError("log-type candidate needs constant term +-1")
-        c *= eps
-    elif kind != "poly":
-        raise ValueError(f"unknown potential kind {kind!r}")
+    den, values, euler = _front_end(p, kind)
+    c = origin_value(p, kind)
     if not c:
         raise DomainError("metric degenerate at the origin")
-    if kind == "poly" and p.degree() <= 1:
-        return EinsteinExponent(c, Fraction(0))
-    den, values = _term_residues(p)
-    euler = _euler_rows(n, values)
+    n = p.nvars
     if kind == "poly":
+        if p.degree() <= 1:
+            return EinsteinExponent(c, Fraction(0))
         block = [row[:n] for row in euler[:n]]
         dlog = None if den % _TEST_PRIME == 0 else _dlog_lhs(values, block)
         if dlog is not None and any(dlog):
@@ -275,10 +485,5 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
     refuted_at, e = _exponent_at_point(p, den, values, euler)
     if refuted_at is not None:
         return EinsteinExponent(None, None, refuted_at)
-    blocks, factors = _product_blocks(p, euler)
-    for b, f in zip(blocks, factors):
-        eb = _block_exponent(f, None if e is None else e - n + len(b))
-        if eb is None:
-            return EinsteinExponent(None, None)
-        e = eb + n - len(b)
-    return EinsteinExponent(c, e)
+    e = _block_loop(n, *_product_blocks(p, euler), e)
+    return EinsteinExponent(None, None) if e is None else EinsteinExponent(c, e)

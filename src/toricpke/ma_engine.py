@@ -11,43 +11,10 @@ bordered matrix has the rows (d_1 G, ..., d_n G, G) for G = theta_1 Q,
 polynomial P with P(0) = +-1 is a solution of the normalized equation
 when the log-type left side equals +-P^n exactly.
 
-verify_ma_star first tests the equation at one rational point, modulo
-the prime 2^61 - 1, in the Euler form of the bordered matrix.  For x with
-nonzero coordinates, x_1*...*x_n*L(x) = det[[T, U], [U^T, P]] with
-U_i = x_i*P_i = sum e_i*v and T_ij = x_i*x_j*P_ij + delta_ij*U_i =
-sum e_i*e_j*v over the term values v = c*x^e of P: column j <= n of the
-bordered matrix is (T_.j, U_j)/x_j.  One pass over P's terms and one
-(n+1)x(n+1) determinant modulo the prime give L(pt) and P(pt)^n there,
-and residues neither equal nor opposite certify that P is not a
-solution, with no polynomial product.  Otherwise (a residue that reads
-zero for one sign, or a denominator the prime divides), and whenever the
-symbolic left side is asked for as the witness, the check is symbolic.
-
-The symbolic check runs one variable-disjoint block at a time.
-If P*P_ij - P_i*P_j (P^2 times the mixed partial of log P) vanishes for
-every i and j in different blocks, then P = eps^(1-m)*prod P_b over its
-m blocks, with eps = P(0) and P_b the restriction of P to block b (the
-other variables set to 0), and the left side is
-L = eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b), with L_b the left side of P_b
-in its n_b variables.  So P solves exactly when L_b = c_b*P_b^(n_b) for
-every b, with c_b = L_b(0)/eps^(n_b), and eps^(m-1)*prod c_b = +-1; that
-product is the sign.  L_b(0) is eps times the product of b's linear
-coefficients, so the sign is eps^(n+1) times the product of all of P's,
-and a sign other than +-1 refutes before any determinant.  Candidate
-blocks come from testing each pair of variables at the same point, in
-the same Euler form, where a nonzero value certifies the coupling
-without a polynomial product.  The split is then certified by comparing
-P with eps^(1-m)*prod P_b exactly, and falls back to one block of all
-variables when the comparison fails or P vanishes at the point.  Each
-block is decided by toricpke.einstein's block check at the exponent n_b,
-which decides L = C*P^e, the Einstein condition, on the same blocks: a
-block that is a linear form f(<a, x>) is checked in one variable, any
-other through ma_lhs_log, both by a power-free identity.  Every symbolic
-left side, and the witness as a whole, runs in algebra.symbolic_budget,
-which raises SymbolicLimitError before the kernel product that would
-pass MAX_SYMBOLIC_PAIRS term pairs.  classify_flat likewise reads the
-product of the linear coefficients, the flat-type left side at the
-origin, and leaves the rest to einstein_exponent.
+verify_ma_star and classify_flat are cases of the one decision whether
+the left side is C*(eps*P)^e, which toricpke.einstein owns: its module
+docstring derives the value at the origin, the Euler matrix of P at the
+test point, the point certificates, the blocks and the block check.
 
 Classification in one and two variables proceeds exactly: axis
 restrictions are matched against binomial powers, admissible exponents
@@ -63,8 +30,8 @@ bordered determinant of ma_lhs_log gains the factor l1*l2, which is 1
 here.  The search verifies the image for each r on its grid and runs no
 feasibility scan first.  The continuation never expands the
 two-variable left side while it runs.  It writes P = sum_h P_h*x2^h in
-the Euler form above, where x2*d/dx2 multiplies the x2^h coefficient by
-h, so the x2^(h+1) coefficient of det[[T, U], [U^T, P]] -
+the Euler form of toricpke.einstein, where x2*d/dx2 multiplies the x2^h
+coefficient by h, so the x2^(h+1) coefficient of det[[T, U], [U^T, P]] -
 sigma*x1*x2*P^2, x1 times the x2^h coefficient of L - sigma*P^2, is a
 sum of products of univariate coefficients, built in one accumulator
 by one call of algebra's _dot; the products of pairs of lower
@@ -77,17 +44,12 @@ verify_ma_star to give the candidate the sign sigma.
 
 from __future__ import annotations
 
-import functools
-import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from toricpke.algebra import (
-    BinomialProfile,
     DomainError,
     MultiPoly,
-    NoExactRootError,
     NotBinomialPowerError,
     NotDivisibleError,
     PolyMatrix,
@@ -99,7 +61,6 @@ from toricpke.algebra import (
     determinant,  # noqa: F401  re-bound by perfbench/tracing.py
     determinant_cofactor,
     exact_divide,
-    fraction_to_str,
     symbolic_budget,
     toric_hessian_matrix,
 )
@@ -109,32 +70,10 @@ class ProfileMismatchError(ArithmeticError):
     """An axis restriction fails the binomial-power or companion check."""
 
 
-class PointRefutation(NamedTuple):
-    """Residues of L(pt) and P(pt)^n modulo a prime, neither equal nor opposite.
-
-    Reduction modulo a prime is a ring map on the rationals whose
-    denominators it does not divide, so L(pt) != +-P(pt)^n, and P solves
-    the equation with neither sign.
-    """
-
-    point: tuple  # Fractions
-    modulus: int
-    lhs: int
-    rhs: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point": [fraction_to_str(v) for v in self.point],
-            "modulus": str(self.modulus),
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
-
-
 class MAResult(NamedTuple):
     is_solution: bool
     sign: Optional[int]  # +1 or -1 when is_solution
-    refuted_at: Optional[PointRefutation] = None  # set when the point test refutes
+    refuted_at: Optional[tuple] = None  # einstein.PointRefutation, when the point refutes
     witness: Optional[MultiPoly] = None  # the left side, when asked for
 
 
@@ -178,26 +117,19 @@ def ma_lhs_flat(d0: MultiPoly) -> MultiPoly:
     return determinant_cofactor(toric_hessian_matrix(d0))
 
 
-def _linear_coefficients(p: MultiPoly) -> list:
-    n = p.nvars
-    return [p.coefficient(tuple(int(j == i) for j in range(n))) for i in range(n)]
-
-
 def classify_flat(d0: MultiPoly) -> FlatClassification:
     """Accept exactly the d0 whose flat-type left side is +-1.
 
-    The left side at the origin is the product of d0's linear
-    coefficients, so a product other than +-1 refutes with no
-    determinant; otherwise einstein_exponent(d0, "poly") decides whether
-    the left side is that constant, with no determinant for an affine d0.
+    A left side other than +-1 at the origin refutes with no determinant;
+    otherwise einstein_exponent(d0, "poly") decides whether the left side
+    is that constant (see toricpke.einstein).
     """
-    from toricpke.einstein import einstein_exponent
+    from toricpke import einstein
 
-    coeffs = tuple(_linear_coefficients(d0))
-    product = math.prod(coeffs, start=Fraction(1))
-    if product not in (1, -1) or einstein_exponent(d0, "poly").e is None:
+    product = einstein.origin_value(d0, "poly")
+    if product not in (1, -1) or einstein.einstein_exponent(d0, "poly").e is None:
         return FlatClassification(False, None, None)
-    return FlatClassification(True, coeffs, product)
+    return FlatClassification(True, tuple(einstein.linear_coefficients(d0)), product)
 
 
 def log_ma_matrix(q: MultiPoly) -> PolyMatrix:
@@ -238,208 +170,28 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
     return determinant_cofactor(PolyMatrix(rows))
 
 
-# The point tests evaluate at the test point x_i = 1/(2i+3), i = 0..n-1,
-# modulo this prime, so that their work grows with the bit length of P's
-# exponents rather than with the exponents themselves.
-_TEST_PRIME = 2**61 - 1
-
-
-def _test_point(n: int) -> tuple:
-    return tuple(Fraction(1, 2 * i + 3) for i in range(n))
-
-
-def _term_residues(p: MultiPoly):
-    """(den, values): P's common denominator, and (e, v) for each term of den*P.
-
-    v is the value c*x^e of the term c*x^e at the test point, modulo the
-    test prime: the exact value would cost the size of the exponents (a
-    term x^(10^40) has a 10^40-digit value there), the residue costs
-    their bit length.
-    """
-    q = _TEST_PRIME
-    point = [pow(2 * i + 3, -1, q) for i in range(p.nvars)]
-    den, numerators = p.integer_terms
-    values = [(e, c * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
-              for e, c in numerators.items()]
-    return den, values
-
-
-def _euler_matrix(p: MultiPoly):
-    """(den, E): P's common denominator, and the Euler matrix of den*P.
-
-    For Q = den*P at the test point x, E = [[T, U], [U^T, V]] with
-    V = Q(x), U_i = x_i*Q_i and T_ij = x_i*x_j*Q_ij + delta_ij*U_i: the
-    rows of ma_lhs_log's generators theta_1 Q, ..., theta_n Q, Q, with
-    theta_j in place of d_j, at the point.  Over the term values
-    v = c*x^e of Q these are V = sum v, U_i = sum e_i*v and
-    T_ij = sum e_i*e_j*v, so E = sum v*w*w^T with w = (e, 1), and E
-    needs no polynomial product.  Its entries are residues modulo the
-    test prime (see _term_residues).
-    """
-    den, values = _term_residues(p)
-    return den, _euler_rows(p.nvars, values)
-
-
-def _euler_rows(n: int, values: list) -> list:
-    q = _TEST_PRIME
-    euler = [sum(e[i] * v for e, v in values) % q for i in range(n)]
-    rows = [[0] * n + [u] for u in euler]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = sum(e[i] * e[j] * v for e, v in values) % q
-    rows.append(euler + [sum(v for _, v in values) % q])
-    return rows
-
-
-def _det_mod(rows: list, q: int) -> int:
-    """Determinant of an integer matrix modulo the prime q, by elimination."""
-    a = [list(row) for row in rows]
-    n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] % q), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k] % q
-        inv = pow(a[k][k], -1, q)
-        for i in range(k + 1, n):
-            f = a[i][k] * inv % q
-            if f:
-                a[i] = [(u - f * w) % q for u, w in zip(a[i], a[k])]
-    return det % q
-
-
-def _point_refutation(den: int, euler: list) -> Optional[PointRefutation]:
-    """Refute L = +-P^n at the test point, or return None.
-
-    Column j <= n of ma_lhs_log's bordered matrix, times x_j, is
-    (T_.j, U_j), so x_1*...*x_n*L(x) = det E for the Euler matrix E of
-    Q = den*P (see _euler_matrix); L has degree n+1 in P, so
-    L(x) = det E/(x_1*...*x_n*den^(n+1)) and P(x)^n = (V/den)^n.  None
-    when the prime divides den, or when the residues are equal or
-    opposite: for a non-solution both L - P^n and L + P^n are nonzero
-    polynomials, and by the Schwartz-Zippel lemma such a polynomial
-    rarely vanishes at a point.
-    """
-    q = _TEST_PRIME
-    if den % q == 0:
-        return None
-    n = len(euler) - 1
-    lhs = _det_mod(euler, q) * pow(den, -(n + 1), q) % q
-    for i in range(n):
-        lhs = lhs * (2 * i + 3) % q  # 1/x_i
-    rhs = pow(euler[n][n] * pow(den, -1, q), n, q)
-    if lhs in (rhs, -rhs % q):
-        return None
-    return PointRefutation(_test_point(n), q, lhs, rhs)
-
-
-def _coupling_blocks(euler: list) -> list:
-    """Candidate blocks: the classes of the pairs of variables found coupled.
-
-    x_i and x_j are coupled where P*P_ij - P_i*P_j, P^2 times the mixed
-    partial of log P, is nonzero.  At the test point x_i*x_j times that
-    value, for Q = den*P, is V*T_ij - U_i*U_j in the Euler matrix E of Q
-    (see _euler_matrix): a nonzero residue certifies the coupling, while
-    a zero one may be an accident of the point or the prime, so the
-    caller certifies the split.  Where P vanishes most pairs read zero,
-    and the one block of all variables is returned.
-    """
-    n = len(euler) - 1
-    value = euler[n][n]
-    if not value:
-        return [tuple(range(n))]
-    # union-find in its quick-find form: label[i] names x_i's class
-    label = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if label[i] == label[j]:
-                continue
-            if (value * euler[i][j] - euler[i][n] * euler[j][n]) % _TEST_PRIME:
-                old = label[j]
-                label = [label[i] if lab == old else lab for lab in label]
-    blocks = {}
-    for i, lab in enumerate(label):
-        blocks.setdefault(lab, []).append(i)
-    return [tuple(b) for b in blocks.values()]
-
-
-def _disjoint_product(n: int, blocks: list, factors: list) -> MultiPoly:
-    """The product of factors[b], each a polynomial in the variables blocks[b]."""
-    return functools.reduce(
-        operator.mul, (f.embed(n, b) for f, b in zip(factors, blocks))
-    )
-
-
-def _product_blocks(p: MultiPoly, euler: list):
-    """Blocks b and factors P_b with P = eps^(1-m)*prod P_b exactly.
-
-    P_b is P with the variables outside b set to 0, in b's own variables,
-    eps = P(0) must be +-1, and euler is P's Euler matrix (see
-    _euler_matrix).  When the coupling test finds one block, or the
-    product does not reproduce P, the one block of all variables is
-    returned.
-    """
-    n = p.nvars
-    blocks = _coupling_blocks(euler)
-    if len(blocks) == 1:
-        return blocks, [p]
-    factors = [p.restrict(b) for b in blocks]
-    # eps^(1-m)*prod P_b = P  <=>  prod P_b = eps^(m-1)*P, as eps = +-1
-    target = p if p.constant_term() ** (len(blocks) - 1) == 1 else -p
-    if _disjoint_product(n, blocks, factors) != target:
-        return [tuple(range(n))], [p]
-    return blocks, factors
-
-
 def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
     """Exact check that the log-type left side L equals +-P^n.
 
-    The test point refutes most non-solutions first, with a certificate
-    and no polynomial product (see _point_refutation).  With blocks b of
-    n_b variables and factors P_b (see _product_blocks), P is a solution
-    exactly when its sign eps^(m-1)*prod c_b, c_b = L_b(0)/eps^(n_b), is
-    +-1 and L_b = c_b*P_b^(n_b) for every b.  As L_b(0) = eps*prod a_i
-    over b's linear coefficients a_i, the sign is eps^(n+1)*prod a_i,
-    read before any determinant; each block is then decided by
-    toricpke.einstein's block check at the exponent n_b.  The witness is
-    the full left side: sign*P^n on acceptance, and on a refutation
-    eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b) with L_b = ma_lhs_log(P_b).
-    Each block's symbolic left side, and the witness as a whole, is
-    metered within MAX_SYMBOLIC_PAIRS kernel term pairs.
+    The case e = n of toricpke.einstein's decision (see star_decision).
+    The witness is the full left side: sign*P^n on acceptance, and on a
+    refutation eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b) over P's m blocks,
+    with L_b = ma_lhs_log(P_b), metered as a whole within
+    MAX_SYMBOLIC_PAIRS kernel term pairs.
     """
-    from toricpke.einstein import _block_exponent
+    from toricpke import einstein
 
-    eps = p.constant_term()
-    if eps not in (1, -1):
-        raise ValueError("log-type candidate needs constant term +-1")
-    den, euler = _euler_matrix(p)
-    refuted_at = _point_refutation(den, euler)
-    if refuted_at is not None and not witness:
-        return MAResult(False, None, refuted_at)
+    sign, refuted_at, blocks, factors = einstein.star_decision(p, witness)
+    if not witness:
+        return MAResult(sign is not None, sign, refuted_at)
     n = p.nvars
-    sign = eps ** (n + 1) * math.prod(_linear_coefficients(p), start=Fraction(1))
-    solved = refuted_at is None and sign in (1, -1)
-    if solved or witness:
-        blocks, factors = _product_blocks(p, euler)
-        # a +-1 sign makes every linear coefficient nonzero, as the block
-        # check needs
-        solved = solved and all(_block_exponent(f, Fraction(len(b))) is not None
-                                for b, f in zip(blocks, factors))
-    full = None
-    if witness:
-        with symbolic_budget():
-            full = sign * p ** n if solved else _disjoint_product(n, blocks, [
-                ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n else ma_lhs_log(f)
-                for f, b in zip(factors, blocks)])
-    if solved:
-        return MAResult(True, int(sign), None, full)
-    if full is not None and eps ** ((len(blocks) - 1) * (n + 1)) == -1:
+    with symbolic_budget():
+        full = sign * p ** n if sign else einstein.disjoint_product(n, blocks, [
+            ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n else ma_lhs_log(f)
+            for f, b in zip(factors, blocks)])
+    if sign is None and p.constant_term() ** ((len(blocks) - 1) * (n + 1)) == -1:
         full = -full
-    return MAResult(False, None, refuted_at, full)
+    return MAResult(sign is not None, sign, refuted_at, full)
 
 
 def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:
@@ -531,7 +283,7 @@ def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
 class _EulerSeries:
     """x2-coefficients of det E - eq_sign*x1*x2*P^2 for P = sum_h p[h]*x2^h.
 
-    E is the Euler matrix of P (see _euler_matrix), so det E = x1*x2*L
+    E is the Euler matrix of P (see toricpke.einstein), so det E = x1*x2*L
     with L = ma_lhs_log(P).  x2*d/dx2 multiplies the x2^h coefficient by
     h, so with theta = x1*d/dx1, U_h = theta(P_h) and T_h = theta(U_h)
     the x2^m coefficient of det E is

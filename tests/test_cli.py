@@ -15,7 +15,7 @@ import pytest
 
 import toricpke
 from conftest import count_term_pairs
-from toricpke.algebra import MAX_COEFF_DIGITS, MultiPoly
+from toricpke.algebra import MAX_COEFF_DIGITS, MAX_SYMBOLIC_PAIRS, MultiPoly
 from toricpke.catalog import product_solution
 from toricpke.cli import (
     EXIT_DOMAIN,
@@ -34,7 +34,6 @@ from toricpke.cli import (
     main,
 )
 from toricpke import geometry
-from toricpke.einstein import MAX_SYMBOLIC_PAIRS
 from toricpke.geometry import DomainError, ToricPotential, space_form_potential
 from toricpke.ma_engine import ma_lhs_log
 
@@ -937,6 +936,13 @@ def test_catalog_beyond_its_limits_is_usage_error(capsys, argv, limit):
     assert limit in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_catalog_list_below_one_dimension_is_usage_error(capsys, max_n):
+    # it used to exit 0 with no records
+    assert main(["catalog", "list", "--max-n", max_n]) == EXIT_USAGE
+    assert "max_n must be positive" in capsys.readouterr().err
+
+
 def test_catalog_at_its_limits_is_accepted(capsys):
     # the (1,1,1,1) potential is prod_i (1 + x_i/2)^K, with (K + 1)^4
     # terms: MAX_CATALOG_TERMS at K = 9
@@ -1079,11 +1085,17 @@ _OPTIONAL = {"toricpke.geometry", "toricpke.catalog"}
     ("from toricpke.cli import main; main(['scan-k', '--k-max', '3'])", _OPTIONAL),
     ("from toricpke.cli import main; main(['search-n2', '--grid=1'])",
      {"toricpke.geometry"}),
+    ("from toricpke.cli import main; main(['axis', '--poly', POLY])",
+     _OPTIONAL | {"toricpke.einstein"}),
+    ("from toricpke.cli import main; main(['report', '--poly', POLY])",
+     _OPTIONAL | {"toricpke.einstein"}),
+    ("from toricpke.cli import main; main(['classify-flat', '--poly', POLY])", _OPTIONAL),
 ])
 def test_commands_compile_only_the_modules_they_run(tmp_path, run, unloaded):
     # with bytecode writing off every process compiles each module it
     # imports from source: geometry serves einstein-check and catalog
-    # records, and catalog the catalog and search-n2 commands
+    # records, catalog the catalog and search-n2 commands, and einstein
+    # the commands that decide L = C*(eps*P)^e
     env = {**os.environ,
            "PYTHONPATH": os.path.dirname(os.path.dirname(toricpke.__file__)),
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -1101,3 +1113,5 @@ def test_commands_compile_only_the_modules_they_run(tmp_path, run, unloaded):
         assert out == ["solution (sign +)"]
     elif "scan-k" in run:
         assert out == ["feasible k: [2, 3]"]
+    elif "classify-flat" in run:
+        assert "toricpke.einstein" in loaded

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import COEFF_POOL, count_term_pairs, direct_lhs_log, random_poly
-from toricpke import algebra, ma_engine
+from toricpke import algebra, einstein, ma_engine
 from toricpke.algebra import (
+    MAX_SYMBOLIC_PAIRS,
     MultiPoly,
     NoExactRootError,
+    SymbolicLimitError,
     binomial_power,
 )
 from toricpke.catalog import (
@@ -20,32 +22,29 @@ from toricpke.catalog import (
     product_solution,
 )
 from toricpke.einstein import (
-    MAX_SYMBOLIC_PAIRS,
+    _TEST_PRIME,
     EinsteinExponent,
-    SymbolicLimitError,
     _block_exponent,
+    _coupling_blocks,
     _dlog_lhs,
-    _linear_coefficients,
+    _eliminate,
+    _euler,
     _linear_form,
+    _point_refutation,
+    _product_blocks,
     _rational_reconstruction,
     einstein_exponent,
+    linear_coefficients,
 )
 from toricpke.geometry import DomainError
 from toricpke.ma_engine import (
-    _TEST_PRIME,
     CauchyData,
     ExponentRatio,
     FlatClassification,
     MAResult,
     ProfileMismatchError,
-    _coupling_blocks,
-    _euler_matrix,
-    _euler_rows,
     _EulerSeries,
-    _point_refutation,
     _poly_sort_key,
-    _product_blocks,
-    _term_residues,
     axis_profile_check,
     cauchy_data,
     classify_flat,
@@ -157,7 +156,7 @@ def test_classify_flat_matches_a_sympy_determinant():
         assert result.is_solution == (det in (1, -1)), d0
         if result.is_solution:
             assert result.coeff_product == det
-            assert result.coeffs == tuple(_linear_coefficients(d0))
+            assert result.coeffs == tuple(linear_coefficients(d0))
             accepted += 1
     assert 5 < accepted < len(cases) - 5
 
@@ -336,11 +335,11 @@ def assert_routes_agree(p):
 
 
 def blocks_of(p):
-    return _product_blocks(p, _euler_matrix(p)[1])
+    return _product_blocks(p, _euler(p)[2])
 
 
 def coupling_of(p):
-    return _coupling_blocks(_euler_matrix(p)[1])
+    return _coupling_blocks(_euler(p)[2])
 
 
 def seeded_image(p, rng):
@@ -501,7 +500,7 @@ def test_the_block_test_stops_at_the_pair_limit(monkeypatch):
     def refuse(*args):
         raise AssertionError("a power ran")
 
-    monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
+    monkeypatch.setattr(einstein, "_point_refutation", lambda den, euler: None)
     p = product_solution((1, 1, 1, 1))
     p = p + MultiPoly(4, {(1, 1, 0, 0): Fraction(1, 7)})
     assert blocks_of(p) == ([(0, 1, 2, 3)], [p]) and _linear_form(p) is None
@@ -622,7 +621,7 @@ def test_point_certificate_matches_the_log_type_matrix_up_to_n4(seed):
 
 
 def test_an_inconclusive_point_test_gives_the_symbolic_verdict(monkeypatch):
-    monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
+    monkeypatch.setattr(einstein, "_point_refutation", lambda den, euler: None)
     for part, p in bumped_candidates(4, REFUTE_PARTS[:6]):
         assert verify_ma_star(p) == MAResult(False, None), part
         assert_routes_agree(p)
@@ -632,7 +631,8 @@ def test_an_inconclusive_point_test_gives_the_symbolic_verdict(monkeypatch):
 
 def test_a_denominator_the_prime_divides_falls_back_to_the_symbolic_route(monkeypatch):
     p = product_solution((2,)) + MultiPoly(2, {(1, 1): Fraction(1, _TEST_PRIME)})
-    assert _point_refutation(*_euler_matrix(p)) is None
+    den, _, euler = _euler(p)
+    assert _point_refutation(den, euler) is None
     calls = [0]
     lhs_log = ma_engine.ma_lhs_log
 
@@ -678,7 +678,7 @@ def test_a_sign_other_than_one_takes_no_power(monkeypatch):
     # a bumped linear coefficient moves the sign eps^(n+1)*prod a_i =
     # L(0)*eps^n off +-1, which refutes P from its linear coefficients,
     # before any determinant or power
-    monkeypatch.setattr(ma_engine, "_point_refutation", lambda den, euler: None)
+    monkeypatch.setattr(einstein, "_point_refutation", lambda den, euler: None)
     p = product_solution((2,)) + MultiPoly(2, {(1, 0): Fraction(2, 11)})
     assert ma_lhs_log(p).constant_term() not in (1, -1)
     pairs = count_term_pairs(monkeypatch)
@@ -755,9 +755,9 @@ def test_left_side_at_the_origin_is_p0_times_the_linear_coefficients():
         n = rng.randint(1, 3)
         p = random_poly(rng, n, 3, 6)
         p = p - p.constant_term() + rng.choice((1, -1))
-        c = p.constant_term() * math.prod(_linear_coefficients(p))
+        c = p.constant_term() * math.prod(linear_coefficients(p))
         assert ma_lhs_log(p).constant_term() == c, p
-        assert ma_lhs_flat(p).constant_term() == math.prod(_linear_coefficients(p)), p
+        assert ma_lhs_flat(p).constant_term() == math.prod(linear_coefficients(p)), p
 
 
 def test_point_log_derivatives_match_exact_evaluation():
@@ -771,8 +771,7 @@ def test_point_log_derivatives_match_exact_evaluation():
         p = random_poly(rng, n, 3, 6)
         p = p - p.constant_term() + 1
         point = [Fraction(1, 2 * i + 3) for i in range(n)]
-        den, values = _term_residues(p)
-        euler = _euler_rows(n, values)
+        den, values, euler = _euler(p)
         for rows, lhs in ((euler, ma_lhs_log(p)),
                           ([row[:n] for row in euler[:n]], ma_lhs_flat(p))):
             value = lhs.evaluate(point)
@@ -785,6 +784,70 @@ def test_point_log_derivatives_match_exact_evaluation():
                 assert dlog[i] == exact.numerator * pow(exact.denominator, -1, q) % q
             checked += 1
     assert checked > 60
+
+
+def exact_det_and_inverse(rows):
+    """Determinant and inverse (None when singular) in Fraction arithmetic."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        a[k] = [v / a[k][k] for v in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                a[i] = [u - a[i][k] * w for u, w in zip(a[i], a[k])]
+    return det, [row[n:] for row in a]
+
+
+def assert_elimination_matches_fractions(rows):
+    det, inv = exact_det_and_inverse(rows)
+    assert _eliminate(rows) == (residue(det), None), rows
+    got_det, got_inv = _eliminate(rows, inverse=True)
+    assert got_det == residue(det), rows
+    if inv is None:
+        assert got_inv is None, rows
+    else:
+        assert got_inv == [[residue(v) for v in row] for row in inv], rows
+
+
+def test_modular_elimination_matches_fraction_arithmetic():
+    rng = random.Random(59)
+    for n in range(1, 9):
+        for _ in range(6):
+            assert_elimination_matches_fractions(
+                [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        # a zero leading entry forces a row swap, and an anti-diagonal
+        # matrix one at each step up to its middle
+        rows = [[rng.randint(1, 9) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = 0
+        assert_elimination_matches_fractions(rows)
+        anti = [[int(i + j == n - 1) * (i + 2) for j in range(n)] for i in range(n)]
+        assert_elimination_matches_fractions(anti)
+        # residues as the point tests hand them: entries up to the prime
+        assert_elimination_matches_fractions(
+            [[rng.randrange(_TEST_PRIME) for _ in range(n)] for _ in range(n)])
+
+
+def test_a_singular_matrix_has_determinant_zero_and_no_inverse():
+    rng = random.Random(61)
+    for n in range(1, 9):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rows[-1] = [2 * v for v in rows[0]] if n > 1 else [0]
+        assert _eliminate(rows) == (0, None)
+        assert _eliminate(rows, inverse=True) == (0, None)
+        assert exact_det_and_inverse(rows) == (0, None)
+    # singular modulo the prime only: the exact determinant is the prime
+    rows = [[_TEST_PRIME + 1, 1], [1, 1]]
+    assert exact_det_and_inverse(rows)[0] == _TEST_PRIME
+    assert _eliminate(rows, inverse=True) == (0, None)
 
 
 def test_rational_reconstruction():
@@ -808,7 +871,7 @@ def test_linear_form_left_side_matches_the_whole_route():
         f = u.substitute([MultiPoly(n, dict(zip(unit, a)))])
         base, g = _linear_form(f)
         # the form is <a', x> with a' the linear coefficients of f
-        form = MultiPoly(n, dict(zip(unit, _linear_coefficients(f))))
+        form = MultiPoly(n, dict(zip(unit, linear_coefficients(f))))
         assert base.substitute([form]) == f
         assert g.substitute([form]) == ma_lhs_log(f)
         bumped = f + MultiPoly(n, {(1,) + (0,) * (n - 2) + (1,): Fraction(1, 7)})
