@@ -51,7 +51,7 @@ MAX_CATALOG_K = 32
 MAX_CATALOG_TERMS = 10_000
 # Most einstein-check --points: the sample is built before the float
 # cross-check starts, which takes one metric and one determinant per point;
-# at 100 points the 112-term catalog potential of (5,1) takes 0.03 s.
+# at 100 points the 112-term catalog potential of (5,1) takes 0.02 s.
 MAX_POINTS = 100
 # Most variables and terms of an einstein-check potential.  The exact
 # check's point test grows like terms*n^2 (one inverse modulo a prime,
@@ -59,7 +59,7 @@ MAX_POINTS = 100
 # points*terms*n^2, and the linear-form blocks of every catalog potential
 # are checked in one variable: the largest catalog potentials within the
 # limit, (2,1,1) at K = 3 (2,695 terms), (3,) at K = 24 (2,925) and (4,)
-# at K = 13 (2,380), take at most 0.26 s at 5 points and 0.75 s at 100,
+# at K = 13 (2,380), take at most 0.09 s at 5 points and 0.26 s at 100,
 # and a random 3,000-term potential in 6 variables is refuted in 0.27 s
 # (2 cores, Python 3.11).  Every catalog potential up to dimension 4 with
 # K <= 3 fits.  A block that is not a linear form needs its symbolic left

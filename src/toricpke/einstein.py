@@ -414,19 +414,19 @@ def _power_exponent(u: MultiPoly, g: MultiPoly, e: Optional[Fraction]) -> Option
     return e
 
 
-def _block_loop(n: int, blocks: list, factors: list,
-                e: Optional[Fraction]) -> Optional[Fraction]:
+def _block_loop(n: int, factors: list, e: Optional[Fraction]) -> Optional[Fraction]:
     """The e with L = C*(eps*P)^e over P's blocks, or None; e, if given, is the only one tried.
 
     Each block must have L_b = C_b*(eps*P_b)^(e-n+n_b); with no e given,
-    the first block's degrees give it.  Every linear coefficient of P
-    must be nonzero.
+    the first block's degrees give it.  Equal factors have equal n_b, so
+    one check decides them all.  Every linear coefficient of P must be
+    nonzero.
     """
-    for b, f in zip(blocks, factors):
-        eb = _block_exponent(f, None if e is None else e - n + len(b))
+    for f in dict.fromkeys(factors):
+        eb = _block_exponent(f, None if e is None else e - n + f.nvars)
         if eb is None:
             return None
-        e = eb + n - len(b)
+        e = eb + n - f.nvars
     return e
 
 
@@ -449,7 +449,7 @@ def star_decision(p: MultiPoly, want_blocks: bool = False):
     if solved or want_blocks:
         blocks, factors = _product_blocks(p, euler)
         # a +-1 sign makes every linear coefficient nonzero
-        solved = solved and _block_loop(n, blocks, factors, Fraction(n)) is not None
+        solved = solved and _block_loop(n, factors, Fraction(n)) is not None
     return (int(sign) if solved else None), refuted_at, blocks, factors
 
 
@@ -485,5 +485,5 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
     refuted_at, e = _exponent_at_point(p, den, values, euler)
     if refuted_at is not None:
         return EinsteinExponent(None, None, refuted_at)
-    e = _block_loop(n, *_product_blocks(p, euler), e)
+    e = _block_loop(n, _product_blocks(p, euler)[1], e)
     return EinsteinExponent(None, None) if e is None else EinsteinExponent(c, e)

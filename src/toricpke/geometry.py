@@ -5,23 +5,24 @@ either a polynomial Phi = P(x) or a log-power Phi = k*log P(x).  For a
 function f of x, d^2 f / (d xi_i d eta_j) is the toric form
 f_ij*xi_j*eta_i + f_i*delta_ij.  The metric g is that of Phi.  Each
 potential plans once how to evaluate P, its gradient and its upper
-Hessian: at a point, one table of their distinct monomials, then one dot
-product with each derivative's coefficients (exact at Fraction points,
-floats at float points).  g(xi, eta) is conjugate to g(x, 1) by
-diag(eta), so log|det g| is a function F of x alone.
+Hessian from P's integer numerators: at a point, one table of their
+distinct monomials, then one dot product per derivative over P's
+denominator (exact at Fraction points, floats at float points).  g(xi,
+eta) is conjugate to g(x, 1) by diag(eta), so log|det g| is a function F
+of x alone.
 
 Whether Phi is Einstein is decided exactly by einstein.einstein_exponent;
-einstein_residual is the float cross-check of that verdict, one metric
-and one determinant per point.  The numeric Ricci tensor
-Ric_ij = -d^2 log|det g| / (d xi_i d eta_j), minus the toric form of F
-differenced in x by one fourth-order central stencil, and the
-least-squares einstein_fit built on it are the tests' independent
-oracle: no command uses them.
+einstein_residual is the float cross-check of that verdict.  The numeric
+Ricci tensor Ric_ij = -d^2 log|det g| / (d xi_i d eta_j), minus the
+toric form of F differenced in x by one fourth-order central stencil,
+and the least-squares einstein_fit built on it are the tests'
+independent oracle: no command uses them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -67,16 +68,13 @@ class ToricPotential:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _key(self) -> tuple:
-        return self.kind, self.P, self.k
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.kind, self.P, self.k) == (other.kind, other.P, other.k)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.kind, self.P, self.k))
 
     def __repr__(self):
         return f"ToricPotential(kind={self.kind!r}, P={self.P!r}, k={self.k!r})"
@@ -91,18 +89,22 @@ class ToricPotential:
     def _plan(self) -> tuple:
         """(steps, rows, coeffs): the monomial table and dot products of eval_metric.
 
-        Row r is P (kind "log" only), then P_i, then P_ij for j >= i; its
-        value is the sum of coeffs[r][t] (exact) times monomial rows[r][t].
+        Row r is P (kind "log" only), then P_i, then P_ij for j >= i, read
+        off P's integer numerators in P's term order; its value is the sum
+        of coeffs[r][t] times monomial rows[r][t], over P's denominator.
         Monomial 0 is 1, and monomial m > 0 is monomial steps[m-1][0] times
         x_l**d, (l, d) = steps[m-1][1:]: the earlier one is m's exponent
         with its last nonzero entry, d at l, set to 0.  So a chain has at
         most n steps, whatever the exponents.
         """
+        def derivative(row, i):
+            return [(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i]) for e, c in row if e[i]]
+
         n = self.nvars
-        grad = [self.P.partial_derivative(i) for i in range(n)]
-        hess = [grad[i].partial_derivative(j) for i in range(n) for j in range(i, n)]
-        rows = [list(d.terms.items())
-                for d in [self.P] * (self.kind == "log") + grad + hess]
+        p = list(self.P.integer_terms[1].items())
+        grad = [derivative(p, i) for i in range(n)]
+        rows = [p] * (self.kind == "log") + grad + [
+            derivative(grad[i], j) for i in range(n) for j in range(i, n)]
         index = {(0,) * n: 0}
         steps = []
 
@@ -118,10 +120,12 @@ class ToricPotential:
                 [[c for _, c in row] for row in rows])
 
     # converted at the first float point, so that a coefficient beyond the
-    # float range raises OverflowError inside the float check that asked
+    # float range raises OverflowError inside the float check that asked;
+    # int division rounds correctly, so each is the nearest float to c/den
     @functools.cached_property
     def _float_coeffs(self) -> list:
-        return [[float(c) for c in row] for row in self._plan[2]]
+        den = self.P.integer_terms[0]
+        return [[c / den for c in row] for row in self._plan[2]]
 
     def phi(self, xi, eta):
         """Potential value at null coordinates (xi, eta)."""
@@ -172,28 +176,34 @@ def eval_metric(potential: ToricPotential, xi, eta) -> list:
     toric form of P for kind "poly", and of k*log P, with gradient
     k*P_i/P and Hessian k*(P_ij/P - P_i*P_j/P^2), for kind "log".
     """
+    return _metric(potential, xi, eta)[1]
+
+
+def _metric(potential: ToricPotential, xi, eta) -> tuple:
+    """(p, g): g as eval_metric gives it, p = P(x) for kind "log", else None."""
     steps, rows, coeffs = potential._plan
     x = [a * b for a, b in zip(xi, eta)]
-    if not all(isinstance(v, (int, Fraction)) for v in x):
-        coeffs = potential._float_coeffs
-    table = [1]
+    if all(isinstance(v, (int, Fraction)) for v in x):
+        # 1/den rides on monomial 0, and so on every monomial
+        table = [Fraction(1, potential.P.integer_terms[0])]
+    else:
+        coeffs, table = potential._float_coeffs, [1]
     for m, l, d in steps:
         table.append(table[m] * x[l] ** d)
     vals = iter([sum(map(operator.mul, c, map(table.__getitem__, idx)))
                  for idx, c in zip(rows, coeffs)])
     n = len(x)
-    if potential.kind == "log":
-        p = next(vals)
+    p = next(vals) if potential.kind == "log" else None
     pi = [next(vals) for _ in range(n)]
     upper = [[next(vals) for _ in range(i, n)] for i in range(n)]
-    if potential.kind == "log":
+    if p is not None:
         if abs(p) < P_ZERO_TOL:
             raise DomainError("P vanishes at the evaluation point")
         k = potential.k if isinstance(p, Fraction) else float(potential.k)
         upper = [[k * (v / p - pi[i] * pi[i + d] / (p * p)) for d, v in enumerate(row)]
                  for i, row in enumerate(upper)]
         pi = [k * v / p for v in pi]
-    return _toric_form(pi, upper, xi, eta)
+    return p, _toric_form(pi, upper, xi, eta)
 
 
 def _det(m) -> float:
@@ -232,7 +242,6 @@ def ricci_numeric(potential: ToricPotential, xi, eta):
     xi = [float(v) for v in xi]
     eta = [float(v) for v in eta]
     x = [a * b for a, b in zip(xi, eta)]
-    ones = [1.0] * n
     # the stencils of F_i, F_ii and F_ij share points, so det g is kept
     # per offset vector: 1 + 8n^2 distinct points of 1 + 4n + 8n(n+1)
     dets = {}
@@ -245,7 +254,7 @@ def ricci_numeric(potential: ToricPotential, xi, eta):
         d = dets.get(key)
         if d is None:
             pt = [v + k * RICCI_STEP for v, k in zip(x, offset)]
-            d = dets[key] = _det(eval_metric(potential, pt, ones))
+            d = dets[key] = _det(eval_metric(potential, pt, [1.0] * n))
             if abs(d) < 1e-300:
                 raise DomainError("det g vanishes on the stencil")
         return d
@@ -274,10 +283,7 @@ def einstein_fit(potential: ToricPotential, points) -> EinsteinFit:
     """
     if len(points) < 3:
         raise ValueError("need at least 3 sample points")
-    n = potential.nvars
-    samples = []
-    num = 0.0
-    den = 0.0
+    pairs = []  # (Ric_ij, g_ij) over every entry at every point
     for xi, eta in points:
         xi = [float(v) for v in xi]
         eta = [float(v) for v in eta]
@@ -290,18 +296,10 @@ def einstein_fit(potential: ToricPotential, points) -> EinsteinFit:
         # slip through max() below and read as a perfect fit
         if not all(math.isfinite(v) for row in g + ric for v in row):
             raise DomainError("metric or Ricci value beyond float range")
-        samples.append((g, ric))
-        for i in range(n):
-            for j in range(n):
-                num += ric[i][j] * g[i][j]
-                den += g[i][j] * g[i][j]
-    lam = num / den if den else 0.0
-    resid = 0.0
-    for g, ric in samples:
-        for i in range(n):
-            for j in range(n):
-                resid = max(resid, abs(ric[i][j] - lam * g[i][j]))
-    return EinsteinFit(lam=lam, max_residual=resid)
+        pairs += zip(itertools.chain(*ric), itertools.chain(*g))
+    den = sum(v * v for _, v in pairs)
+    lam = sum(r * v for r, v in pairs) / den if den else 0.0
+    return EinsteinFit(lam, max(abs(r - lam * v) for r, v in pairs))
 
 
 def einstein_residual(potential: ToricPotential, lam, C, points) -> float:
@@ -310,8 +308,9 @@ def einstein_residual(potential: ToricPotential, lam, C, points) -> float:
     For Phi = k*log P, det g = k^n*L/P^(n+1) with L the log-type left side
     of P, so L = C*(eps*P)^e and lam = (n+1-e)/k make the sum the constant
     log|c|, c = k^n*C; for Phi = P, det g is the flat-type left side, so
-    lam = 0 and c = C.  One metric and one determinant per point.  A zero
-    of P or det g, and a value beyond the float range, raise DomainError.
+    lam must be 0 and c = C.  Per point, one metric, whose P(x) gives Phi,
+    and one determinant.  A zero of P or det g, and a value beyond the
+    float range, raise DomainError.
     """
     n = potential.nvars
     c = Fraction(C) * potential.k**n if potential.kind == "log" else Fraction(C)
@@ -321,8 +320,9 @@ def einstein_residual(potential: ToricPotential, lam, C, points) -> float:
     worst = 0.0
     for xi, eta in points:
         try:
-            d = _det(eval_metric(potential, xi, eta))
-            phi = potential.phi(xi, eta) if lam else 0.0
+            p, g = _metric(potential, xi, eta)
+            d = _det(g)
+            phi = float(potential.k) * math.log(abs(p)) if lam else 0.0
         except OverflowError as exc:
             raise DomainError(f"value beyond float range: {exc}") from exc
         if not (math.isfinite(d) and d and math.isfinite(phi)):

@@ -6,7 +6,9 @@ it can serve as a cross-check for every derived expansion in the tests.
 The direct log-type oracle expands the full determinant of the log-type
 matrix and divides by Q^(n-1), a route the engine itself does not take.
 The metric oracle builds every derivative of P as a polynomial and
-evaluates each on its own, where eval_metric fills one monomial table.
+evaluates each on its own, where eval_metric fills one monomial table;
+derivative_rows gives those polynomials' terms, against which the
+metric's plan, read off P's integer numerators, is checked.
 count_term_pairs wraps the kernel entry to count the work handed to it,
 independently of algebra's own meter.
 """
@@ -71,6 +73,19 @@ def derivative_metric(potential, xi, eta) -> list:
         f1 = [k * v / p for v in f1]
     return [[f2[i][j] * xi[j] * eta[i] + (f1[i] if i == j else 0) for j in range(n)]
             for i in range(n)]
+
+
+def derivative_rows(potential) -> list:
+    """P (kind "log" only), each P_i, then each P_ij (j >= i), as term lists.
+
+    Each derivative is a partial_derivative polynomial; its terms are
+    (exponent, Fraction) pairs in storage order.
+    """
+    n = potential.nvars
+    grad = [potential.P.partial_derivative(i) for i in range(n)]
+    hess = [grad[i].partial_derivative(j) for i in range(n) for j in range(i, n)]
+    return [list(d.terms.items())
+            for d in [potential.P] * (potential.kind == "log") + grad + hess]
 
 
 def naive_pow(a: MultiPoly, k: int) -> MultiPoly:

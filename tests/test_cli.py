@@ -141,13 +141,17 @@ def test_axis_on_a_sparse_high_degree_input_does_bounded_work(tmp_path, capsys):
 
 @pytest.mark.parametrize("nvars", [MAX_NVARS + 1, 600])
 @pytest.mark.parametrize("command", ["verify", "classify-flat", "axis", "report"])
-def test_polynomial_beyond_max_nvars_is_usage_error(tmp_path, capsys, command, nvars):
-    # the work of classify-flat grows with nvars even with no terms
+def test_polynomial_beyond_max_nvars_is_usage_error(tmp_path, capsys, monkeypatch, command,
+                                                     nvars):
+    # the work of classify-flat grows with nvars even with no terms; the
+    # limit refuses it before any kernel call
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"nvars": nvars, "terms": []}), encoding="utf-8")
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main([command, "--poly", str(path)]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [0]
     assert f"exceeds MAX_NVARS = {MAX_NVARS}" in capsys.readouterr().err
 
 
@@ -337,20 +341,25 @@ def point_vanishing_input():
     return (MultiPoly.one(6) + x1 - 12 * x1 * x1) * q.embed(6, range(1, 6))
 
 
-def test_verify_on_an_input_vanishing_at_the_point_does_bounded_work(tmp_path, capsys):
+def test_verify_on_an_input_vanishing_at_the_point_does_bounded_work(tmp_path, capsys,
+                                                                     monkeypatch):
     # the symbolic left side of the one block of 6 variables exceeds the
     # limit; the whole bordered determinant ran past 90 s
     p = point_vanishing_input()
     assert len(p.terms) == 168
     assert p.evaluate([Fraction(1, 2 * i + 3) for i in range(6)]) == 0
     path = write_poly(tmp_path, p)
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(["verify", "--poly", path]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    # the kernel's term pairs bound the work whatever the machine's load:
+    # those of the metered calls before the one that would pass the limit
+    assert pairs == [1_196_187]
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
-def test_refuted_witness_of_a_large_block_does_bounded_work(tmp_path, capsys):
+def test_refuted_witness_of_a_large_block_does_bounded_work(tmp_path, capsys, monkeypatch):
     # one more x2 makes the sign 2, so verify refutes with no determinant;
     # the witness needs the symbolic left side of the one 6-variable
     # block, which passes MAX_SYMBOLIC_PAIRS metered kernel term pairs (it
@@ -359,22 +368,26 @@ def test_refuted_witness_of_a_large_block_does_bounded_work(tmp_path, capsys):
     path = write_poly(tmp_path, p)
     assert main(["verify", "--poly", path]) == EXIT_REFUTED
     capsys.readouterr()
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(["verify", "--poly", path, "--witness"]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [1_136_481]
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
-def test_accepted_witness_of_a_large_solution_does_bounded_work(tmp_path, capsys):
+def test_accepted_witness_of_a_large_solution_does_bounded_work(tmp_path, capsys, monkeypatch):
     # verify accepts the (5,) catalog solution by its one-variable block
     # check; its witness sign*P^5 passes MAX_SYMBOLIC_PAIRS metered kernel
     # term pairs (unbounded, it took about 36 s and 25 MB of JSON)
     path = write_poly(tmp_path, product_solution((5,)))
     assert main(["verify", "--poly", path]) == EXIT_OK
     capsys.readouterr()
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(["verify", "--poly", path, "--witness"]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [214_789]
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
@@ -579,17 +592,20 @@ def test_catalog_bad_power_is_usage_error(capsys):
     assert "K must be a positive integer" in capsys.readouterr().err
 
 
-def test_einstein_check_beyond_its_input_limits_is_usage_error(tmp_path, capsys):
-    # the potential is read in full, then rejected before any fit
+def test_einstein_check_beyond_its_input_limits_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the potential is read in full, then rejected before any fit or
+    # kernel call
     wide = space_form_potential(8, MAX_EINSTEIN_NVARS + 1)
     many = ToricPotential("log", MultiPoly(1, {
         (i,): Fraction(1, 1 + i) for i in range(MAX_EINSTEIN_TERMS + 1)
     }))
+    pairs = count_term_pairs(monkeypatch)
     for pot, name in ((wide, "MAX_EINSTEIN_NVARS"), (many, "MAX_EINSTEIN_TERMS")):
         path = write_potential(tmp_path, pot)
         start = time.perf_counter()
         assert main(["einstein-check", "--potential", path]) == EXIT_USAGE
         assert time.perf_counter() - start < 1.0
+        assert pairs == [0]
         assert f"exceeds {name} = " in capsys.readouterr().err
 
 
@@ -680,7 +696,8 @@ def test_einstein_check_term_pair_budget(tmp_path, capsys, monkeypatch):
 
 
 def test_einstein_check_falls_back_to_the_symbolic_check_within_its_limit(tmp_path,
-                                                                          capsys):
+                                                                          capsys,
+                                                                          monkeypatch):
     # P vanishes at the test point x = (1/3, 1/5), where the point test
     # cannot decide; the symbolic check does, or exits 2 beyond its limit
     def vanishing(n, degree):
@@ -694,16 +711,20 @@ def test_einstein_check_falls_back_to_the_symbolic_check_within_its_limit(tmp_pa
     small = vanishing(2, 2)
     assert small.evaluate([Fraction(1, 3), Fraction(1, 5)]) == 0
     path = write_potential(tmp_path, ToricPotential("log", small, 1))
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(["einstein-check", "--potential", path]) == EXIT_REFUTED
     assert time.perf_counter() - start < 1.0
+    assert pairs == [171]
     assert capsys.readouterr().out == "not Einstein (refuted symbolically)\n"
     large = vanishing(6, 3)
     assert len(large.terms) == 84
     path = write_potential(tmp_path, ToricPotential("log", large, 1))
+    pairs[0] = 0
     start = time.perf_counter()
     assert main(["einstein-check", "--potential", path]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [1_189_951]
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
@@ -797,7 +818,8 @@ def test_no_float_changes_an_einstein_check_exit_code(tmp_path, capsys, monkeypa
     def broken(*args):
         raise error("float failure")
 
-    monkeypatch.setattr(geometry, "eval_metric", broken)
+    # the cross-check's one metric per point
+    monkeypatch.setattr(geometry, "_metric", broken)
     for path, code in zip(paths, codes):
         assert main(["einstein-check", "--potential", path, "--json"]) == code
         out = capsys.readouterr().out
@@ -837,13 +859,15 @@ def test_einstein_check_bad_sampling_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("points", [str(MAX_POINTS + 1), "1" + "0" * 30],
                          ids=["above", "huge"])
-def test_einstein_check_beyond_max_points_is_usage_error(tmp_path, capsys, points):
+def test_einstein_check_beyond_max_points_is_usage_error(tmp_path, capsys, monkeypatch, points):
     # the sample is built before the fit starts, so an unbounded count
     # would cost unbounded memory before any check
     path = write_potential(tmp_path, space_form_potential(8, 1))
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(["einstein-check", "--potential", path, "--points", points]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [0]
     assert f"exceeds MAX_POINTS = {MAX_POINTS}" in capsys.readouterr().err
 
 
@@ -876,11 +900,13 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
     ["continue", "--k", "2", "--r", "1" * (MAX_COEFF_DIGITS + 1)],
     ["classify-n1", "--grid", "1/" + "3" * (MAX_COEFF_DIGITS + 1)],
 ], ids=["r-exp", "search-exp", "n1-exp", "r-digits", "grid-digits"])
-def test_rational_argument_gets_bounded_work(capsys, argv):
+def test_rational_argument_gets_bounded_work(capsys, monkeypatch, argv):
     # Fraction("1e1000000") alone is a million-digit integer
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(argv) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [0]
     assert "bad" in capsys.readouterr().err
 
 
@@ -890,10 +916,12 @@ def test_rational_argument_gets_bounded_work(capsys, argv):
     ["scan-k", "--k-max"],
     ["classify-n1", "--grid", "1", "--k-max"],
 ], ids=["continue-k", "continue-bound", "scan-k", "classify-n1"])
-def test_order_argument_above_the_limit_is_usage_error(capsys, argv):
+def test_order_argument_above_the_limit_is_usage_error(capsys, monkeypatch, argv):
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(argv + [str(MAX_ORDER + 1)]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [0]
     assert f"exceeds MAX_ORDER = {MAX_ORDER}" in capsys.readouterr().err
 
 
@@ -928,11 +956,13 @@ def test_einstein_check_bad_step_or_tol_is_usage_error(tmp_path, capsys, option,
     (["list", "--max-n", "3", "--K", str(MAX_CATALOG_K)], "MAX_CATALOG_TERMS"),
     (["gen", "--partition", "1,1,1,1", "--K", "10"], "MAX_CATALOG_TERMS"),
 ], ids=["list-n", "gen-n", "gen-K", "list-K", "list-terms", "gen-terms"])
-def test_catalog_beyond_its_limits_is_usage_error(capsys, argv, limit):
+def test_catalog_beyond_its_limits_is_usage_error(capsys, monkeypatch, argv, limit):
     # list --max-n 3 --K 32 used to build a 309k-term record in 7.6 s
+    pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
     assert main(["catalog"] + argv) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
+    assert pairs == [0]
     assert limit in capsys.readouterr().err
 
 

@@ -1,12 +1,14 @@
 """Potentials, metrics, numeric Ricci/Einstein checks, diastasis, models."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import count_term_pairs, derivative_metric, random_poly
+from conftest import count_term_pairs, derivative_metric, derivative_rows, random_poly
 from toricpke import algebra, geometry
 from toricpke.algebra import MultiPoly, PolyMatrix, determinant
 from toricpke.catalog import partitions, potential_for_power, product_solution
@@ -207,6 +209,31 @@ def test_ricci_evaluates_each_stencil_point_once(monkeypatch):
         assert calls[0] == 129
 
 
+def test_einstein_residual_takes_one_metric_per_point_and_no_polynomial(monkeypatch):
+    # deterministic work gate: the cross-check takes Phi from the value of
+    # P its metric computes, so it evaluates no polynomial, and the plan
+    # reads P's integer numerators, so it builds no derivative polynomial
+    calls = {"evaluate": 0, "partial_derivative": 0, "metric": 0}
+
+    def counting(owner, name, key):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    pot = potential_for_power((2, 1, 1), 1)
+    C = einstein_exponent(pot.P).C
+    counting(MultiPoly, "evaluate", "evaluate")
+    counting(MultiPoly, "partial_derivative", "partial_derivative")
+    counting(geometry, "_metric", "metric")
+    resid = einstein_residual(pot, 1, C, sample_points(4, 6, seed=5))
+    assert resid < 1e-9
+    assert calls == {"evaluate": 0, "partial_derivative": 0, "metric": 6}
+
+
 def random_toric_potential(rng, n, kind):
     """A potential whose metric at the origin is diag(f_i(0)), all nonzero."""
     terms = {e: c for e, c in random_poly(rng, n, 3).terms.items() if sum(e) >= 2}
@@ -270,6 +297,82 @@ def test_metric_matches_sympy_second_derivatives():
                 got = eval_metric(pot, xi, eta)
                 assert [[sympy.Rational(v.numerator, v.denominator) for v in row]
                         for row in got] == want, (pot, xi, eta)
+
+
+def plan_rows(pot) -> list:
+    """The plan's rows as (exponent, Fraction) pairs, read back along its chain.
+
+    Each step of the monomial chain must take an exponent from the one with
+    its last nonzero entry set to 0.
+    """
+    steps, rows, coeffs = pot._plan
+    exps = [(0,) * pot.nvars]
+    for m, l, d in steps:
+        assert d > 0 and not any(exps[m][l:])
+        exps.append(exps[m][:l] + (d,) + exps[m][l + 1:])
+    den = pot.P.integer_terms[0]
+    return [[(exps[m], Fraction(c, den)) for m, c in zip(idx, row)]
+            for idx, row in zip(rows, coeffs)]
+
+
+def assert_plan_is_the_derivative_plan(pot, points):
+    # the rows of the derivative polynomials, term for term and in order;
+    # each float coefficient is float() of the Fraction, bit for bit, and
+    # so is every metric entry at float points, against a twin potential
+    # that carries the Fraction route's floats
+    want = derivative_rows(pot)
+    assert plan_rows(pot) == want
+    floats = [[float(c) for _, c in row] for row in want]
+    assert pot._float_coeffs == floats
+    twin = ToricPotential(pot.kind, pot.P, pot.k)
+    twin.__dict__.update(_plan=pot._plan, _float_coeffs=floats)
+    for xi, eta in points:
+        assert eval_metric(pot, xi, eta) == eval_metric(twin, xi, eta)
+
+
+def test_integer_plan_matches_the_derivative_polynomials_on_the_catalog():
+    for K in (1, 2):
+        for n in range(1, 5):
+            for part in partitions(n):
+                pot = potential_for_power(part, K)
+                assert_plan_is_the_derivative_plan(pot, sample_points(n, 3, seed=K))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(min_value=1, max_value=4),
+       st.sampled_from(("poly", "log")), st.booleans())
+def test_integer_plan_matches_the_derivative_polynomials_on_drawn_potentials(
+        rng, n, kind, rescale):
+    # rescaled variables give coefficients with large numerators and
+    # denominators, whose floats are rounded
+    pot = random_toric_potential(rng, n, kind)
+    if rescale:
+        factors = [Fraction(rng.randint(1, 10**12), rng.randint(1, 10**9)) for _ in range(n)]
+        pot = ToricPotential(pot.kind, pot.P.scale_vars(factors), pot.k)
+    assert_plan_is_the_derivative_plan(pot, sample_points(n, 2, seed=rng.random(), radius=1e-3))
+
+
+def test_a_coefficient_beyond_the_float_range_ends_in_cross_check_error(tmp_path, capsys):
+    # 10**400*x1 is beyond the float range in P itself, and
+    # (1 + 10**154*x1)**2 only in P_1, as 2*10**308; each float coefficient
+    # fails as float() of its Fraction did, and the verdict stands
+    import json
+
+    from toricpke.cli import EXIT_OK, main
+
+    t = x(1, 0)
+    for p in (MultiPoly.one(1) + t * 10**400, (MultiPoly.one(1) + t * 10**154) ** 2):
+        pot = ToricPotential("log", p, 1)
+        with pytest.raises(OverflowError) as want:
+            [float(c) for row in derivative_rows(pot) for _, c in row]
+        with pytest.raises(OverflowError, match=str(want.value)):
+            pot._float_coeffs
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(pot.to_json_dict()), encoding="utf-8")
+        assert main(["einstein-check", "--potential", str(path), "--json"]) == EXIT_OK
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["einstein"] and verdict["max_residual"] is None
+        assert verdict["cross_check_error"] == f"value beyond float range: {want.value}"
 
 
 def test_det_g_depends_on_x_alone():
@@ -575,16 +678,20 @@ def test_potential_is_an_immutable_value_that_plans_once(monkeypatch):
     with pytest.raises(AttributeError):
         del pot.k
     assert pot.k == 2
-    # the plan takes P's 2 first and 3 upper second derivatives once per
-    # instance, whatever the number of points
-    calls = []
-    derivative = MultiPoly.partial_derivative
-    monkeypatch.setattr(MultiPoly, "partial_derivative",
-                        lambda self, i: calls.append(i) or derivative(self, i))
+    # the plan, and its floats, are built once per instance, whatever the
+    # number of points
+    builds = []
+    for name in ("_plan", "_float_coeffs"):
+        build = getattr(ToricPotential, name).func
+        counting = functools.cached_property(
+            lambda self, build=build, name=name: builds.append(name) or build(self))
+        counting.__set_name__(ToricPotential, name)
+        monkeypatch.setattr(ToricPotential, name, counting)
     eval_metric(pot, [THIRD, HALF], [1, 1])
-    assert len(calls) == 5
+    assert builds == ["_plan"]
     eval_metric(pot, [0.1, 0.2], [1.0, 1.0])
     eval_metric(pot, [HALF, THIRD], [1, 1])
-    assert len(calls) == 5
+    eval_metric(pot, [0.2, 0.1], [1.0, 1.0])
+    assert builds == ["_plan", "_float_coeffs"]
     eval_metric(same, [THIRD, HALF], [1, 1])
-    assert len(calls) == 10
+    assert builds == ["_plan", "_float_coeffs", "_plan"]

@@ -890,6 +890,30 @@ def test_blocks_agree_with_one_block_of_all_variables():
                 assert _block_exponent(p, e + Fraction(1, 2)) is None
 
 
+def test_equal_block_factors_are_checked_once(monkeypatch):
+    # (1,1,1,1) at K = 1 is four equal one-variable factors: three products
+    # certify the split, and one determinant checks the first factor, which
+    # decides the three others (one call per factor made 7 calls, 40 pairs)
+    p = potential_for_power((1, 1, 1, 1), 1).P
+    pairs = count_term_pairs(monkeypatch)
+    calls = []
+    counted = algebra.dot_terms
+    monkeypatch.setattr(algebra, "dot_terms", lambda items: calls.append(1) or counted(items))
+    assert einstein_exponent(p) == EinsteinExponent(Fraction(1, 16), Fraction(3))
+    assert (len(calls), pairs[0]) == (4, 31)
+
+
+def test_a_block_of_the_same_size_but_another_factor_is_still_checked(monkeypatch):
+    # with the point test inconclusive the blocks decide: 1 + 2*x1 gives
+    # e = 1, which 1 + 2*x2 shares and 1 + x2 + x2^2, of the same size,
+    # refutes
+    monkeypatch.setattr(einstein, "_exponent_at_point", lambda *args: (None, None))
+    one, u, v = MultiPoly.one(2), x(2, 0), x(2, 1)
+    assert einstein_exponent((one + u * 2) * (one + v * 2)).e == 1
+    found = einstein_exponent((one + u * 2) * (one + v + v**2))
+    assert found == EinsteinExponent(None, None)
+
+
 def test_einstein_exponent_of_catalog_products_and_models():
     assert einstein_exponent(MultiPoly.one(2) + x(2, 0) + x(2, 1) * 3).e == 0
     for n in (1, 2, 3):
