@@ -57,11 +57,12 @@ MAX_POINTS = 100
 # check's point test grows like terms*n^2 (one inverse modulo a prime,
 # then one quadratic form per term), the cross-check like
 # points*terms*n^2, and the linear-form blocks of every catalog potential
-# are checked in one variable: the largest catalog potentials within the
-# limit, (2,1,1) at K = 3 (2,695 terms), (3,) at K = 24 (2,925) and (4,)
-# at K = 13 (2,380), take at most 0.09 s at 5 points and 0.26 s at 100,
-# and a random 3,000-term potential in 6 variables is refuted in 0.27 s
-# (2 cores, Python 3.11).  Every catalog potential up to dimension 4 with
+# are decided by their binomial profiles, with no polynomial product: the
+# largest catalog potentials within the limit, (2,1,1) at K = 3 (2,695
+# terms), (3,) at K = 24 (2,925) and (4,) at K = 13 (2,380), take at most
+# 0.07 s at 5 points and 0.22 s at 100, and a random 3,000-term potential
+# in 6 variables of degree at most 4 in each is refuted in 0.04 s (2
+# cores, Python 3.11).  Every catalog potential up to dimension 4 with
 # K <= 3 fits.  A block that is not a linear form needs its symbolic left
 # side, metered within algebra.MAX_SYMBOLIC_PAIRS kernel term pairs.
 MAX_EINSTEIN_NVARS = 6

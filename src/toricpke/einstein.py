@@ -55,11 +55,46 @@ zero one may be an accident, so the split is certified by comparing P
 with eps^(1-m)*prod P_b exactly, and falls back to one block of all
 variables when the comparison fails or P vanishes at the point.
 
-The block check.  A block that is a linear form f(<a, x>) is checked in
-one variable, any other through ma_lhs_log, and either by a power-free
-identity, metered by algebra.symbolic_budget.  One loop over the blocks
-serves every case (_block_loop).  ma_engine imports this module inside
-the functions that use it, as this module imports ma_engine.
+The block check.  Let f be a block of N variables with f(0) = eps and
+nonzero linear coefficients a_i.  It is a linear form f = u(<a, x>)
+exactly when a_1*d_i f = a_i*d_1 f for every i (tested term by term);
+with N = 1 it is one, u = f.  Then ma_lhs_log(f) = prod(a_i)*g(<a, x>)
+with g = u'^(N-1)*L_1(u) and L_1(u) = u*(u' + t*u'') - t*u'^2 the
+one-variable left side, so the block holds with e = s/q exactly when
+q*u*g' = s*g*u', and:
+
+  Theorem.  With u(0) = eps = +-1, u'(0) != 0 and N >= 1, q*u*g' =
+  s*g*u' holds with e = s/q exactly when u = eps*(1 + t/r)^k for a
+  rational r, and then e = (k-1)(N+1)/k.
+
+  Proof.  Over the complex numbers u = eps*prod_j (1 - t/alpha_j)^(m_j)
+  with d distinct roots alpha_j != 0 and D = sum m_j = deg u >= 1.  As
+  t*L_1 = u^2*theta^2 log u, L_1 = u^2*sum_j -m_j*alpha_j/(t - alpha_j)^2
+  vanishes to order exactly 2*m_j - 2 at alpha_j, where u' vanishes to
+  order m_j - 1.  The identity says g^q/u^s has zero derivative, so
+  g^q = K*u^s with K != 0, and g has no root off the roots of u.  If
+  N >= 2, u' divides g, so the D - 1 roots of u' (with multiplicity) are
+  among the sum_j (m_j - 1) = D - d it has at the roots of u: d = 1.  If
+  N = 1, g = L_1 = K'*prod_j (t - alpha_j)^(2*m_j - 2), so sum_j
+  m_j*alpha_j/(t - alpha_j)^2 = K''/prod_j (t - alpha_j)^2; at t = oo the
+  left side is sum_(i>=1) i*(sum_j m_j*alpha_j^i)/t^(i+1) and the right
+  side is O(t^(-2d)), so sum_j m_j*alpha_j^i = 0 for i = 1..2d-2.  For
+  d >= 2 that covers i = 1..d, and the Vandermonde matrix (alpha_j^i),
+  nonsingular as the alpha_j are distinct and nonzero, forces every
+  m_j = 0, which is impossible: d = 1.  So u = eps*(1 + t/r)^k with
+  k = D, and r = eps*k/u'(0) is rational.  Then u' and L_1 are constant
+  multiples of (1 + t/r)^(k-1) and (1 + t/r)^(2k-2), g of
+  (1 + t/r)^((k-1)(N+1)), and the identity holds with e = (k-1)(N+1)/k
+  and no other e.  []
+
+So a linear-form block is decided by algebra.binomial_profile of f with
+the variables but x_1 set to 0, which rescales t and so keeps k: a
+NotBinomialPowerError refutes, and otherwise e_b = (k-1)(N+1)/k, with no
+product.  Any other block is decided by that identity for f and
+ma_lhs_log(f) themselves, metered by algebra.symbolic_budget.  One loop
+over the blocks serves every case (_block_loop).  ma_engine imports this
+module inside the functions that use it, as this module imports
+ma_engine.
 """
 
 from __future__ import annotations
@@ -71,7 +106,14 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from toricpke import ma_engine
-from toricpke.algebra import DomainError, MultiPoly, fraction_to_str, symbolic_budget
+from toricpke.algebra import (
+    DomainError,
+    MultiPoly,
+    NotBinomialPowerError,
+    binomial_profile,
+    fraction_to_str,
+    symbolic_budget,
+)
 
 # The modulus of the point tests (see the module docstring).
 _TEST_PRIME = 2**61 - 1
@@ -153,24 +195,30 @@ def origin_value(p: MultiPoly, kind: str = "log") -> Fraction:
 
 
 def _euler(p: MultiPoly):
-    """(den, values, E): den, (e, v) for each term of Q = den*P, and Q's Euler matrix.
+    """(den, (columns, values), E) for the terms c*x^e of Q = den*P.
 
-    v is the value c*x^e of the term at the test point and E = sum
-    v*w*w^T, w = (e, 1), both modulo the test prime.
+    columns[i] holds the exponents e_i and values the values c*x^e at the
+    test point, both in Q's term order, and E = sum v*w*w^T, w = (e, 1),
+    is Q's Euler matrix; values and E are modulo the test prime.
     """
     q = _TEST_PRIME
     n = p.nvars
-    point = [pow(2 * i + 3, -1, q) for i in range(n)]
     den, numerators = p.integer_terms
-    values = [(e, c * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
-              for e, c in numerators.items()]
-    euler = [sum(e[i] * v for e, v in values) % q for i in range(n)]
+    columns = list(zip(*numerators))
+    values = list(numerators.values())
+    for i, column in enumerate(columns):
+        x = pow(2 * i + 3, -1, q)
+        power = {k: pow(x, k, q) for k in set(column)}
+        values = list(map(operator.mul, values, map(power.__getitem__, column)))
+    values = [v % q for v in values]
+    weighted = [list(map(operator.mul, column, values)) for column in columns]
+    euler = [sum(w) % q for w in weighted]
     rows = [[0] * n + [u] for u in euler]
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = sum(e[i] * e[j] * v for e, v in values) % q
-    rows.append(euler + [sum(v for _, v in values) % q])
-    return den, values, rows
+            rows[i][j] = rows[j][i] = sum(map(operator.mul, columns[j], weighted[i])) % q
+    rows.append(euler + [sum(values) % q])
+    return den, (columns, values), rows
 
 
 def _front_end(p: MultiPoly, kind: str = "log"):
@@ -241,30 +289,33 @@ def _point_refutation(den: int, euler: list) -> Optional[PointRefutation]:
     return PointRefutation(_test_point(n), q, lhs, rhs)
 
 
-def _dlog_lhs(values: list, rows: list) -> Optional[list]:
+def _dlog_lhs(terms: tuple, rows: list) -> Optional[list]:
     """theta_i log L at the test point, i = 1..n, or None where L is 0 there.
 
-    rows is sum v*w*w^T over the term values (e, v) of _euler, with
+    rows is sum v*w*w^T over the terms (columns, values) of _euler, with
     w = (e, 1) for the Euler matrix E or w = e for its block T, and its
     determinant is x_1*...*x_n times a constant times the left side L,
     log-type for E and flat-type for T.  theta_i rows = sum e_i*v*w*w^T,
     one more factor e_i per term, so by Jacobi's formula theta_i log L =
-    tr(rows^-1*theta_i rows) - 1 = sum e_i*v*(w^T*rows^-1*w) - 1, one
-    pass over the terms.
+    tr(rows^-1*theta_i rows) - 1 = sum e_i*v*(w^T*rows^-1*w) - 1.  The
+    forms w^T*rows^-1*w are summed over the pairs a <= b of columns of w.
     """
     q = _TEST_PRIME
     inv = _eliminate(rows, inverse=True)[1]
     if inv is None:
         return None
-    n = len(values[0][0])
-    acc = [-1] * n
-    for e, v in values:
-        w = [k % q for k in e] + [1] * (len(rows) - n)
-        form = sum(wa * sum(map(operator.mul, row, w)) for wa, row in zip(w, inv))
-        vf = v * form % q
-        for i in range(n):
-            acc[i] += w[i] * vf
-    return [a % q for a in acc]
+    columns, values = terms
+    n = len(columns)
+    w = [[k % q for k in column] for column in columns]
+    w += [[1] * len(values)] * (len(rows) - n)
+    form = [0] * len(values)
+    for a, wa in enumerate(w):
+        for b in range(a, len(w)):
+            c = inv[a][b] if a == b else inv[a][b] + inv[b][a]
+            if c:
+                form = [f + c * x * y for f, x, y in zip(form, wa, w[b])]
+    vf = [v * f % q for v, f in zip(values, form)]
+    return [(sum(map(operator.mul, wi, vf)) - 1) % q for wi in w[:n]]
 
 
 def _rational_reconstruction(r: int, q: int, num_bound: int, den_bound: int):
@@ -367,37 +418,49 @@ def _product_blocks(p: MultiPoly, euler: list):
     return blocks, factors
 
 
-def _linear_form(f: MultiPoly) -> Optional[tuple]:
-    """(u, g) with f = u(<a, x>) and ma_lhs_log(f) = g(<a, x>), or None.
+def _is_linear_form(f: MultiPoly) -> bool:
+    """Whether f = u(<a, x>), a_i the coefficient of x_i, each nonzero.
 
-    a_i is the coefficient of x_i, each nonzero.  f is u(<a, x>), with
-    u(t) = f(t/a_1, 0, ..., 0), exactly when a_1*d_i f = a_i*d_1 f for
-    every i: a test with no product.  Then ma_lhs_log(f) is
-    prod(a_i)*[u'^(n-1)*L_1(u)](<a, x>), L_1 the one-variable left side.
+    That holds exactly when a_1*d_i f = a_i*d_1 f for every i, checked on
+    f's numerators c_e with no derivative built: the monomial m = e - 1_i
+    of a term with e_i > 0 has the coefficient a_1*e_i*c_e on the left
+    and a_i*(m_1 + 1)*c_(m + 1_1) on the right, and when these match for
+    every such term, the two sides are equal exactly when as many terms
+    have e_i > 0 as have e_1 > 0.
     """
     n = f.nvars
-    a = linear_coefficients(f)
-    d0 = f.partial_derivative(0)
-    if not all(a[0] * f.partial_derivative(i) == a[i] * d0 for i in range(1, n)):
-        return None
-    u = f.restrict((0,)).scale_vars([1 / a[0]])
-    scale = math.prod(a, start=Fraction(1))
-    return u, scale * u.partial_derivative(0) ** (n - 1) * ma_engine.ma_lhs_log(u)
+    _, c = f.integer_terms
+    a = [c.get(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+    first = sum(1 for e in c if e[0])
+    for i in range(1, n):
+        if sum(1 for e in c if e[i]) != first:
+            return False
+        for e, v in c.items():
+            if e[i] and a[0] * e[i] * v != a[i] * (e[0] + 1) * c.get(
+                    (e[0] + 1,) + e[1:i] + (e[i] - 1,) + e[i + 1:], 0):
+                return False
+    return True
 
 
 def _block_exponent(f: MultiPoly, e: Optional[Fraction]) -> Optional[Fraction]:
     """The e with ma_lhs_log(f) = C*(eps*f)^e, or None; e, if given, is the only one tried.
 
-    Every linear coefficient of f must be nonzero.  A linear form
-    u(<a, x>) in two or more variables is checked in one variable, as
-    g = C*u^e for its univariate left side g (see _linear_form); any other
-    f, one variable included (its rescaling to u would cost the size of
-    its exponents), as g = C*f^e for g = ma_lhs_log(f), both metered
-    within MAX_SYMBOLIC_PAIRS kernel term pairs.
+    Every linear coefficient of f must be nonzero.  A linear form, one
+    variable included, is decided by the theorem of the module docstring:
+    it holds exactly when f restricted to x_1 is a binomial power
+    eps*(1 + t/r)^k, with e = (k-1)(N+1)/k, which binomial_profile reads
+    off its coefficients, rejecting on the count of terms first.  Any
+    other f is decided as g = C*f^e for g = ma_lhs_log(f), metered within
+    MAX_SYMBOLIC_PAIRS kernel term pairs.
     """
-    pair = _linear_form(f) if f.nvars > 1 else None
-    if pair is not None:
-        return _power_exponent(*pair, e)
+    n = f.nvars
+    if n == 1 or _is_linear_form(f):
+        try:
+            k = binomial_profile(f if n == 1 else f.restrict((0,))).k
+        except NotBinomialPowerError:
+            return None
+        exact = Fraction((k - 1) * (n + 1), k)
+        return exact if e is None or e == exact else None
     with symbolic_budget():
         return _power_exponent(f, ma_engine.ma_lhs_log(f), e)
 
@@ -417,10 +480,10 @@ def _power_exponent(u: MultiPoly, g: MultiPoly, e: Optional[Fraction]) -> Option
 def _block_loop(n: int, factors: list, e: Optional[Fraction]) -> Optional[Fraction]:
     """The e with L = C*(eps*P)^e over P's blocks, or None; e, if given, is the only one tried.
 
-    Each block must have L_b = C_b*(eps*P_b)^(e-n+n_b); with no e given,
-    the first block's degrees give it.  Equal factors have equal n_b, so
-    one check decides them all.  Every linear coefficient of P must be
-    nonzero.
+    Each block must have L_b = C_b*(eps*P_b)^(e-n+n_b) (_block_exponent);
+    with no e given, the first block gives it.  Equal factors have equal
+    n_b, so one check decides them all.  Every linear coefficient of P
+    must be nonzero.
     """
     for f in dict.fromkeys(factors):
         eb = _block_exponent(f, None if e is None else e - n + f.nvars)

@@ -10,14 +10,19 @@ evaluates each on its own, where eval_metric fills one monomial table;
 derivative_rows gives those polynomials' terms, against which the
 metric's plan, read off P's integer numerators, is checked.
 count_term_pairs wraps the kernel entry to count the work handed to it,
-independently of algebra's own meter.
+independently of algebra's own meter.  euler_by_terms and dlog_by_terms
+build the point test's Euler matrix and log-derivatives one term at a
+time, where einstein sums them over columns of exponents.
 """
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 from toricpke import algebra
 from toricpke.algebra import MultiPoly, determinant, exact_divide
+from toricpke.einstein import _TEST_PRIME, _eliminate
 from toricpke.ma_engine import log_ma_matrix
 
 
@@ -86,6 +91,39 @@ def derivative_rows(potential) -> list:
     hess = [grad[i].partial_derivative(j) for i in range(n) for j in range(i, n)]
     return [list(d.terms.items())
             for d in [potential.P] * (potential.kind == "log") + grad + hess]
+
+
+def euler_by_terms(p: MultiPoly):
+    """(den, [(e, v)], E): the terms of Q = den*P, their values v at the
+    test point and E = sum v*w*w^T, w = (e, 1), modulo the test prime,
+    one term at a time."""
+    q = _TEST_PRIME
+    n = p.nvars
+    point = [pow(2 * i + 3, -1, q) for i in range(n)]
+    den, numerators = p.integer_terms
+    values = [(e, c * math.prod(pow(x, k, q) for x, k in zip(point, e)) % q)
+              for e, c in numerators.items()]
+    w = [list(e) + [1] for e, _ in values]
+    rows = [[sum(wt[i] * wt[j] * v for wt, (_, v) in zip(w, values)) % q
+             for j in range(n + 1)] for i in range(n + 1)]
+    return den, values, rows
+
+
+def dlog_by_terms(values: list, rows: list):
+    """sum e_i*v*(w^T*rows^-1*w) - 1 for each i, one term at a time, or
+    None where rows is singular; w = (e, 1) or e, as rows is n+1 or n wide."""
+    q = _TEST_PRIME
+    inv = _eliminate(rows, inverse=True)[1]
+    if inv is None:
+        return None
+    n = len(values[0][0])
+    acc = [-1] * n
+    for e, v in values:
+        w = [k % q for k in e] + [1] * (len(rows) - n)
+        form = sum(wa * sum(map(operator.mul, row, w)) for wa, row in zip(w, inv))
+        for i in range(n):
+            acc[i] += w[i] * v * form
+    return [a % q for a in acc]
 
 
 def naive_pow(a: MultiPoly, k: int) -> MultiPoly:

@@ -377,9 +377,10 @@ def test_refuted_witness_of_a_large_block_does_bounded_work(tmp_path, capsys, mo
 
 
 def test_accepted_witness_of_a_large_solution_does_bounded_work(tmp_path, capsys, monkeypatch):
-    # verify accepts the (5,) catalog solution by its one-variable block
-    # check; its witness sign*P^5 passes MAX_SYMBOLIC_PAIRS metered kernel
-    # term pairs (unbounded, it took about 36 s and 25 MB of JSON)
+    # verify accepts the (5,) catalog solution by its block's binomial
+    # profile, with no term pair; its witness sign*P^5 passes
+    # MAX_SYMBOLIC_PAIRS metered kernel term pairs (unbounded, it took
+    # about 36 s and 25 MB of JSON)
     path = write_poly(tmp_path, product_solution((5,)))
     assert main(["verify", "--poly", path]) == EXIT_OK
     capsys.readouterr()
@@ -387,7 +388,7 @@ def test_accepted_witness_of_a_large_solution_does_bounded_work(tmp_path, capsys
     start = time.perf_counter()
     assert main(["verify", "--poly", path, "--witness"]) == EXIT_USAGE
     assert time.perf_counter() - start < 1.0
-    assert pairs == [214_789]
+    assert pairs == [213_906]
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
@@ -646,8 +647,8 @@ def test_einstein_check_on_a_huge_exponent_does_bounded_work(tmp_path, capsys):
 def test_einstein_check_decides_the_k3_potential_of_a_six_dimensional_block(tmp_path,
                                                                              capsys):
     # (6,) at K = 3 is the 84-term cubic (1 + (x1+...+x6)/7)^3, one linear
-    # form: its check runs in one variable, where ma_lhs_log of the whole
-    # cubic takes about 19 s
+    # form: it is decided by its binomial profile, where ma_lhs_log of the
+    # whole cubic takes about 19 s
     from toricpke.catalog import potential_for_power
 
     path = write_potential(tmp_path, potential_for_power((6,), 3))
@@ -682,9 +683,10 @@ def test_einstein_check_reports_lambda_h_over_k_for_the_catalog(tmp_path, capsys
 
 def test_einstein_check_term_pair_budget(tmp_path, capsys, monkeypatch):
     # deterministic work gate: every K = 1 catalog potential with n <= 4,
-    # its blocks of two or more variables checked in one variable,
-    # multiplies 566 term pairs; with ma_lhs_log of every block and the
-    # same power-free check it took 4,706
+    # its blocks decided by their binomial profiles, hands the kernel only
+    # the products that certify its splits, 223 term pairs; with its
+    # blocks checked in one variable it took 566, and with ma_lhs_log of
+    # every block and the power-free check 4,706
     from toricpke.catalog import partitions, potential_for_power
 
     paths = [write_potential(tmp_path, potential_for_power(part, 1), f"{i}.json")
@@ -692,7 +694,7 @@ def test_einstein_check_term_pair_budget(tmp_path, capsys, monkeypatch):
     pairs = count_term_pairs(monkeypatch)
     for path in paths:
         assert main(["einstein-check", "--potential", path]) == EXIT_OK
-    assert 0 < pairs[0] <= 623
+    assert pairs == [223]
 
 
 def test_einstein_check_falls_back_to_the_symbolic_check_within_its_limit(tmp_path,

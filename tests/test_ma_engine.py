@@ -2,11 +2,20 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import COEFF_POOL, count_term_pairs, direct_lhs_log, random_poly
+from conftest import (
+    COEFF_POOL,
+    count_term_pairs,
+    direct_lhs_log,
+    dlog_by_terms,
+    euler_by_terms,
+    random_poly,
+)
 from toricpke import algebra, einstein, ma_engine
 from toricpke.algebra import (
     MAX_SYMBOLIC_PAIRS,
@@ -29,8 +38,9 @@ from toricpke.einstein import (
     _dlog_lhs,
     _eliminate,
     _euler,
-    _linear_form,
+    _is_linear_form,
     _point_refutation,
+    _power_exponent,
     _product_blocks,
     _rational_reconstruction,
     einstein_exponent,
@@ -466,28 +476,72 @@ def test_the_pair_test_handles_huge_exponents():
 
 
 def test_block_route_term_pair_budget(monkeypatch):
-    # deterministic work gate: the blocks, linear forms checked in one
-    # variable, multiply 248 term pairs on (2,1,1) and 347 on (3,1), and
-    # 919 and 43,801 with ma_lhs_log of every block and P_b**n_b; the
-    # whole route took 2,043,003 and 2,987,316
+    # deterministic work gate: the blocks, linear forms, are decided by
+    # their binomial profiles, so the only products are those of the
+    # split, 120 term pairs on (2,1,1) and 105 on (3,1); checked in one
+    # variable the blocks made it 248 and 347, with ma_lhs_log of every
+    # block and P_b**n_b 919 and 43,801, and the whole route took
+    # 2,043,003 and 2,987,316
+    products = [(part, product_solution(part), budget)
+                for part, budget in (((2, 1, 1), 120), ((3, 1), 105))]
     pairs = count_term_pairs(monkeypatch)
-    for part, budget in (((2, 1, 1), 300), ((3, 1), 420)):
-        p = product_solution(part)
+    for part, p, budget in products:
         pairs[0] = 0
         assert verify_ma_star(p).sign == 1
-        assert 0 < pairs[0] <= budget, part
+        assert pairs == [budget], part
 
 
 def test_one_block_catalog_term_pair_budget(monkeypatch):
     # deterministic work gate: (4,), (5,) and (6,) are one block each, a
-    # linear form checked in one variable, which multiplies 472, 883 and
-    # 1,545 term pairs; ma_lhs_log of (4,) alone took 5,151,258
+    # linear form decided by its binomial profile with no term pair;
+    # checked in one variable they took 472, 883 and 1,545, and
+    # ma_lhs_log of (4,) alone 5,151,258
+    products = [product_solution(part) for part in ((4,), (5,), (6,))]
     pairs = count_term_pairs(monkeypatch)
-    for part, budget in (((4,), 560), ((5,), 1_050), ((6,), 1_850)):
-        p = product_solution(part)
-        pairs[0] = 0
+    for p in products:
         assert verify_ma_star(p).sign == 1
-        assert 0 < pairs[0] <= budget, part
+    assert pairs == [0]
+
+
+def test_catalog_block_decisions_multiply_no_term_pair(monkeypatch):
+    # deterministic work gate: every catalog product up to n = 6 and every
+    # catalog potential with n <= 4 and K <= 3 splits into linear-form
+    # blocks, each decided by its binomial profile, so the block decisions
+    # hand the kernel no term pair, and the only products are those that
+    # certify the splits
+    products = [product_solution(part) for n in range(1, 7) for part in partitions(n)]
+    potentials = [(part, K, potential_for_power(part, K).P)
+                  for K in (1, 2, 3) for n in range(1, 5) for part in partitions(n)]
+    pairs = count_term_pairs(monkeypatch)
+    in_blocks = [0]
+    block_loop = einstein._block_loop
+
+    def counted(*args):
+        before = pairs[0]
+        try:
+            return block_loop(*args)
+        finally:
+            in_blocks[0] += pairs[0] - before
+
+    monkeypatch.setattr(einstein, "_block_loop", counted)
+    for p in products:
+        assert verify_ma_star(p).sign == 1, p.nvars
+    assert (in_blocks, pairs) == ([0], [15_652])
+    for part, K, p in potentials:
+        h = math.gcd(*(m + 1 for m in part))
+        assert einstein_exponent(p).e == p.nvars + 1 - Fraction(h, K), (part, K)
+    assert (in_blocks, pairs) == ([0], [15_652 + 5_839])
+
+
+def test_a_one_variable_block_with_a_huge_exponent_is_refuted_by_its_term_count(monkeypatch):
+    # 1 + x + x^(10^40) has 3 terms, not 10^40 + 1, so binomial_profile
+    # refutes it before looking at a coefficient
+    p = MultiPoly(1, {(0,): 1, (1,): 1, (10**40,): 1})
+    pairs = count_term_pairs(monkeypatch)
+    start = time.perf_counter()
+    assert _block_exponent(p, None) is None
+    assert time.perf_counter() - start < 1.0
+    assert pairs == [0]
 
 
 def test_the_block_test_stops_at_the_pair_limit(monkeypatch):
@@ -503,7 +557,7 @@ def test_the_block_test_stops_at_the_pair_limit(monkeypatch):
     monkeypatch.setattr(einstein, "_point_refutation", lambda den, euler: None)
     p = product_solution((1, 1, 1, 1))
     p = p + MultiPoly(4, {(1, 1, 0, 0): Fraction(1, 7)})
-    assert blocks_of(p) == ([(0, 1, 2, 3)], [p]) and _linear_form(p) is None
+    assert blocks_of(p) == ([(0, 1, 2, 3)], [p]) and not _is_linear_form(p)
     started = []
     lhs_log = ma_engine.ma_lhs_log
     monkeypatch.setattr(ma_engine, "ma_lhs_log", lambda q: started.append(q) or lhs_log(q))
@@ -729,8 +783,8 @@ def test_scan_rejects_non_power_lhs():
 
 def test_scan_takes_no_power_of_q_or_of_its_left_side(monkeypatch):
     # x1 -> -x1 gives the (2,1) product the sign -1, so C = -1; the check
-    # takes no power of Q or of L: its only power is u'^1, of the
-    # univariate form u of the block (2)
+    # takes no power at all: its blocks are decided by their binomial
+    # profiles (checked in one variable, the block (2) took u'^1)
     pow_ = MultiPoly.__pow__
     bases = []
 
@@ -742,7 +796,7 @@ def test_scan_takes_no_power_of_q_or_of_its_left_side(monkeypatch):
     assert verify_ma_star(q).sign == -1
     monkeypatch.setattr(MultiPoly, "__pow__", recording)
     assert exponent_scan(q) == ExponentRatio(1, 1)
-    assert bases == [1]
+    assert bases == []
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +838,34 @@ def test_point_log_derivatives_match_exact_evaluation():
                 assert dlog[i] == exact.numerator * pow(exact.denominator, -1, q) % q
             checked += 1
     assert checked > 60
+
+
+def assert_point_sums_match_terms(p):
+    den, (columns, values), rows = _euler(p)
+    ref_den, ref_values, ref_rows = euler_by_terms(p)
+    assert (den, rows) == (ref_den, ref_rows), p
+    assert list(zip(zip(*columns), values)) == ref_values, p
+    n = p.nvars
+    for r in (rows, [row[:n] for row in rows[:n]]):
+        assert _dlog_lhs((columns, values), r) == dlog_by_terms(ref_values, r), p
+
+
+def test_point_sums_over_columns_match_the_sums_over_terms():
+    for n in range(1, 5):
+        for part in partitions(n):
+            assert_point_sums_match_terms(product_solution(part))
+            assert_point_sums_match_terms(potential_for_power(part, 3).P)
+    # exponents reduced modulo the prime: the residue costs their bit length
+    huge = MultiPoly(2, {(0, 0): 1, (1, 0): 2, (0, 1): 1, (10**40, 3): Fraction(1, 7)})
+    assert_point_sums_match_terms(huge)
+    assert_point_sums_match_terms(product_solution((1, 1)) * huge)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.sampled_from((1, -1)))
+def test_point_sums_over_columns_match_on_random_polynomials(rng, n, eps):
+    p = random_poly(rng, n, 4, 8)
+    assert_point_sums_match_terms(p - p.constant_term() + eps)
 
 
 def exact_det_and_inverse(rows):
@@ -859,28 +941,97 @@ def test_rational_reconstruction():
     assert _rational_reconstruction(pow(3, 40, q), q, 10, 10) is None
 
 
-def test_linear_form_left_side_matches_the_whole_route():
-    rng = random.Random(47)
-    for _ in range(12):
-        n = rng.randint(2, 4)
-        a = [Fraction(rng.choice((1, 2, 3, -1, -2)), rng.choice((1, 2, 3))) for _ in range(n)]
-        u = MultiPoly(1, {(0,): rng.choice((1, -1)), (1,): rng.choice((1, 2, -1)),
-                          (2,): Fraction(rng.randint(-3, 3), 2),
-                          (3,): Fraction(rng.randint(-3, 3), 3)})
-        unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        f = u.substitute([MultiPoly(n, dict(zip(unit, a)))])
-        base, g = _linear_form(f)
-        # the form is <a', x> with a' the linear coefficients of f
-        form = MultiPoly(n, dict(zip(unit, linear_coefficients(f))))
-        assert base.substitute([form]) == f
-        assert g.substitute([form]) == ma_lhs_log(f)
-        bumped = f + MultiPoly(n, {(1,) + (0,) * (n - 2) + (1,): Fraction(1, 7)})
-        assert _linear_form(bumped) is None
+NONZERO = [c for c in COEFF_POOL if c]
+small_nonzero = st.sampled_from(NONZERO)
+
+
+@st.composite
+def univariates(draw):
+    """u(t) with u(0) = +-1 and u'(0) != 0: a binomial power or any such polynomial."""
+    eps = draw(st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        return binomial_power(eps, draw(small_nonzero), draw(st.integers(1, 4)))
+    higher = draw(st.lists(st.sampled_from(COEFF_POOL + [Fraction(0)]), max_size=3))
+    terms = {(0,): eps, (1,): draw(small_nonzero)}
+    terms.update({(j + 2,): c for j, c in enumerate(higher)})
+    return MultiPoly(1, terms)
+
+
+def linear_form(u, a):
+    """u(<a, x>) in len(a) variables."""
+    n = len(a)
+    return u.substitute([MultiPoly(n, {tuple(int(j == i) for j in range(n)): c
+                                       for i, c in enumerate(a)})])
+
+
+def linear_form_by_derivatives(f):
+    """a_1*d_i f = a_i*d_1 f for every i, with the derivative polynomials."""
+    a = linear_coefficients(f)
+    d0 = f.partial_derivative(0)
+    return all(a[0] * f.partial_derivative(i) == a[i] * d0 for i in range(1, f.nvars))
+
+
+@settings(max_examples=40, deadline=None)
+@given(univariates(), st.lists(small_nonzero, min_size=3, max_size=3),
+       st.fractions(0, 4, max_denominator=4))
+def test_linear_form_left_side_matches_the_whole_route(u, a, drawn):
+    # u alone and u(<a, x>) in 2 and 3 variables, each tried with e free,
+    # e = N and a drawn e: the binomial profile decides as the power-free
+    # identity on ma_lhs_log of the whole block does
+    for n in (1, 2, 3):
+        f = u if n == 1 else linear_form(u, a[:n])
+        lhs = ma_lhs_log(f)
+        for e in (None, Fraction(n), drawn):
+            assert _block_exponent(f, e) == _power_exponent(f, lhs, e), (f, e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(univariates(), st.integers(2, 4), st.randoms(use_true_random=False))
+def test_term_by_term_linear_form_test_matches_the_derivative_test(u, n, rng):
+    f = linear_form(u, [rng.choice(NONZERO) for _ in range(n)])
+    # the linear coefficients stay nonzero: only terms of degree >= 2 move
+    higher = sorted(e for e in f.terms if sum(e) >= 2)
+    candidates = [f]
+    if higher:
+        e = rng.choice(higher)
+        candidates.append(f - MultiPoly(n, {e: f.coefficient(e)}))
+        candidates.append(f + MultiPoly(n, {e: rng.choice(NONZERO)}))
+    extra = [0] * n
+    for _ in range(rng.randint(2, 4)):
+        extra[rng.randrange(n)] += 1
+    candidates.append(f + MultiPoly(n, {tuple(extra): Fraction(1, 7)}))
+    generic = random_poly(rng, n, 3, 6)
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    candidates.append(generic - generic.constant_term() + 1 + MultiPoly(n, {
+        e: rng.choice(NONZERO) - generic.coefficient(e) for e in unit}))
+    for g in candidates:
+        if all(linear_coefficients(g)):
+            assert _is_linear_form(g) == linear_form_by_derivatives(g), g
+    # every term with e_2 > 0 matches, but x_1^2 has no partner
+    g = MultiPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1})
+    assert not _is_linear_form(g) and not linear_form_by_derivatives(g)
+
+
+def test_a_long_one_variable_block_is_decided_with_no_term_pair(monkeypatch):
+    # a 601-term P that vanishes at the test point x = 1/3 leaves the
+    # decision to its block, which ma_lhs_log and the power-free identity
+    # took past MAX_SYMBOLIC_PAIRS (1,440,598 pairs); its binomial
+    # profile refutes it on its coefficients
+    terms = {(0,): Fraction(1), (1,): Fraction(1)}
+    terms.update({(j,): Fraction(1, j) for j in range(2, 600)})
+    value = MultiPoly(1, terms).evaluate([THIRD])
+    terms[(600,)] = -value * 3**600
+    p = MultiPoly(1, terms)
+    assert p.evaluate([THIRD]) == 0 and len(p.terms) == 601
+    pairs = count_term_pairs(monkeypatch)
+    assert einstein_exponent(p) == EinsteinExponent(None, None)
+    assert pairs == [0]
 
 
 def test_blocks_agree_with_one_block_of_all_variables():
-    # the whole product as one block goes through ma_lhs_log and the
-    # power-free check: the exponent must be the one the blocks give
+    # the whole product as one block, decided by its binomial profile when
+    # it has one part and by ma_lhs_log and the power-free check otherwise:
+    # the exponent must be the one the blocks give
     for n in (1, 2, 3):
         for part in partitions(n):
             for K in (1, 2) if n < 3 else (1,):
@@ -891,16 +1042,15 @@ def test_blocks_agree_with_one_block_of_all_variables():
 
 
 def test_equal_block_factors_are_checked_once(monkeypatch):
-    # (1,1,1,1) at K = 1 is four equal one-variable factors: three products
-    # certify the split, and one determinant checks the first factor, which
-    # decides the three others (one call per factor made 7 calls, 40 pairs)
+    # (1,1,1,1) at K = 1 is four equal one-variable factors: one block
+    # decision checks the first, which decides the three others
     p = potential_for_power((1, 1, 1, 1), 1).P
-    pairs = count_term_pairs(monkeypatch)
-    calls = []
-    counted = algebra.dot_terms
-    monkeypatch.setattr(algebra, "dot_terms", lambda items: calls.append(1) or counted(items))
+    decided = []
+    block_exponent = einstein._block_exponent
+    monkeypatch.setattr(einstein, "_block_exponent",
+                        lambda f, e: decided.append(f) or block_exponent(f, e))
     assert einstein_exponent(p) == EinsteinExponent(Fraction(1, 16), Fraction(3))
-    assert (len(calls), pairs[0]) == (4, 31)
+    assert decided == [p.restrict((0,))]
 
 
 def test_a_block_of_the_same_size_but_another_factor_is_still_checked(monkeypatch):
