@@ -473,8 +473,8 @@ class MultiPoly:
         others = [j for j in range(self.nvars) if j not in variables]
         out = {}
         for exp, c in self._terms.items():
-            if not any(exp[j] for j in others):
-                out[tuple(exp[i] for i in variables)] = c
+            if not any(map(exp.__getitem__, others)):
+                out[tuple(map(exp.__getitem__, variables))] = c
         return MultiPoly._reduced(len(variables), out, self._den)
 
     def embed(self, nvars: int, variables) -> "MultiPoly":
@@ -925,8 +925,11 @@ def binomial_profile(p: MultiPoly) -> BinomialProfile:
 
 
 def binomial_power(epsilon: int, r, k: int) -> MultiPoly:
-    """Build eps*(1 + x/r)^k from its coefficients eps*C(k, j)/r^j, with no product."""
+    """Build eps*(1 + x/r)^k with no product: for r = a/b its coefficients eps*C(k, j)/r^j
+    are the integers eps*C(k, j)*(sign(a)*b)^j*|a|^(k-j) over |a|^k."""
     r = _as_scalar(r)
     if r == 0:
         raise ValueError("r must be nonzero")
-    return MultiPoly(1, {(j,): epsilon * math.comb(k, j) / r**j for j in range(k + 1)})
+    a, b = abs(r.numerator), r.denominator if r > 0 else -r.denominator
+    return MultiPoly._reduced(1, {(j,): epsilon * math.comb(k, j) * b**j * a ** (k - j)
+                                  for j in range(k + 1)}, a**k)

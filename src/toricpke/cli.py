@@ -55,16 +55,18 @@ MAX_CATALOG_TERMS = 10_000
 MAX_POINTS = 100
 # Most variables and terms of an einstein-check potential.  The exact
 # check's point test grows like terms*n^2 (one inverse modulo a prime,
-# then one quadratic form per term), the cross-check like
+# then one quadratic form per term) and runs only when a block refutes or
+# needs its symbolic left side, the cross-check grows like
 # points*terms*n^2, and the linear-form blocks of every catalog potential
-# are decided by their binomial profiles, with no polynomial product: the
-# largest catalog potentials within the limit, (2,1,1) at K = 3 (2,695
-# terms), (3,) at K = 24 (2,925) and (4,) at K = 13 (2,380), take at most
-# 0.07 s at 5 points and 0.22 s at 100, and a random 3,000-term potential
-# in 6 variables of degree at most 4 in each is refuted in 0.04 s (2
-# cores, Python 3.11).  Every catalog potential up to dimension 4 with
-# K <= 3 fits.  A block that is not a linear form needs its symbolic left
-# side, metered within algebra.MAX_SYMBOLIC_PAIRS kernel term pairs.
+# are decided by their binomial profiles, with no point test and no
+# polynomial product: the largest catalog potentials within the limit,
+# (2,1,1) at K = 3 (2,695 terms), (3,) at K = 24 (2,925) and (4,) at
+# K = 13 (2,380), take at most 0.05 s at 5 points and 0.23 s at 100, and
+# a random 3,000-term potential in 6 variables of degree at most 4 in
+# each is refuted in 0.03 s (2 cores, Python 3.11).  Every catalog
+# potential up to dimension 4 with K <= 3 fits.  A block that is not a
+# linear form needs its symbolic left side, metered within
+# algebra.MAX_SYMBOLIC_PAIRS kernel term pairs.
 MAX_EINSTEIN_NVARS = 6
 MAX_EINSTEIN_TERMS = 3_000
 # Most variables of a polynomial read by verify, classify-flat, axis or

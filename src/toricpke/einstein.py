@@ -39,7 +39,11 @@ proportional, with a ratio that rational reconstruction turns into an e
 in [0, n+1]; the residues refute otherwise (DlogRefutation).  By the
 Schwartz-Zippel lemma a nonzero polynomial rarely vanishes at a point;
 a test that reads zero, or a prime that divides den, leaves the
-decision to the symbolic check.
+decision to the symbolic check.  The test for a free e is sound, so on
+an Einstein P it can only propose the one e = deg L/deg P that the
+blocks derive; einstein_exponent therefore runs it only where it adds
+something: to supply the certificate once a block has refuted, and
+before the first block that needs the symbolic check, whose e it fixes.
 
 The blocks.  If P*P_ij - P_i*P_j (P^2 times the mixed partial of log P)
 vanishes for every i and j in different blocks, then P =
@@ -92,9 +96,13 @@ the variables but x_1 set to 0, which rescales t and so keeps k: a
 NotBinomialPowerError refutes, and otherwise e_b = (k-1)(N+1)/k, with no
 product.  Any other block is decided by that identity for f and
 ma_lhs_log(f) themselves, metered by algebra.symbolic_budget.  One loop
-over the blocks serves every case (_block_loop).  ma_engine imports this
-module inside the functions that use it, as this module imports
-ma_engine.
+over the blocks serves every case (_block_loop).  It decides the
+one-variable and linear-form blocks first, so a product of such blocks,
+every catalog potential among them, is decided with no point test and
+no product past the split's, and the point test of einstein_exponent
+runs, at most once, only when a block refutes or before the first
+symbolic block.  ma_engine imports this module inside the functions that
+use it, as this module imports ma_engine.
 """
 
 from __future__ import annotations
@@ -442,27 +450,21 @@ def _is_linear_form(f: MultiPoly) -> bool:
     return True
 
 
-def _block_exponent(f: MultiPoly, e: Optional[Fraction]) -> Optional[Fraction]:
-    """The e with ma_lhs_log(f) = C*(eps*f)^e, or None; e, if given, is the only one tried.
+def _profile_exponent(f: MultiPoly) -> Optional[Fraction]:
+    """The e with ma_lhs_log(f) = C*(eps*f)^e of a one-variable or linear-form f, or None.
 
-    Every linear coefficient of f must be nonzero.  A linear form, one
-    variable included, is decided by the theorem of the module docstring:
-    it holds exactly when f restricted to x_1 is a binomial power
-    eps*(1 + t/r)^k, with e = (k-1)(N+1)/k, which binomial_profile reads
-    off its coefficients, rejecting on the count of terms first.  Any
-    other f is decided as g = C*f^e for g = ma_lhs_log(f), metered within
-    MAX_SYMBOLIC_PAIRS kernel term pairs.
+    By the theorem of the module docstring it exists exactly when f
+    restricted to x_1 is a binomial power eps*(1 + t/r)^k, and is then
+    (k-1)(N+1)/k, with k read off the coefficients by binomial_profile,
+    which rejects on the count of terms first.  Every linear coefficient
+    of f must be nonzero.
     """
     n = f.nvars
-    if n == 1 or _is_linear_form(f):
-        try:
-            k = binomial_profile(f if n == 1 else f.restrict((0,))).k
-        except NotBinomialPowerError:
-            return None
-        exact = Fraction((k - 1) * (n + 1), k)
-        return exact if e is None or e == exact else None
-    with symbolic_budget():
-        return _power_exponent(f, ma_engine.ma_lhs_log(f), e)
+    try:
+        k = binomial_profile(f if n == 1 else f.restrict((0,))).k
+    except NotBinomialPowerError:
+        return None
+    return Fraction((k - 1) * (n + 1), k)
 
 
 def _power_exponent(u: MultiPoly, g: MultiPoly, e: Optional[Fraction]) -> Optional[Fraction]:
@@ -477,19 +479,44 @@ def _power_exponent(u: MultiPoly, g: MultiPoly, e: Optional[Fraction]) -> Option
     return e
 
 
-def _block_loop(n: int, factors: list, e: Optional[Fraction]) -> Optional[Fraction]:
+def _block_loop(n: int, factors: list, e: Optional[Fraction],
+                point=None) -> Optional[Fraction]:
     """The e with L = C*(eps*P)^e over P's blocks, or None; e, if given, is the only one tried.
 
-    Each block must have L_b = C_b*(eps*P_b)^(e-n+n_b) (_block_exponent);
-    with no e given, the first block gives it.  Equal factors have equal
-    n_b, so one check decides them all.  Every linear coefficient of P
-    must be nonzero.
+    Each block must have L_b = C_b*(eps*P_b)^(e-n+n_b); with no e given,
+    the first block gives it.  Equal factors have equal n_b, so one check
+    decides them all.  One-variable and linear-form factors come first,
+    decided by their binomial profiles (_profile_exponent); any other
+    factor f by g = C*f^(e-n+n_b) for g = ma_lhs_log(f), metered within
+    MAX_SYMBOLIC_PAIRS kernel term pairs (_power_exponent).  point, if
+    given, is called once, before the first such factor, and returns the
+    point test's (refuted_at, e): a refutation decides, and an e it
+    proposes is the only one tried.  Every linear coefficient of P must
+    be nonzero.
     """
-    for f in dict.fromkeys(factors):
-        eb = _block_exponent(f, None if e is None else e - n + f.nvars)
+    closed = {f: f.nvars == 1 or _is_linear_form(f) for f in dict.fromkeys(factors)}
+    for f in sorted(closed, key=lambda f: not closed[f]):
+        nb = f.nvars
+        if closed[f]:
+            eb = _profile_exponent(f)
+            if e is not None and eb != e - n + nb:
+                return None
+        else:
+            if point is not None:
+                refuted_at, proposed = point()
+                point = None
+                if refuted_at is not None:
+                    return None
+                if proposed is not None:
+                    if e not in (None, proposed):
+                        return None
+                    e = proposed
+            with symbolic_budget():
+                eb = _power_exponent(f, ma_engine.ma_lhs_log(f),
+                                     None if e is None else e - n + nb)
         if eb is None:
             return None
-        e = eb + n - f.nvars
+        e = eb + n - nb
     return e
 
 
@@ -520,12 +547,13 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
     """Decide exactly whether the left side L of P is C*(eps*P)^e, eps = P(0).
 
     C = L(0) (see origin_value); DomainError when it is 0, as the metric
-    is degenerate there.  Kind "log": the point test (_exponent_at_point)
-    refutes with a certificate, or proposes e, and the blocks decide
-    (_block_loop).  Kind "poly": an affine P needs no determinant;
-    otherwise the point test on the block T of the Euler matrix refutes
-    unless theta_i log det T reads zero for every i, and ma_lhs_flat(P),
-    metered likewise, decides.
+    is degenerate there.  Kind "log": the blocks decide (_block_loop),
+    and the point test (_exponent_at_point) runs only when they need it,
+    before the first symbolic block, where it refutes with a certificate
+    or proposes e, or after a refutation, for its certificate.  Kind
+    "poly": an affine P needs no determinant; otherwise the point test on
+    the block T of the Euler matrix refutes unless theta_i log det T reads
+    zero for every i, and ma_lhs_flat(P), metered likewise, decides.
     """
     den, values, euler = _front_end(p, kind)
     c = origin_value(p, kind)
@@ -545,8 +573,6 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
         if flat.is_constant():
             return EinsteinExponent(c, Fraction(0))
         return EinsteinExponent(None, None)
-    refuted_at, e = _exponent_at_point(p, den, values, euler)
-    if refuted_at is not None:
-        return EinsteinExponent(None, None, refuted_at)
-    e = _block_loop(n, _product_blocks(p, euler)[1], e)
-    return EinsteinExponent(None, None) if e is None else EinsteinExponent(c, e)
+    point = functools.cache(lambda: _exponent_at_point(p, den, values, euler))
+    e = _block_loop(n, _product_blocks(p, euler)[1], None, point)
+    return EinsteinExponent(None, None, point()[0]) if e is None else EinsteinExponent(c, e)

@@ -307,15 +307,6 @@ class _EulerSeries:
         self.u.append(c.euler_derivative(0))
         self.t.append(self.u[-1].euler_derivative(0))
 
-    def probe(self) -> MultiPoly:
-        """T_0*P_0 - U_0^2, the slope of order(h) in P_(h+1) over (h+1)^2.
-
-        P_(h+1) enters order(h) only through T_0*R_(h+1) and
-        P_(h+1)*S_0.  For P_0 = eps*(1 + x1/r)^k this is
-        (k/r)*x1*(1 + x1/r)^(2k-2), never zero.
-        """
-        return self.t[0] * self.p[0] - self.u[0] ** 2
-
     def _pair_products(self, r: int) -> tuple:
         """(R_r, [(c, (j-l)^2, P_l*P_j)], [(c, l*j, U_l*U_j)]), l <= j = r - l.
 
@@ -361,21 +352,23 @@ def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiP
     forced to vanish order by order in x2, on the Euler form of the
     bordered determinant (see _EulerSeries); the sign is sigma because
     the x2^0 coefficient of x1*(L - s*P^2) is x1*(sigma - s)*(1 + x1/r)^(2k).
-    Order h is t + (h+1)^2*m*P_(h+1), with t read from P_0..P_h and m the
-    series' probe, so P_(h+1) is one exact division by m.  Returns None
-    when a division fails, when the first unforced x2^bound coefficient
-    is nonzero, or when verify_ma_star does not give the candidate the
-    sign sigma: each is a certificate.  A returned candidate is verified.
+    Order h is t + (h+1)^2*m*P_(h+1), with t read from P_0..P_h and the
+    slope m = T_0*P_0 - U_0^2, as P_(h+1) enters order(h) only through
+    T_0*R_(h+1) and P_(h+1)*S_0; for P_0 = eps*(1 + x1/r)^k that is
+    (k/r)*x1*(1 + x1/r)^(2k-2), never zero, so P_(h+1) is one exact
+    division by m.  Returns None when a division fails, when the first
+    unforced x2^bound coefficient is nonzero, or when verify_ma_star does
+    not give the candidate the sign sigma: each is a certificate.  A returned candidate is verified.
     The branches are images of one, P_{eps,sigma}(x1, x2) =
     eps*P_{1,1}(x1, eps*sigma*x2), failures included.
     """
     if degree_bound < max(2, cd.k):
         raise ValueError("degree_bound must be at least max(2, k)")
     series = _EulerSeries([cd.P0, cd.P1], cd.sigma)
-    probe = series.probe()
+    slope = (cd.k / cd.r) * binomial_power(1, cd.r, 2 * cd.k - 2).shift((1,))
     for h in range(1, degree_bound):
         try:
-            nxt = exact_divide(series.order(h), probe) * Fraction(-1, (h + 1) ** 2)
+            nxt = exact_divide(series.order(h), slope) * Fraction(-1, (h + 1) ** 2)
         except NotDivisibleError:
             return None
         series.append(nxt)

@@ -13,6 +13,9 @@ count_term_pairs wraps the kernel entry to count the work handed to it,
 independently of algebra's own meter.  euler_by_terms and dlog_by_terms
 build the point test's Euler matrix and log-derivatives one term at a
 time, where einstein sums them over columns of exponents.
+point_first_exponent decides L = C*(eps*P)^e in the order where the
+point test always runs first, against which einstein_exponent's lazy
+point test is checked.
 """
 
 import math
@@ -20,9 +23,9 @@ import operator
 import random
 from fractions import Fraction
 
-from toricpke import algebra
-from toricpke.algebra import MultiPoly, determinant, exact_divide
-from toricpke.einstein import _TEST_PRIME, _eliminate
+from toricpke import algebra, einstein
+from toricpke.algebra import DomainError, MultiPoly, determinant, exact_divide
+from toricpke.einstein import _TEST_PRIME, EinsteinExponent, _eliminate
 from toricpke.ma_engine import log_ma_matrix
 
 
@@ -41,6 +44,25 @@ def count_term_pairs(monkeypatch) -> list:
 
     monkeypatch.setattr(algebra, "dot_terms", counting)
     return pairs
+
+
+def point_first_exponent(p: MultiPoly) -> EinsteinExponent:
+    """einstein_exponent of kind "log" with the point test run first.
+
+    The point test refutes with its certificate, or its e (None where it
+    is inconclusive) is the one _block_loop tries on every block, with no
+    point hook; einstein_exponent runs the test only when a block refutes
+    or before the first symbolic block.
+    """
+    den, values, euler = einstein._front_end(p)
+    c = einstein.origin_value(p)
+    if not c:
+        raise DomainError("metric degenerate at the origin")
+    refuted_at, e = einstein._exponent_at_point(p, den, values, euler)
+    if refuted_at is not None:
+        return EinsteinExponent(None, None, refuted_at)
+    e = einstein._block_loop(p.nvars, einstein._product_blocks(p, euler)[1], e)
+    return EinsteinExponent(None, None) if e is None else EinsteinExponent(c, e)
 
 
 def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:

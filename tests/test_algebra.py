@@ -416,6 +416,16 @@ def test_binomial_power_matches_the_product_of_its_factors(monkeypatch):
     assert pairs == [0]
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((1, -1)),
+       st.fractions(-50, 50, max_denominator=50).filter(bool), st.integers(0, 32))
+def test_binomial_power_matches_its_fraction_coefficients(epsilon, r, k):
+    # the integer numerators over |a|^k, r = a/b, store the same
+    # polynomial as the coefficients eps*C(k, j)/r^j built as Fractions
+    want = MultiPoly(1, {(j,): epsilon * math.comb(k, j) / r**j for j in range(k + 1)})
+    assert binomial_power(epsilon, r, k).integer_terms == want.integer_terms
+
 # ---------------------------------------------------------------------------
 # ring axioms (property-based)
 

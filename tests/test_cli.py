@@ -730,6 +730,33 @@ def test_einstein_check_falls_back_to_the_symbolic_check_within_its_limit(tmp_pa
     assert f"exceeding MAX_SYMBOLIC_PAIRS = {MAX_SYMBOLIC_PAIRS}" in capsys.readouterr().err
 
 
+
+def test_a_refuting_closed_form_block_is_decided_before_a_metered_one(tmp_path, capsys,
+                                                                      monkeypatch):
+    # P = g(x1, x2)*f(x3): g is not a linear form and needs the metered
+    # symbolic check, f = 1 + x3 + x3^2 is not a binomial power.  With the
+    # point test inconclusive and a limit g's check passes, an order that
+    # takes g first exits 2; the one-variable block is decided first and
+    # refutes, so einstein-check exits 1 with no symbolic work
+    from toricpke import algebra, einstein
+
+    g = MultiPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2})
+    f = MultiPoly(1, {(0,): 1, (1,): 1, (2,): 1})
+    p = g.embed(3, (0, 1)) * f.embed(3, (2,))
+    assert einstein._product_blocks(p, einstein._euler(p)[2]) == ([(0, 1), (2,)], [g, f])
+    monkeypatch.setattr(einstein, "_exponent_at_point", lambda *args: (None, None))
+    monkeypatch.setattr(algebra, "MAX_SYMBOLIC_PAIRS", 10)
+    with pytest.raises(algebra.SymbolicLimitError):
+        einstein._block_loop(2, [g], None)
+    path = write_potential(tmp_path, ToricPotential("log", p, 1))
+    pairs = count_term_pairs(monkeypatch)
+    assert main(["einstein-check", "--potential", path, "--json"]) == EXIT_REFUTED
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"]["refuted_at"] is None
+    assert err == ""
+    # the only product is the one that certifies the block split
+    assert pairs == [len(g.terms) * len(f.terms)]
+
 def flat_inconclusive_input(n, extra):
     """x1 + ... + xn plus extra random terms of degree >= 2, exponents 0-2.
 

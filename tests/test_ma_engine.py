@@ -14,6 +14,7 @@ from conftest import (
     direct_lhs_log,
     dlog_by_terms,
     euler_by_terms,
+    point_first_exponent,
     random_poly,
 )
 from toricpke import algebra, einstein, ma_engine
@@ -33,7 +34,7 @@ from toricpke.catalog import (
 from toricpke.einstein import (
     _TEST_PRIME,
     EinsteinExponent,
-    _block_exponent,
+    _block_loop,
     _coupling_blocks,
     _dlog_lhs,
     _eliminate,
@@ -42,6 +43,7 @@ from toricpke.einstein import (
     _point_refutation,
     _power_exponent,
     _product_blocks,
+    _profile_exponent,
     _rational_reconstruction,
     einstein_exponent,
     linear_coefficients,
@@ -539,7 +541,7 @@ def test_a_one_variable_block_with_a_huge_exponent_is_refuted_by_its_term_count(
     p = MultiPoly(1, {(0,): 1, (1,): 1, (10**40,): 1})
     pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
-    assert _block_exponent(p, None) is None
+    assert _profile_exponent(p) is None
     assert time.perf_counter() - start < 1.0
     assert pairs == [0]
 
@@ -982,7 +984,7 @@ def test_linear_form_left_side_matches_the_whole_route(u, a, drawn):
         f = u if n == 1 else linear_form(u, a[:n])
         lhs = ma_lhs_log(f)
         for e in (None, Fraction(n), drawn):
-            assert _block_exponent(f, e) == _power_exponent(f, lhs, e), (f, e)
+            assert _block_loop(n, [f], e) == _power_exponent(f, lhs, e), (f, e)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1037,8 +1039,8 @@ def test_blocks_agree_with_one_block_of_all_variables():
             for K in (1, 2) if n < 3 else (1,):
                 p = potential_for_power(part, K).P
                 e = einstein_exponent(p).e
-                assert _block_exponent(p, None) == e, (part, K)
-                assert _block_exponent(p, e + Fraction(1, 2)) is None
+                assert _block_loop(n, [p], None) == e, (part, K)
+                assert _block_loop(n, [p], e + Fraction(1, 2)) is None
 
 
 def test_equal_block_factors_are_checked_once(monkeypatch):
@@ -1046,9 +1048,9 @@ def test_equal_block_factors_are_checked_once(monkeypatch):
     # decision checks the first, which decides the three others
     p = potential_for_power((1, 1, 1, 1), 1).P
     decided = []
-    block_exponent = einstein._block_exponent
-    monkeypatch.setattr(einstein, "_block_exponent",
-                        lambda f, e: decided.append(f) or block_exponent(f, e))
+    profile_exponent = einstein._profile_exponent
+    monkeypatch.setattr(einstein, "_profile_exponent",
+                        lambda f: decided.append(f) or profile_exponent(f))
     assert einstein_exponent(p) == EinsteinExponent(Fraction(1, 16), Fraction(3))
     assert decided == [p.restrict((0,))]
 
@@ -1063,6 +1065,155 @@ def test_a_block_of_the_same_size_but_another_factor_is_still_checked(monkeypatc
     found = einstein_exponent((one + u * 2) * (one + v + v**2))
     assert found == EinsteinExponent(None, None)
 
+
+
+CATALOG_POTENTIALS = [potential_for_power(part, K).P
+                      for K in (1, 2, 3) for n in range(1, 5) for part in partitions(n)]
+
+
+def bump(p, rng):
+    """p with one nonconstant coefficient moved by +-a/b, b in (7, 11, 13),
+    coprime to every catalog denominator, so no term cancels."""
+    exp = rng.choice(sorted(e for e in p.terms if sum(e)))
+    step = rng.choice((1, -1)) * Fraction(rng.randint(1, 3), rng.choice((7, 11, 13)))
+    return p + MultiPoly(p.nvars, {exp: step})
+
+
+def count_point_tests(monkeypatch) -> list:
+    calls = [0]
+    at_point = einstein._exponent_at_point
+
+    def counting(*args):
+        calls[0] += 1
+        return at_point(*args)
+
+    monkeypatch.setattr(einstein, "_exponent_at_point", counting)
+    return calls
+
+
+def test_catalog_potentials_are_decided_with_no_point_test(monkeypatch):
+    # work gate: every catalog potential with n <= 4 and K <= 3 is a
+    # product of linear-form blocks, which the blocks decide with no point
+    # test; running it first, as the point-first order does, gives the
+    # same C and e
+    want = [point_first_exponent(p) for p in CATALOG_POTENTIALS]
+    calls = count_point_tests(monkeypatch)
+    assert [einstein_exponent(p) for p in CATALOG_POTENTIALS] == want
+    assert calls == [0]
+    assert all(found.e is not None for found in want)
+
+
+def test_bumped_catalog_potentials_keep_their_point_certificates(monkeypatch):
+    # one coefficient bumped: the blocks refute, and the point test then
+    # runs once for the certificate, the one the point-first order gives;
+    # the (n,) potentials at K = 1 are affine, and stay affine and Einstein
+    rng = random.Random(27)
+    calls = count_point_tests(monkeypatch)
+    refuted = 0
+    for p in CATALOG_POTENTIALS:
+        q = bump(p, rng)
+        want = point_first_exponent(q)
+        calls[0] = 0
+        assert einstein_exponent(q) == want, q
+        assert calls == [int(want.e is None)]
+        assert (want.e is None) == (want.refuted_at is not None)
+        refuted += want.e is None
+    assert refuted == len(CATALOG_POTENTIALS) - 4
+
+
+@st.composite
+def block_products(draw):
+    """A product P of one-variable, linear-form and general blocks on
+    consecutive variables, with P(0) = +-1 and no linear coefficient zero;
+    binomial powers with k = K*(N+1) share one K, so a product of those
+    alone is Einstein."""
+    big_k = draw(st.integers(1, 2))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("power", "univariate", "linear", "general")))
+        eps = draw(st.sampled_from((1, -1)))
+        if kind == "power":
+            n = draw(st.integers(1, 2))
+            u = binomial_power(eps, draw(small_nonzero), big_k * (n + 1))
+            blocks.append(u if n == 1 else linear_form(u, draw(
+                st.lists(small_nonzero, min_size=2, max_size=2))))
+        elif kind == "univariate":
+            blocks.append(draw(univariates()))
+        elif kind == "linear":
+            blocks.append(linear_form(draw(univariates()), draw(
+                st.lists(small_nonzero, min_size=2, max_size=2))))
+        else:
+            terms = {(0, 0): eps, (1, 0): draw(small_nonzero), (0, 1): draw(small_nonzero)}
+            for _ in range(draw(st.integers(1, 2))):
+                i, j = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+                terms[draw(st.sampled_from(((i, j), (j, i))))] = draw(small_nonzero)
+            blocks.append(MultiPoly(2, terms))
+    n = sum(f.nvars for f in blocks)
+    start = 0
+    p = MultiPoly.one(n)
+    for f in blocks:
+        p = p * f.embed(n, range(start, start + f.nvars))
+        start += f.nvars
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_products())
+def test_blocks_first_matches_the_point_first_order(p):
+    # C, e and the certificate agree with the order that runs the point
+    # test before any block, and the point test runs only when a block
+    # refutes or a general block needs the symbolic check
+    want = point_first_exponent(p)
+    calls = []
+    at_point = einstein._exponent_at_point
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(einstein, "_exponent_at_point",
+                   lambda *args: calls.append(1) or at_point(*args))
+        found = einstein_exponent(p)
+    assert found == want
+    assert len(calls) <= 1
+    factors = blocks_of(p)[1]
+    if found.e is not None and all(f.nvars == 1 or _is_linear_form(f) for f in factors):
+        assert calls == []
+
+
+def test_the_point_test_runs_before_the_first_symbolic_block(monkeypatch):
+    # P = (1 + x1/2)^2 * g(x2, x3), g not a linear form: the one-variable
+    # block gives e = 3, and the point test, here made to refute, to
+    # propose e or to be inconclusive, runs once, before g's symbolic
+    # check, which runs only when no refutation and no other e came first;
+    # the point-first order gives the same answer in each case
+    g = MultiPoly(2, {(0, 0): 1, (1, 0): 2, (0, 1): -1, (1, 1): 3})
+    p = binomial_power(1, 2, 2).embed(3, (0,)) * g.embed(3, (1, 2))
+    assert blocks_of(p)[0] == [(0,), (1, 2)] and not _is_linear_form(g)
+    cert = einstein._exponent_at_point(p, *einstein._euler(p))[0]
+    assert cert is not None
+    symbolic = []
+    lhs_log = ma_engine.ma_lhs_log
+    monkeypatch.setattr(ma_engine, "ma_lhs_log", lambda q: symbolic.append(q) or lhs_log(q))
+    for point, runs in (((cert, None), []), ((None, Fraction(2)), []),
+                        ((None, Fraction(3)), [g]), ((None, None), [g])):
+        calls = []
+        monkeypatch.setattr(einstein, "_exponent_at_point",
+                            lambda *args: calls.append(1) or point)
+        want = point_first_exponent(p)
+        calls.clear()
+        symbolic.clear()
+        assert einstein_exponent(p) == want == EinsteinExponent(None, None, point[0])
+        assert (calls, symbolic) == ([1], runs), point
+
+
+def test_a_general_block_refuted_at_the_point_multiplies_nothing(monkeypatch):
+    # work gate: x1*x3 couples the blocks of the (2,1) product into one
+    # block that is not a linear form; the point test, run before its
+    # symbolic check, refutes, so the kernel is handed no term pair
+    q = product_solution((2, 1)) + x(3, 0) * x(3, 2) * Fraction(1, 7)
+    assert blocks_of(q) == ([(0, 1, 2)], [q]) and not _is_linear_form(q)
+    want = point_first_exponent(q)
+    pairs = count_term_pairs(monkeypatch)
+    found = einstein_exponent(q)
+    assert found == want and found.refuted_at is not None
+    assert pairs == [0]
 
 def test_einstein_exponent_of_catalog_products_and_models():
     assert einstein_exponent(MultiPoly.one(2) + x(2, 0) + x(2, 1) * 3).e == 0
@@ -1125,7 +1276,7 @@ def test_symbolic_check_beyond_its_limit_is_rejected():
     p = MultiPoly(6, terms)
     assert len(p.terms) == 84
     with pytest.raises(SymbolicLimitError, match="MAX_SYMBOLIC_PAIRS"):
-        _block_exponent(p, None)
+        _block_loop(6, [p], None)
 
 
 def test_reduce_fourth_power():
@@ -1337,17 +1488,19 @@ def test_order_zero_fixes_the_equation_sign():
 
 
 def test_closed_form_probe_matches_full_expansion():
-    # for P = P0 + x2^(h+1), x1*[L]_h is the slope (h+1)^2*probe of
-    # order(h) in P_(h+1), and [P^2]_h is zero
+    # the slope taylor_continue_n2 divides by, (k/r)*x1*(1 + x1/r)^(2k-2),
+    # is T_0*P_0 - U_0^2 from the series' lists; and for P = P0 +
+    # x2^(h+1), x1*[L]_h is (h+1)^2 times it, as [P^2]_h is zero
     for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, HALF, 2), (1, -1, -2, 1),
                            (-1, -1, Fraction(2, 3), 5)):
         cd = cauchy_data(eps, sig, Fraction(r), k)
-        probe = _EulerSeries([cd.P0, cd.P1], sig).probe()
-        assert probe == (k / Fraction(r)) * x(1, 0) * binomial_power(1, Fraction(r), 2 * k - 2)
+        slope = (cd.k / cd.r) * binomial_power(1, cd.r, 2 * cd.k - 2).shift((1,))
+        series = _EulerSeries([cd.P0, cd.P1], sig)
+        assert slope == series.t[0] * series.p[0] - series.u[0] ** 2
         for h in range(1, 9):
             p = lift([cd.P0] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
             full = x(1, 0) * x2_slice(direct_lhs_log(p), h)
-            assert probe * (h + 1) ** 2 == full
+            assert slope * (h + 1) ** 2 == full
 
 
 CONTINUATION_GRID = [
