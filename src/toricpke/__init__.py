@@ -16,7 +16,6 @@ from toricpke.algebra import (
     NoExactRootError,
     NotBinomialPowerError,
     NotDivisibleError,
-    PolyMatrix,
     Scalar,
     binomial_profile,
     determinant,
@@ -31,7 +30,6 @@ __all__ = [
     "NoExactRootError",
     "NotBinomialPowerError",
     "NotDivisibleError",
-    "PolyMatrix",
     "Scalar",
     "ToricPotential",
     "binomial_profile",

@@ -13,9 +13,10 @@ and reduces the result by one gcd, and ``*`` a single product, both
 through ``_kernel``, the meter of ``symbolic_budget``.  The public API
 takes and returns Fractions.
 
-The module also provides polynomial matrices with two independent
-determinants: cofactor expansion with memoized minors, which the program
-runs, and fraction-free (Bareiss) elimination, the tests' oracle for it.
+The module also provides two independent determinants of a square
+matrix given as a list of rows: cofactor expansion with memoized minors,
+which the program runs, and fraction-free (Bareiss) elimination, the
+tests' oracle for it.
 It also provides exact division, exact q-th roots and recognition of
 binomial powers eps*(1 + t/r)^k of univariate polynomials.
 
@@ -610,54 +611,38 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-class PolyMatrix:
-    """Dense matrix of MultiPoly entries sharing a common nvars."""
-
-    def __init__(self, entries: list):
-        if not entries or not entries[0]:
-            raise ValueError("matrix must be non-empty")
-        cols = len(entries[0])
-        nv = entries[0][0].nvars
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for p in row:
-                if p.nvars != nv:
-                    raise ValueError("entries must share nvars")
-        self.entries = [list(row) for row in entries]
-        self.rows = len(entries)
-        self.cols = cols
-        self.nvars = nv
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-
-def toric_hessian_matrix(d0: MultiPoly) -> PolyMatrix:
-    """Matrix (d^2 D0/dx_i dx_j)*x_i + (d D0/dx_j)*delta_ij.
+def toric_hessian_matrix(d0: MultiPoly) -> list:
+    """Rows of (d^2 D0/dx_i dx_j)*x_i + (d D0/dx_j)*delta_ij.
 
     Entry (i, j) is d/dx_j of the Euler derivative x_i*dD0/dx_i, so the
     matrix needs no polynomial product.  Its determinant is the
     flat-type Monge-Ampere left side.
     """
     n = d0.nvars
-    return PolyMatrix([[g.partial_derivative(j) for j in range(n)]
-                       for g in map(d0.euler_derivative, range(n))])
+    return [[g.partial_derivative(j) for j in range(n)]
+            for g in map(d0.euler_derivative, range(n))]
 
 
-def determinant(m: PolyMatrix) -> MultiPoly:
+def _square_nvars(rows: list) -> int:
+    """The common nvars of a non-empty square matrix of rows, else ValueError."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant requires a non-empty square matrix")
+    nvars = rows[0][0].nvars
+    if any(p.nvars != nvars for row in rows for p in row):
+        raise ValueError("entries must share nvars")
+    return nvars
+
+
+def determinant(rows: list) -> MultiPoly:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Intermediate divisions by the previous pivot are exact over the
     polynomial ring, keeping entry growth minimal.  No command runs it:
     it is the tests' oracle for determinant_cofactor.
     """
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    nv = m.nvars
-    a = [row[:] for row in m.entries]
+    nv = _square_nvars(rows)
+    n = len(rows)
+    a = [list(row) for row in rows]
     sign = 1
     prev = MultiPoly.one(nv)
     for k in range(n - 1):
@@ -679,14 +664,30 @@ def determinant(m: PolyMatrix) -> MultiPoly:
     return det if sign == 1 else -det
 
 
-def determinant_cofactor(m: PolyMatrix) -> MultiPoly:
+def determinant_cofactor(rows: list) -> MultiPoly:
     """Determinant by Laplace expansion with memoized minors: the program's route.
 
     It shares no code with determinant; tests check each against the other.
+    The minors of the last k rows, keyed by the bitmask of their k columns,
+    are each built once by expanding along the row above, as one sum of
+    products: at most n*2^(n-1) products, none with a zero entry or a zero
+    minor.
     """
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    return _cofactor_det(m.entries)
+    nvars = _square_nvars(rows)
+    minors = {1 << j: p for j, p in enumerate(rows[-1]) if not p.is_zero()}
+    for row in reversed(rows[:-1]):
+        entries = [(1 << j, p) for j, p in enumerate(row) if not p.is_zero()]
+        wider = {}
+        for mask, minor in minors.items():
+            for bit, p in entries:
+                if not mask & bit:
+                    # the sign is that of bit's place among the columns
+                    odd = (mask & (bit - 1)).bit_count() % 2
+                    wider.setdefault(mask | bit, []).append(
+                        (-1 if odd else 1, p, minor))
+        minors = {k: v for k, items in wider.items()
+                  if not (v := _dot(nvars, items)).is_zero()}
+    return minors.get((1 << len(rows)) - 1, MultiPoly.zero(nvars))
 
 
 def _dot(nvars: int, items) -> MultiPoly:
@@ -704,46 +705,19 @@ def _dot(nvars: int, items) -> MultiPoly:
         for (c, p, q), d in zip(items, dens)]), den)
 
 
-def _cofactor_det(a: list) -> MultiPoly:
-    # the minors of the last k rows, keyed by the bitmask of their k
-    # columns, each built once by expanding along the row above, as one
-    # sum of products: at most n*2^(n-1) products, none with a zero entry
-    # or a zero minor
-    nvars = a[0][0].nvars
-    minors = {1 << j: p for j, p in enumerate(a[-1]) if not p.is_zero()}
-    for row in reversed(a[:-1]):
-        entries = [(1 << j, p) for j, p in enumerate(row) if not p.is_zero()]
-        wider = {}
-        for mask, minor in minors.items():
-            for bit, p in entries:
-                if not mask & bit:
-                    # the sign is that of bit's place among the columns
-                    odd = (mask & (bit - 1)).bit_count() % 2
-                    wider.setdefault(mask | bit, []).append(
-                        (-1 if odd else 1, p, minor))
-        minors = {k: v for k, items in wider.items()
-                  if not (v := _dot(nvars, items)).is_zero()}
-    return minors.get((1 << len(a)) - 1, MultiPoly.zero(nvars))
-
-
-def adjugate(m: PolyMatrix) -> PolyMatrix:
-    """Adjugate matrix via cofactors; adj(M)*M = det(M)*I."""
-    if m.rows != m.cols:
-        raise ValueError("adjugate requires a square matrix")
-    n = m.rows
+def adjugate(rows: list) -> list:
+    """Rows of the adjugate matrix, by cofactors; adj(M)*M = det(M)*I."""
+    nv = _square_nvars(rows)
+    n = len(rows)
     if n == 1:
-        return PolyMatrix([[MultiPoly.one(m.nvars)]])
+        return [[MultiPoly.one(nv)]]
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = [
-                [m.entries[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = _cofactor_det(minor)
+            cof = determinant_cofactor([row[:j] + row[j + 1:]
+                                        for r, row in enumerate(rows) if r != i])
             adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return PolyMatrix(adj)
+    return adj
 
 
 def _heap_key(exp: tuple) -> tuple:

@@ -30,7 +30,7 @@ import time
 from fractions import Fraction
 
 from toricpke import ma_engine
-from toricpke.algebra import MAX_COEFF_DIGITS, DomainError, MultiPoly, fraction_to_str
+from toricpke.algebra import DomainError, MultiPoly, fraction_to_str, json_int
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -38,9 +38,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 # Largest --k, --k-max or continue --bound: the continuation's work grows faster
-# than linearly in the order.  At 32 the slowest command, scan-k --k-max 32,
-# takes 0.05-0.07 s and continue --bound 32 at most 0.02 s (2 cores,
-# Python 3.11).
+# than linearly in the order, and not with r.  At 32 (in-process, best of 3,
+# 2 cores, Python 3.11) scan-k --k-max 32 takes 0.01 s, and continue --bound
+# 32 at most 0.13 s, at k = 1, where every order divides; verifying the image
+# of a 4,000-digit --r adds at most 0.06 s.
 MAX_ORDER = 32
 # Largest catalog dimension (--max-n, or the sum of --partition), largest
 # --K, and most terms in one record's potential: a record's work grows
@@ -78,6 +79,11 @@ MAX_EINSTEIN_TERMS = 3_000
 # commands takes at most 0.015 s on an empty and on a 10-term sparse
 # input (2 cores, Python 3.11).
 MAX_NVARS = 32
+# Most digits of an --r or --grid value: every integer of the value, the
+# denominator 10^d of a decimal included, stays within the 4,300 digits
+# that Fraction and str convert by default; classify-n1 raises r to
+# powers up to MAX_ORDER.
+MAX_R_DIGITS = 4_000
 
 
 class UsageError(Exception):
@@ -116,7 +122,16 @@ def _read_poly(path: str, nvars=None) -> MultiPoly:
 def _read_potential(path: str):
     from toricpke.geometry import ToricPotential
 
-    return _read_json(path, "potential", ToricPotential.from_json_dict)
+    def read(data):
+        # building the potential reads P(0), an exponent of nvars zeros,
+        # so the limit on nvars holds before it is built
+        nvars = json_int(data["P"]["nvars"])
+        if nvars > MAX_EINSTEIN_NVARS:
+            raise UsageError(f"potential in {nvars} variables exceeds "
+                             f"MAX_EINSTEIN_NVARS = {MAX_EINSTEIN_NVARS}")
+        return ToricPotential.from_json_dict(data)
+
+    return _read_json(path, "potential", read)
 
 
 _RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)")
@@ -125,7 +140,7 @@ _RATIONAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)")
 def _parse_r(token: str, what: str) -> Fraction:
     """A nonzero r given as an integer, p/q or a plain decimal.
 
-    Exponent notation and more than MAX_COEFF_DIGITS digits are rejected,
+    Exponent notation and more than MAX_R_DIGITS digits are rejected,
     so the value costs work bounded by the length of the token.
     """
     text = token.strip()
@@ -133,8 +148,8 @@ def _parse_r(token: str, what: str) -> Fraction:
         raise UsageError(f"bad {what} {token!r:.40}: expected an integer, "
                          "p/q or a plain decimal")
     digits = sum(ch.isdigit() for ch in text)
-    if digits > MAX_COEFF_DIGITS:
-        raise UsageError(f"bad {what}: {digits} digits exceed {MAX_COEFF_DIGITS}")
+    if digits > MAX_R_DIGITS:
+        raise UsageError(f"bad {what}: {digits} digits exceed MAX_R_DIGITS = {MAX_R_DIGITS}")
     try:
         value = Fraction(text)
     except ZeroDivisionError as exc:
@@ -194,7 +209,7 @@ def _sample_points(n: int, count: int, seed: int) -> list:
 
 def cmd_verify(args):
     p = _read_poly(args.poly, args.n)
-    result = ma_engine.verify_ma_star(p, witness=args.witness)
+    result = ma_engine.verify_ma_star(p)
     sign = {1: "+", -1: "-", None: None}[result.sign]
     cert = result.refuted_at
     verdict = {
@@ -203,7 +218,9 @@ def cmd_verify(args):
         "refuted_at": None if cert is None else cert.to_json_dict(),
     }
     if args.witness:
-        verdict["witness"] = result.witness.to_json_dict()
+        from toricpke import einstein
+
+        verdict["witness"] = einstein.star_witness(p, result.sign).to_json_dict()
     human = (
         f"solution (sign {sign})" if result.is_solution else "not a solution"
     )
@@ -336,9 +353,6 @@ def cmd_catalog(args):
 
 def cmd_einstein_check(args):
     potential = _read_potential(args.potential)
-    if potential.nvars > MAX_EINSTEIN_NVARS:
-        raise UsageError(f"potential in {potential.nvars} variables exceeds "
-                         f"MAX_EINSTEIN_NVARS = {MAX_EINSTEIN_NVARS}")
     terms = len(potential.P.integer_terms[1])
     if terms > MAX_EINSTEIN_TERMS:
         raise UsageError(f"potential of {terms} terms exceeds "

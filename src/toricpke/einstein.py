@@ -7,7 +7,8 @@ exactly when log|det g| + lambda*Phi is pluriharmonic, which for a toric
 function smooth at 0 means constant: L = C*(eps*P)^e with lambda =
 (n+1-e)/k (einstein_exponent).  The normalized equation L = +-P^n is the
 case e = n with C*eps^n = +-1 (star_decision, which decides
-ma_engine.verify_ma_star).  For Phi = P, det g = ma_lhs_flat(P), and
+ma_engine.verify_ma_star; star_witness builds L itself, from the blocks
+below, for verify --witness).  For Phi = P, det g = ma_lhs_flat(P), and
 Ric = lambda*g holds exactly when that is a nonzero constant C, with
 lambda = 0 (kind "poly", which decides ma_engine.classify_flat).
 
@@ -520,27 +521,44 @@ def _block_loop(n: int, factors: list, e: Optional[Fraction],
     return e
 
 
-def star_decision(p: MultiPoly, want_blocks: bool = False):
-    """(sign, refuted_at, blocks, factors) for L = sign*P^n, the case e = n.
+def star_decision(p: MultiPoly):
+    """(sign, refuted_at) for L = sign*P^n, the case e = n.
 
     sign is eps^n*L(0) when that is +-1 and the blocks hold, else None;
     refuted_at is the PointRefutation when the point test found one.
-    blocks and factors are P's blocks when the decision reached them or
-    want_blocks is set, else None.  ValueError when P(0) is not +-1.
+    ValueError when P(0) is not +-1.
     """
     den, _, euler = _front_end(p)
     refuted_at = _point_refutation(den, euler)
-    if refuted_at is not None and not want_blocks:
-        return None, refuted_at, None, None
+    if refuted_at is not None:
+        return None, refuted_at
     n = p.nvars
     sign = p.constant_term() ** n * origin_value(p)
-    solved = refuted_at is None and sign in (1, -1)
-    blocks = factors = None
-    if solved or want_blocks:
-        blocks, factors = _product_blocks(p, euler)
-        # a +-1 sign makes every linear coefficient nonzero
-        solved = solved and _block_loop(n, factors, Fraction(n)) is not None
-    return (int(sign) if solved else None), refuted_at, blocks, factors
+    # a +-1 sign makes every linear coefficient nonzero
+    if sign in (1, -1) and _block_loop(
+            n, _product_blocks(p, euler)[1], Fraction(n)) is not None:
+        return int(sign), None
+    return None, None
+
+
+def star_witness(p: MultiPoly, sign: Optional[int]) -> MultiPoly:
+    """The left side L of P, given the sign star_decision found for it.
+
+    L is sign*P^n when P solves with that sign, and otherwise
+    eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b) over P's m blocks (see the
+    module docstring), L_b = ma_lhs_log(P_b); either is metered as a
+    whole within MAX_SYMBOLIC_PAIRS kernel term pairs.
+    """
+    n = p.nvars
+    if sign is not None:
+        with symbolic_budget():
+            return sign * p ** n
+    blocks, factors = _product_blocks(p, _front_end(p)[2])
+    with symbolic_budget():
+        lhs = disjoint_product(n, blocks, [
+            ma_engine.ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n
+            else ma_engine.ma_lhs_log(f) for f, b in zip(factors, blocks)])
+    return -lhs if p.constant_term() ** ((len(blocks) - 1) * (n + 1)) == -1 else lhs
 
 
 def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:

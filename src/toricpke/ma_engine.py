@@ -22,24 +22,25 @@ are found by attempting Taylor continuation off the x2 = 0 axis, and
 the continuation accepts a candidate only through verify_ma_star, so
 every produced candidate is verified symbolically.
 
-The n=2 drivers continue one Cauchy datum per exponent k, eps = sigma =
-r = 1.  The data fix the equation's sign, and every datum of one k is an
-image of that one, P_{eps,sigma,r}(x1, x2) = eps*P_{1,1,1}(x1/r,
-eps*sigma*r*x2), failures included: under x -> (l1*x1, l2*x2) the
+taylor_continue_n2 continues one Cauchy datum per exponent k, eps =
+sigma = r = 1.  The data fix the equation's sign, and every datum of one
+k is an image of that one, P_{eps,sigma,r}(x1, x2) =
+eps*P_{1,1,1}(x1/r, eps*sigma*r*x2), failures included: under x -> (l1*x1, l2*x2) the
 bordered determinant of ma_lhs_log gains the factor l1*l2, which is 1
-here.  The search verifies the image for each r on its grid and runs no
-feasibility scan first.  The continuation never expands the
-two-variable left side while it runs.  It writes P = sum_h P_h*x2^h in
-the Euler form of toricpke.einstein, where x2*d/dx2 multiplies the x2^h
-coefficient by h, so the x2^(h+1) coefficient of det[[T, U], [U^T, P]] -
-sigma*x1*x2*P^2, x1 times the x2^h coefficient of L - sigma*P^2, is a
-sum of products of univariate coefficients, built in one accumulator
+here.  So the work of a continuation does not grow with r, and the
+search continues each k once and verifies the image for each r on its
+grid, with no feasibility scan first.  The continuation never expands
+the two-variable left side while it runs.  It writes P = sum_h P_h*x2^h
+in the Euler form of toricpke.einstein, where x2*d/dx2 multiplies the
+x2^h coefficient by h, so the x2^(h+1) coefficient of det[[T, U], [U^T,
+P]] - x1*x2*P^2, x1 times the x2^h coefficient of L - P^2, is a sum of
+products of univariate coefficients, built in one accumulator
 by one call of algebra's _dot; the products of pairs of lower
 coefficients are taken once and kept between orders, and each sum over
 them is again one call.  It is affine in P_{h+1}, with
 a slope computed once from the axis data, so P_{h+1} follows by one
 exact division.  Every rejection is a certificate; acceptance requires
-verify_ma_star to give the candidate the sign sigma.
+verify_ma_star to give the image the sign sigma.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from toricpke.algebra import (
     MultiPoly,
     NotBinomialPowerError,
     NotDivisibleError,
-    PolyMatrix,
     Scalar,
     _dot,
     adjugate,  # noqa: F401  re-bound by perfbench/tracing.py
@@ -61,7 +61,6 @@ from toricpke.algebra import (
     determinant,  # noqa: F401  re-bound by perfbench/tracing.py
     determinant_cofactor,
     exact_divide,
-    symbolic_budget,
     toric_hessian_matrix,
 )
 
@@ -74,7 +73,6 @@ class MAResult(NamedTuple):
     is_solution: bool
     sign: Optional[int]  # +1 or -1 when is_solution
     refuted_at: Optional[tuple] = None  # einstein.PointRefutation, when the point refutes
-    witness: Optional[MultiPoly] = None  # the left side, when asked for
 
 
 class AxisProfile(NamedTuple):
@@ -85,10 +83,9 @@ class AxisProfile(NamedTuple):
 
 
 class CauchyData(NamedTuple):
-    """Axis data P(x1,0), dP/dx2(x1,0) plus the sign/shape parameters."""
+    """The axis data P(x1, 0) = eps*(1 + x1/r)^k and
+    dP/dx2(x1, 0) = sigma*(r/k)*(1 + x1/r)^2."""
 
-    P0: MultiPoly
-    P1: MultiPoly
     epsilon: int
     sigma: int
     r: Scalar
@@ -132,8 +129,8 @@ def classify_flat(d0: MultiPoly) -> FlatClassification:
     return FlatClassification(True, tuple(einstein.linear_coefficients(d0)), product)
 
 
-def log_ma_matrix(q: MultiPoly) -> PolyMatrix:
-    """Matrix (Q Q_ab - Q_a Q_b)x_a + Q Q_a delta_ab."""
+def log_ma_matrix(q: MultiPoly) -> list:
+    """Rows of (Q Q_ab - Q_a Q_b)x_a + Q Q_a delta_ab."""
     n = q.nvars
     grad = [q.partial_derivative(i) for i in range(n)]
     rows = []
@@ -147,7 +144,7 @@ def log_ma_matrix(q: MultiPoly) -> PolyMatrix:
                 entry = entry + q * grad[a]
             row.append(entry)
         rows.append(row)
-    return PolyMatrix(rows)
+    return rows
 
 
 def ma_lhs_log(q: MultiPoly) -> MultiPoly:
@@ -167,31 +164,19 @@ def ma_lhs_log(q: MultiPoly) -> MultiPoly:
     n = q.nvars
     generators = [q.euler_derivative(i) for i in range(n)] + [q]
     rows = [[g.partial_derivative(j) for j in range(n)] + [g] for g in generators]
-    return determinant_cofactor(PolyMatrix(rows))
+    return determinant_cofactor(rows)
 
 
-def verify_ma_star(p: MultiPoly, witness: bool = False) -> MAResult:
+def verify_ma_star(p: MultiPoly) -> MAResult:
     """Exact check that the log-type left side L equals +-P^n.
 
-    The case e = n of toricpke.einstein's decision (see star_decision).
-    The witness is the full left side: sign*P^n on acceptance, and on a
-    refutation eps^((m-1)(n+1))*prod L_b*P_b^(n-n_b) over P's m blocks,
-    with L_b = ma_lhs_log(P_b), metered as a whole within
-    MAX_SYMBOLIC_PAIRS kernel term pairs.
+    The case e = n of toricpke.einstein's decision (see star_decision);
+    einstein.star_witness builds L itself.
     """
     from toricpke import einstein
 
-    sign, refuted_at, blocks, factors = einstein.star_decision(p, witness)
-    if not witness:
-        return MAResult(sign is not None, sign, refuted_at)
-    n = p.nvars
-    with symbolic_budget():
-        full = sign * p ** n if sign else einstein.disjoint_product(n, blocks, [
-            ma_lhs_log(f) * f ** (n - len(b)) if len(b) < n else ma_lhs_log(f)
-            for f, b in zip(factors, blocks)])
-    if sign is None and p.constant_term() ** ((len(blocks) - 1) * (n + 1)) == -1:
-        full = -full
-    return MAResult(sign is not None, sign, refuted_at, full)
+    sign, refuted_at = einstein.star_decision(p)
+    return MAResult(sign is not None, sign, refuted_at)
 
 
 def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:
@@ -267,7 +252,7 @@ def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
 
 
 def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
-    """Axis data P0 = eps*(1+x1/r)^k, P1 = sigma*(r/k)*(1+x1/r)^2."""
+    """The datum of (eps, sigma, r, k), once they are checked."""
     if epsilon not in (1, -1) or sigma not in (1, -1):
         raise ValueError("epsilon and sigma must be +-1")
     r = Fraction(r)
@@ -275,13 +260,11 @@ def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
         raise ValueError("r must be nonzero")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    p0 = binomial_power(epsilon, r, k)
-    p1 = sigma * (r / k) * binomial_power(1, r, 2)
-    return CauchyData(p0, p1, epsilon, sigma, r, k)
+    return CauchyData(epsilon, sigma, r, k)
 
 
 class _EulerSeries:
-    """x2-coefficients of det E - eq_sign*x1*x2*P^2 for P = sum_h p[h]*x2^h.
+    """x2-coefficients of det E - x1*x2*P^2 for P = sum_h p[h]*x2^h.
 
     E is the Euler matrix of P (see toricpke.einstein), so det E = x1*x2*L
     with L = ma_lhs_log(P).  x2*d/dx2 multiplies the x2^h coefficient by
@@ -295,9 +278,8 @@ class _EulerSeries:
     and kept, once P_r exists.
     """
 
-    def __init__(self, coeffs: list, eq_sign: int):
+    def __init__(self, coeffs: list):
         self.p, self.u, self.t = [], [], []
-        self.eq_sign = eq_sign
         self._pairs = {}
         for c in coeffs:
             self.append(c)
@@ -328,13 +310,13 @@ class _EulerSeries:
         return found
 
     def order(self, h: int) -> MultiPoly:
-        """The x2^(h+1) coefficient, x1*[L - eq_sign*P^2]_h, exact.
+        """The x2^(h+1) coefficient, x1*[L - P^2]_h, exact.
 
         One sum of products, with [P^2]_h as plain addends, and each
         (2i^2 - i*m)*S_r + W_r one sum built from the products U_l*U_j.
         """
         m = h + 1
-        items = [(-self.eq_sign * c, p.shift((1,)), None)
+        items = [(-c, p.shift((1,)), None)
                  for c, _, p in self._pair_products(h)[1]]
         for i in range(min(m, len(self.p) - 1) + 1):
             if not self.p[i].is_zero():
@@ -348,24 +330,27 @@ class _EulerSeries:
 def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiPoly]:
     """Reconstruct the two-variable solution from its Cauchy data.
 
-    The solution is written as sum_h P_h(x1)*x2^h, and L - sigma*P^2 is
-    forced to vanish order by order in x2, on the Euler form of the
-    bordered determinant (see _EulerSeries); the sign is sigma because
-    the x2^0 coefficient of x1*(L - s*P^2) is x1*(sigma - s)*(1 + x1/r)^(2k).
-    Order h is t + (h+1)^2*m*P_(h+1), with t read from P_0..P_h and the
-    slope m = T_0*P_0 - U_0^2, as P_(h+1) enters order(h) only through
-    T_0*R_(h+1) and P_(h+1)*S_0; for P_0 = eps*(1 + x1/r)^k that is
-    (k/r)*x1*(1 + x1/r)^(2k-2), never zero, so P_(h+1) is one exact
-    division by m.  Returns None when a division fails, when the first
-    unforced x2^bound coefficient is nonzero, or when verify_ma_star does
-    not give the candidate the sign sigma: each is a certificate.  A returned candidate is verified.
-    The branches are images of one, P_{eps,sigma}(x1, x2) =
-    eps*P_{1,1}(x1, eps*sigma*x2), failures included.
+    Only the datum eps = sigma = r = 1 of cd.k is continued, P_0 = (1 +
+    x1)^k and P_1 = (1 + x1)^2/k, and the solution of cd is its image
+    (_datum_image), failures included.  The solution is written as
+    sum_h P_h(x1)*x2^h, and L - P^2 is forced to vanish order by order in
+    x2, on the Euler form of the bordered determinant (see _EulerSeries);
+    the sign is 1 because the x2^0 coefficient of x1*(L - s*P^2) is
+    x1*(1 - s)*(1 + x1)^(2k).  Order h is t + (h+1)^2*m*P_(h+1), with t
+    read from P_0..P_h and the slope m = T_0*P_0 - U_0^2, as P_(h+1)
+    enters order(h) only through T_0*R_(h+1) and P_(h+1)*S_0; that is
+    k*x1*(1 + x1)^(2k-2), never zero, so P_(h+1) is one exact division
+    by m.  Returns None when a division fails, when the first unforced
+    x2^bound coefficient is nonzero, or when verify_ma_star does not give
+    the image the sign sigma: each is a certificate.  A returned
+    candidate is verified.
     """
-    if degree_bound < max(2, cd.k):
+    k = cd.k
+    if degree_bound < max(2, k):
         raise ValueError("degree_bound must be at least max(2, k)")
-    series = _EulerSeries([cd.P0, cd.P1], cd.sigma)
-    slope = (cd.k / cd.r) * binomial_power(1, cd.r, 2 * cd.k - 2).shift((1,))
+    series = _EulerSeries([binomial_power(1, 1, k),
+                           Fraction(1, k) * binomial_power(1, 1, 2)])
+    slope = k * binomial_power(1, 1, 2 * k - 2).shift((1,))
     for h in range(1, degree_bound):
         try:
             nxt = exact_divide(series.order(h), slope) * Fraction(-1, (h + 1) ** 2)
@@ -376,12 +361,22 @@ def taylor_continue_n2(cd: CauchyData, degree_bound: int = 6) -> Optional[MultiP
     # has no x2^(bound+1) term, so this coefficient is final for it
     if not series.order(degree_bound).is_zero():
         return None
-    candidate = MultiPoly(2, {
+    candidate = _datum_image(MultiPoly(2, {
         (e[0], h): c for h, ph in enumerate(series.p) for e, c in ph.terms.items()
-    })
+    }), cd.epsilon, cd.sigma, cd.r)
     if verify_ma_star(candidate).sign != cd.sigma:
         return None
     return candidate
+
+
+def _datum_image(p: MultiPoly, epsilon: int, sigma: int, r) -> MultiPoly:
+    """eps*P(x1/r, eps*sigma*r*x2): for P continued from the datum eps =
+    sigma = r = 1, the continuation of the datum (eps, sigma, r) of the
+    same k (see the module docstring)."""
+    if epsilon == sigma == r == 1:
+        return p
+    image = p.scale_vars([1 / r, epsilon * sigma * r])
+    return -image if epsilon == -1 else image
 
 
 def _consistent_continuations(k_max: int):
@@ -449,7 +444,7 @@ def search_n2(r_grid) -> list:
     reps = set()
     for _, p in _consistent_continuations(SEARCH_K_MAX):
         for r in rs:
-            image = p.scale_vars([1 / r, r])
+            image = _datum_image(p, 1, 1, r)
             if verify_ma_star(image).sign == 1:
                 reps.add(canonicalize(image))
     return sorted(reps, key=_poly_sort_key)

@@ -30,6 +30,7 @@ from toricpke.cli import (
     MAX_NVARS,
     MAX_ORDER,
     MAX_POINTS,
+    MAX_R_DIGITS,
     build_parser,
     main,
 )
@@ -610,6 +611,25 @@ def test_einstein_check_beyond_its_input_limits_is_usage_error(tmp_path, capsys,
         assert f"exceeds {name} = " in capsys.readouterr().err
 
 
+def test_einstein_check_rejects_a_wide_potential_before_building_it(tmp_path, capsys):
+    # building the potential reads P(0), an exponent of nvars zeros, 8 MB
+    # at 10^6 variables, so the limit holds before the potential is built
+    import tracemalloc
+
+    path = tmp_path / "wide.json"
+    path.write_text('{"kind": "log", "P": {"nvars": 1000000, "terms": []}}',
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["einstein-check", "--potential", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert "exceeds MAX_EINSTEIN_NVARS = " in capsys.readouterr().err
+    assert peak < 1_000_000
+
+
 def test_einstein_check_accepts_every_k1_catalog_potential_up_to_n4(tmp_path, capsys):
     from toricpke.catalog import partitions, potential_for_power
 
@@ -937,6 +957,42 @@ def test_rational_argument_gets_bounded_work(capsys, monkeypatch, argv):
     assert time.perf_counter() - start < 1.0
     assert pairs == [0]
     assert "bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["continue", "--k", "2", "--r", "7" * 5000],
+    ["search-n2", "--grid", "1," + "7" * 5000],
+], ids=["continue", "search-n2"])
+def test_a_rational_argument_beyond_its_digit_limit_names_the_limit(capsys, argv):
+    # Fraction and str convert at most 4,300 digits by default, which the
+    # limit keeps below
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"5000 digits exceed MAX_R_DIGITS = {MAX_R_DIGITS}" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_a_long_r_leaves_the_continuation_s_integers_alone(capsys, monkeypatch):
+    # deterministic work gate: only the datum eps = sigma = r = 1 is
+    # continued and the result mapped to r, so no integer handed to the
+    # kernel grows with r: here the widest has 34 bits, where continuing
+    # the datum of this 4,000-digit r itself handed it 451,770 (4.4 s)
+    from toricpke import algebra
+
+    widest = [0]
+    dot_terms = algebra.dot_terms
+
+    def recording(items):
+        for c, a, b in items:
+            for v in (c, *a.values(), *(() if b is None else b.values())):
+                widest[0] = max(widest[0], abs(v).bit_length())
+        return dot_terms(items)
+
+    monkeypatch.setattr(algebra, "dot_terms", recording)
+    r = "7" * MAX_R_DIGITS
+    assert main(["continue", "--k", "32", "--bound", "32", "--r", r]) == EXIT_REFUTED
+    assert "inconsistent" in capsys.readouterr().out
+    assert 0 < widest[0] <= 64
 
 
 @pytest.mark.parametrize("argv", [

@@ -47,6 +47,7 @@ from toricpke.einstein import (
     _rational_reconstruction,
     einstein_exponent,
     linear_coefficients,
+    star_witness,
 )
 from toricpke.geometry import DomainError
 from toricpke.ma_engine import (
@@ -252,7 +253,7 @@ def test_log_lhs_rows_multiply_no_polynomials(monkeypatch):
     got = []
     pairs = count_term_pairs(monkeypatch)
     monkeypatch.setattr(ma_engine, "determinant_cofactor",
-                        lambda m: got.append(m.entries))
+                        lambda m: got.append(m))
     for q in products:
         ma_lhs_log(q)
     assert pairs == [0]
@@ -339,10 +340,8 @@ def whole_route(p):
 
 
 def assert_routes_agree(p):
-    res = verify_ma_star(p, witness=True)
-    assert (res.is_solution, res.sign, res.witness) == whole_route(p), p
-    # the default call differs only in leaving the witness out
-    assert verify_ma_star(p) == MAResult(res.is_solution, res.sign, res.refuted_at)
+    res = verify_ma_star(p)
+    assert (res.is_solution, res.sign, star_witness(p, res.sign)) == whole_route(p), p
     return res
 
 
@@ -463,8 +462,8 @@ def test_a_variable_absent_from_p_is_its_own_block():
     # a block that P does not depend on has L_b = 0, so c_b = 0
     p = product_solution((1,)).embed(2, (0,))
     assert blocks_of(p)[0] == [(0,), (1,)]
-    res = verify_ma_star(p, witness=True)
-    assert not res.is_solution and res.witness.is_zero()
+    res = verify_ma_star(p)
+    assert not res.is_solution and star_witness(p, res.sign).is_zero()
     assert_routes_agree(p)
 
 
@@ -748,8 +747,8 @@ def test_a_witness_after_a_certificate_takes_no_power(monkeypatch):
     lhs = ma_lhs_log(p)
     alone = pairs[0]
     pairs[0] = 0
-    res = verify_ma_star(p, witness=True)
-    assert res.refuted_at is not None and res.witness == lhs
+    res = verify_ma_star(p)
+    assert res.refuted_at is not None and star_witness(p, res.sign) == lhs
     assert pairs[0] == alone
 
 
@@ -1369,18 +1368,12 @@ def test_axis_profile_rejects_a_wrong_companion(extra):
 
 def test_records_keep_their_defaults_and_fields():
     res = MAResult(False, None)
-    assert res.refuted_at is None and res.witness is None
-    assert repr(res) == ("MAResult(is_solution=False, sign=None, "
-                         "refuted_at=None, witness=None)")
+    assert res.refuted_at is None
+    assert repr(res) == "MAResult(is_solution=False, sign=None, refuted_at=None)"
     assert EinsteinExponent(None, None).refuted_at is None
     cd = cauchy_data(1, -1, 2, 3)
-    assert cd == CauchyData(binomial_power(1, Fraction(2), 3),
-                            -Fraction(2, 3) * binomial_power(1, Fraction(2), 2),
-                            1, -1, Fraction(2), 3)
-    assert repr(cd) == (
-        "CauchyData(P0=MultiPoly(1 + 3/2*x1 + 3/4*x1^2 + 1/8*x1^3), "
-        "P1=MultiPoly(-2/3 - 2/3*x1 - 1/6*x1^2), epsilon=1, sigma=-1, "
-        "r=Fraction(2, 1), k=3)")
+    assert cd == CauchyData(1, -1, Fraction(2), 3)
+    assert repr(cd) == "CauchyData(epsilon=1, sigma=-1, r=Fraction(2, 1), k=3)"
 
 
 def test_continuation_reconstructs_cubic_with_intermediates():
@@ -1423,8 +1416,13 @@ def lift(coeffs):
     })
 
 
-def sympy_residual_coefficients(coeffs, eq_sign, upto):
-    """x2^h coefficients, h <= upto, of x1*(L - eq_sign*P^2) via sympy.
+def axis_data(eps, sig, r, k):
+    """[P(x1, 0), dP/dx2(x1, 0)] of the Cauchy datum (eps, sig, r, k)."""
+    return [binomial_power(eps, r, k), sig * (r / k) * binomial_power(1, r, 2)]
+
+
+def sympy_residual_coefficients(coeffs, upto):
+    """x2^h coefficients, h <= upto, of x1*(L - P^2) via sympy.
 
     L = det M/P with M the log-type matrix of P, divided exactly by sympy.
     """
@@ -1444,7 +1442,7 @@ def sympy_residual_coefficients(coeffs, eq_sign, upto):
     ))
     lhs, rem = sympy.div(sympy.expand(m.det()), p, x1, x2)
     assert rem == 0
-    residual = sympy.Poly(sympy.expand(x1 * (lhs - eq_sign * p**2)), x1, x2)
+    residual = sympy.Poly(sympy.expand(x1 * (lhs - p**2)), x1, x2)
     out = []
     for h in range(upto + 1):
         terms = {}
@@ -1456,51 +1454,67 @@ def sympy_residual_coefficients(coeffs, eq_sign, upto):
 
 
 def test_order_coefficient_matches_sympy_expansion():
-    # order(h) is x1*[L - eq_sign*P^2]_h; the series grows one coefficient
-    # at a time, as in the continuation, and every order up to the bound
-    # is checked after each step, so entries kept from a shorter list are
+    # order(h) is x1*[L - P^2]_h; the series grows one coefficient at a
+    # time, as in the continuation, and every order up to the bound is
+    # checked after each step, so entries kept from a shorter list are
     # checked too
     rng = random.Random(53)
     bound = 5
     for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, 2, 2), (1, -1, HALF, 4),
                            (-1, -1, Fraction(-3, 2), 1)):
-        cd = cauchy_data(eps, sig, Fraction(r), k)
         extra = [random_poly(rng, 1, 3, 3) for _ in range(2)]
-        for eq_sign in (1, -1):
-            series = _EulerSeries([cd.P0, cd.P1], eq_sign)
-            for step in range(len(extra) + 1):
-                if step:
-                    series.append(extra[step - 1])
-                expected = sympy_residual_coefficients(series.p, eq_sign, bound)
-                for h in range(bound + 1):
-                    assert series.order(h) == expected[h]
+        series = _EulerSeries(axis_data(eps, sig, Fraction(r), k))
+        for step in range(len(extra) + 1):
+            if step:
+                series.append(extra[step - 1])
+            expected = sympy_residual_coefficients(series.p, bound)
+            for h in range(bound + 1):
+                assert series.order(h) == expected[h]
 
 
 def test_order_zero_fixes_the_equation_sign():
-    # order(0), the x2^1 coefficient of det E - eq_sign*x1*x2*P^2, is
-    # x1*(sigma - eq_sign)*(1 + x1/r)^(2k)
+    # order(0), the x2^1 coefficient of det E - x1*x2*P^2, is
+    # x1*(sigma - 1)*(1 + x1/r)^(2k)
     for eps in (1, -1):
         for sig in (1, -1):
-            cd = cauchy_data(eps, sig, Fraction(-2, 3), 3)
-            for eq_sign in (1, -1):
-                order0 = _EulerSeries([cd.P0, cd.P1], eq_sign).order(0)
-                assert order0.is_zero() == (eq_sign == sig)
+            order0 = _EulerSeries(axis_data(eps, sig, Fraction(-2, 3), 3)).order(0)
+            assert order0.is_zero() == (sig == 1)
 
 
 def test_closed_form_probe_matches_full_expansion():
-    # the slope taylor_continue_n2 divides by, (k/r)*x1*(1 + x1/r)^(2k-2),
-    # is T_0*P_0 - U_0^2 from the series' lists; and for P = P0 +
+    # the slope of a datum, (k/r)*x1*(1 + x1/r)^(2k-2), which
+    # taylor_continue_n2 divides by at r = 1, is T_0*P_0 - U_0^2 from the
+    # series' lists; and for P = P0 +
     # x2^(h+1), x1*[L]_h is (h+1)^2 times it, as [P^2]_h is zero
     for eps, sig, r, k in ((1, 1, 3, 3), (-1, 1, HALF, 2), (1, -1, -2, 1),
                            (-1, -1, Fraction(2, 3), 5)):
-        cd = cauchy_data(eps, sig, Fraction(r), k)
-        slope = (cd.k / cd.r) * binomial_power(1, cd.r, 2 * cd.k - 2).shift((1,))
-        series = _EulerSeries([cd.P0, cd.P1], sig)
+        r = Fraction(r)
+        slope = (k / r) * binomial_power(1, r, 2 * k - 2).shift((1,))
+        series = _EulerSeries(axis_data(eps, sig, r, k))
         assert slope == series.t[0] * series.p[0] - series.u[0] ** 2
         for h in range(1, 9):
-            p = lift([cd.P0] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
+            p = lift([series.p[0]] + [MultiPoly.zero(1)] * h + [MultiPoly.one(1)])
             full = x(1, 0) * x2_slice(direct_lhs_log(p), h)
             assert slope * (h + 1) ** 2 == full
+
+
+def test_continued_solutions_have_their_data_and_solve_the_equation():
+    # every datum is continued as the image of the datum eps = sigma = r =
+    # 1; each returned P must still have the axis data asked for, and
+    # L = sigma*P^2 by the direct expansion of the log-type matrix
+    found = 0
+    for k in (1, 2, 3, 4):
+        for r in (1, -1, 2, HALF, Fraction(-3, 7), Fraction(7, 3)):
+            for eps in (1, -1):
+                for sig in (1, -1):
+                    p = taylor_continue_n2(cauchy_data(eps, sig, r, k), max(6, k))
+                    if p is None:
+                        continue
+                    found += 1
+                    assert [x2_slice(p, 0), x2_slice(p, 1)] == axis_data(
+                        eps, sig, Fraction(r), k), (k, r, eps, sig)
+                    assert direct_lhs_log(p) == sig * p ** 2, (k, r, eps, sig)
+    assert found == 2 * 6 * 4
 
 
 CONTINUATION_GRID = [
