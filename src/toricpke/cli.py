@@ -81,8 +81,8 @@ MAX_EINSTEIN_TERMS = 3_000
 MAX_NVARS = 32
 # Most digits of an --r or --grid value: every integer of the value, the
 # denominator 10^d of a decimal included, stays within the 4,300 digits
-# that Fraction and str convert by default; classify-n1 raises r to
-# powers up to MAX_ORDER.
+# that Fraction and str convert by default; classify-n1 squares r, no
+# more.
 MAX_R_DIGITS = 4_000
 
 
@@ -293,8 +293,8 @@ def cmd_scan_k(args):
 
 def cmd_classify_n1(args):
     grid = _parse_grid(args.grid)
-    sols = ma_engine.classify_n1(args.k_max, grid)
-    return (EXIT_OK, {"k_max": args.k_max, "grid": [str(g) for g in grid]},
+    sols = ma_engine.classify_n1(grid)
+    return (EXIT_OK, {"grid": [str(g) for g in grid]},
             {"solutions": [p.to_json_dict() for p in sols]},
             "\n".join(str(p) for p in sols) or "no solutions on this grid")
 
@@ -446,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-max", type=_order, default=6)
 
     sp = command("classify-n1", cmd_classify_n1, "one-variable classification")
-    sp.add_argument("--k-max", type=_order, default=6)
     sp.add_argument("--grid", required=True)
 
     sp = command("search-n2", cmd_search_n2, "two-variable search over a grid")

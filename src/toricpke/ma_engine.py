@@ -16,11 +16,13 @@ the left side is C*(eps*P)^e, which toricpke.einstein owns: its module
 docstring derives the value at the origin, the Euler matrix of P at the
 test point, the point certificates, the blocks and the block check.
 
-Classification in one and two variables proceeds exactly: axis
-restrictions are matched against binomial powers, admissible exponents
-are found by attempting Taylor continuation off the x2 = 0 axis, and
-the continuation accepts a candidate only through verify_ma_star, so
-every produced candidate is verified symbolically.
+Classification in one and two variables proceeds exactly, and every
+produced candidate is verified by verify_ma_star.  In one variable the
+binomial-profile theorem of toricpke.einstein leaves the exponent k = 2
+alone, so classify_n1 verifies (1 + x/r)^2 once per r.  In two, axis
+restrictions are matched against binomial powers and admissible
+exponents are found by attempting Taylor continuation off the x2 = 0
+axis.
 
 taylor_continue_n2 continues one Cauchy datum per exponent k, eps =
 sigma = r = 1.  The data fix the equation's sign, and every datum of one
@@ -49,6 +51,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from toricpke.algebra import (
+    BinomialProfile,
     DomainError,
     MultiPoly,
     NotBinomialPowerError,
@@ -75,13 +78,6 @@ class MAResult(NamedTuple):
     refuted_at: Optional[tuple] = None  # einstein.PointRefutation, when the point refutes
 
 
-class AxisProfile(NamedTuple):
-    axis: int
-    epsilon: int
-    r: Scalar
-    k: int
-
-
 class CauchyData(NamedTuple):
     """The axis data P(x1, 0) = eps*(1 + x1/r)^k and
     dP/dx2(x1, 0) = sigma*(r/k)*(1 + x1/r)^2."""
@@ -90,17 +86,6 @@ class CauchyData(NamedTuple):
     sigma: int
     r: Scalar
     k: int
-
-
-class ExponentRatio(NamedTuple):
-    """The positive rational s/q with gcd(s, q) = 1."""
-
-    s: int
-    q: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.s, self.q)
 
 
 class FlatClassification(NamedTuple):
@@ -179,7 +164,7 @@ def verify_ma_star(p: MultiPoly) -> MAResult:
     return MAResult(sign is not None, sign, refuted_at)
 
 
-def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:
+def exponent_scan(q: MultiPoly) -> Optional[Fraction]:
     """Find the exponent ratio 4*lambda/c = s/q from the log-type left side.
 
     When the left side equals +-Q^e for a rational e >= 0 the ratio is
@@ -198,57 +183,66 @@ def exponent_scan(q: MultiPoly) -> Optional[ExponentRatio]:
     if found.e is None or found.C not in (1, -1):
         return None
     ratio = q.nvars + 1 - found.e
-    if ratio <= 0:
-        return None
-    return ExponentRatio(ratio.numerator, ratio.denominator)
+    return ratio if ratio > 0 else None
 
 
-def reduce_power(q: MultiPoly, ratio: ExponentRatio) -> MultiPoly:
-    """Reduce Q = R(x/q)^q to the candidate P = R(x/s)^s.
+def reduce_power(q: MultiPoly, ratio: Fraction) -> MultiPoly:
+    """Reduce Q = R(x/d)^d to the candidate P = R(x/s)^s, ratio = s/d.
 
-    Raises NoExactRootError when Q is not an exact q-th power after the
+    Raises NoExactRootError when Q is not an exact d-th power after the
     coordinate rescaling.
     """
     from toricpke.algebra import nth_root
 
     if q.constant_term() != 1:
         raise ValueError("reduce_power expects constant term 1")
-    n = q.nvars
-    r = nth_root(q.scale_vars([Fraction(ratio.q)] * n), ratio.q)
-    return r.scale_vars([Fraction(1, ratio.s)] * n) ** ratio.s
+    n, s, d = q.nvars, ratio.numerator, ratio.denominator
+    r = nth_root(q.scale_vars([Fraction(d)] * n), d)
+    return r.scale_vars([Fraction(1, s)] * n) ** s
 
 
-def axis_profile_check(p: MultiPoly, axis: int) -> AxisProfile:
+def axis_profile_check(p: MultiPoly, axis: int) -> BinomialProfile:
     """Certify the axis restriction eps*(1 + t/r)^k and its companion.
 
     For n >= 2 the restriction of prod_{j != axis} dP/dx_j to the axis
-    must equal +-eps^(n-2)*(r/k)*(1 + t/r)^(k(n-2)+2) exactly: k/r times
-    it must have the binomial profile (+-1, r, k(n-2)+2).  Neither power
-    is built.
+    must equal +-eps^(n-2)*(r/k)*(1 + t/r)^(k(n-2)+2) exactly.  As 1 + t/r
+    is irreducible, that holds exactly when each factor f_j is
+    f_j(0)*(1 + t/r)^(m_j), f_j(0) != 0, with sum m_j = k(n-2) + 2 and
+    (k/r)*prod f_j(0) = +-1, so neither the product nor a power is built.
     """
     n = p.nvars
     if not 0 <= axis < n:
         raise IndexError("axis out of range")
-    pt = p.restrict((axis,))
     try:
-        prof = binomial_profile(pt)
+        prof = binomial_profile(p.restrict((axis,)))
     except NotBinomialPowerError as exc:
         raise ProfileMismatchError(str(exc)) from exc
-    if n >= 2:
-        qt = MultiPoly.one(1)
-        for j in range(n):
-            if j != axis:
-                qt = qt * p.partial_derivative(j).restrict((axis,))
-        r, k = prof.r, prof.k
-        try:
-            companion = binomial_profile(qt * (k / r))[1:]
-        except NotBinomialPowerError:
-            companion = None
-        if companion != (r, k * (n - 2) + 2):
-            raise ProfileMismatchError(
-                f"companion restriction on axis {axis} does not match"
-            )
-    return AxisProfile(axis, prof.epsilon, prof.r, prof.k)
+    if n >= 2 and not _companion_matches(p, axis, prof.r, prof.k):
+        raise ProfileMismatchError(
+            f"companion restriction on axis {axis} does not match"
+        )
+    return prof
+
+
+def _companion_matches(p: MultiPoly, axis: int, r: Fraction, k: int) -> bool:
+    lead, total = k / r, 0
+    for j in range(p.nvars):
+        if j == axis:
+            continue
+        f = p.partial_derivative(j).restrict((axis,))
+        c0 = f.constant_term()
+        if not c0:
+            return False
+        lead *= c0
+        if not f.is_constant():
+            try:
+                prof = binomial_profile(f * (1 / c0))
+            except NotBinomialPowerError:
+                return False
+            if prof.r != r:
+                return False
+            total += prof.k
+    return total == k * (p.nvars - 2) + 2 and lead in (1, -1)
 
 
 def cauchy_data(epsilon: int, sigma: int, r, k: int) -> CauchyData:
@@ -398,23 +392,21 @@ def feasible_k_scan_n2(k_max: int) -> set:
     return {k for k, _ in _consistent_continuations(k_max)}
 
 
-def classify_n1(k_max: int, r_grid) -> list:
-    """All univariate solutions eps*(1 + x/r)^k over the given grid."""
-    if k_max < 1:
-        raise ValueError("k_max must be positive")
-    found = []
-    for k in range(1, k_max + 1):
-        for r in r_grid:
-            r = Fraction(r)
-            if r == 0:
-                continue
-            # for n = 1 the left side is quadratic in P, so -P solves,
-            # with the opposite sign, exactly when P does
-            p = binomial_power(1, r, k)
+def classify_n1(r_grid) -> list:
+    """All univariate solutions eps*(1 + x/r)^k over the given grid.
+
+    By the theorem in toricpke.einstein's docstring, eps*(1 + t/r)^k has
+    L = C*(eps*P)^e only at e = 2(k - 1)/k, so L = +-P needs k = 2, and
+    each nonzero r is verified at k = 2 alone.  For n = 1 the left side is
+    quadratic in P, so -P solves, with the opposite sign, exactly when P
+    does.
+    """
+    found = set()
+    for r in map(Fraction, r_grid):
+        if r != 0:
+            p = binomial_power(1, r, 2)
             if verify_ma_star(p).is_solution:
-                for q in (p, -p):
-                    if q not in found:
-                        found.append(q)
+                found.update((p, -p))
     return sorted(found, key=_poly_sort_key)
 
 

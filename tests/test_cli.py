@@ -583,9 +583,11 @@ def test_scan_k_bad_arguments_are_usage_errors(capsys):
     assert "unrecognized arguments: --grid" in capsys.readouterr().err
 
 
-def test_classify_n1_bad_k_max_is_usage_error(capsys):
-    assert main(["classify-n1", "--grid", "1,2", "--k-max", "0"]) == EXIT_USAGE
-    assert "k_max" in capsys.readouterr().err
+def test_classify_n1_takes_no_k_max(capsys):
+    # by the binomial-profile theorem only k = 2 can solve for n = 1, so
+    # there is no exponent to bound
+    assert main(["classify-n1", "--grid", "2", "--k-max", "6"]) == EXIT_USAGE
+    assert "unrecognized arguments: --k-max" in capsys.readouterr().err
 
 
 def test_catalog_bad_power_is_usage_error(capsys):
@@ -999,8 +1001,7 @@ def test_a_long_r_leaves_the_continuation_s_integers_alone(capsys, monkeypatch):
     ["continue", "--r", "1", "--k"],
     ["continue", "--k", "2", "--r", "1", "--bound"],
     ["scan-k", "--k-max"],
-    ["classify-n1", "--grid", "1", "--k-max"],
-], ids=["continue-k", "continue-bound", "scan-k", "classify-n1"])
+], ids=["continue-k", "continue-bound", "scan-k"])
 def test_order_argument_above_the_limit_is_usage_error(capsys, monkeypatch, argv):
     pairs = count_term_pairs(monkeypatch)
     start = time.perf_counter()
@@ -1097,13 +1098,33 @@ def test_negative_rational_as_separate_argument(capsys, option, value, command):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["--gri", "-1/2"], EXIT_USAGE),
-    (["--gri=-1/2"], EXIT_USAGE),
-    (["--grid", "1", "--k-m", "2"], EXIT_USAGE),
-    (["--grid", "-1/2"], EXIT_OK),
+    (["classify-n1", "--gri", "-1/2"], EXIT_USAGE),
+    (["classify-n1", "--gri=-1/2"], EXIT_USAGE),
+    (["scan-k", "--k-m", "2"], EXIT_USAGE),
+    (["classify-n1", "--grid", "-1/2"], EXIT_OK),
 ], ids=["gri", "gri=", "k-m", "grid"])
 def test_only_full_option_names_parse(capsys, argv, code):
-    assert main(["classify-n1"] + argv) == code
+    assert main(argv) == code
+
+
+def test_every_documented_command_line_parses(capsys):
+    # README's usage block names every subcommand, and each of its lines,
+    # comments stripped, parses: a documented option that was removed fails
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        usage = fh.read().split("## CLI usage", 1)[1].split("```sh\n", 1)[1]
+    lines = [line.split("#", 1)[0].split()
+             for line in usage.split("```", 1)[0].splitlines()]
+    argvs = [words[1:] for words in lines if words[:1] == ["toricpke"]]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in argvs} == set(sub.choices)
+    for argv in argvs:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README usage does not parse: toricpke {' '.join(argv)}\n"
+                        + capsys.readouterr().err)
 
 
 def test_every_subcommand_reports_through_one_path(tmp_path, capsys):
