@@ -10,7 +10,24 @@ case e = n with C*eps^n = +-1 (star_decision, which decides
 ma_engine.verify_ma_star; star_witness builds L itself, from the blocks
 below, for verify --witness).  For Phi = P, det g = ma_lhs_flat(P), and
 Ric = lambda*g holds exactly when that is a nonzero constant C, with
-lambda = 0 (kind "poly", which decides ma_engine.classify_flat).
+lambda = 0 (kind "poly"): by the theorem below, exactly when P is affine.
+
+  Theorem.  If every linear coefficient a_i of P is nonzero, A =
+  ma_lhs_flat(P) is constant exactly when P is affine, and then A =
+  prod a_i.
+
+  Proof.  Over the terms c_s*x^s of P, d_j(theta_i P) is entry (i, j)
+  of H*diag(1/x), H = sum c_s*s*s^T*x^s, so A = det H/(x_1*...*x_n), and
+  by Cauchy-Binet det H = sum_S det[S]^2*prod_S c_s*x^s over the n-sets
+  S of exponents.  Weigh s by w.s, w = 1 + delta*u, u generic and delta
+  small: the weights are distinct and order the exponents by total
+  degree first.  The exponents span, holding e_1, ..., e_n, so they have
+  a unique heaviest basis B (greedy, Edmonds 1971); an S with sum_S s =
+  sum_B s weighs as much as B, so S = B, and x^(sum_B s) has the
+  coefficient det[B]^2*prod_B c_s != 0 in det H.  Greedy first takes an
+  exponent of degree deg P, the other n - 1 have degree >= 1, so deg P >=
+  2 makes |sum_B s| > n: det H has a monomial other than x_1*...*x_n,
+  and A is not constant.  Affine P has A = det diag(a).  []
 
 The value at the origin.  L(0) is eps*prod a_i, and the flat-type left
 side prod a_i, over the linear coefficients a_i of P (origin_value).
@@ -23,8 +40,7 @@ j <= n of ma_lhs_log's bordered matrix, times x_j, is (T_.j, U_j) in
 E = [[T, U], [U^T, V]], with V = Q(x), U_i = x_i*Q_i and T_ij =
 x_i*x_j*Q_ij + delta_ij*U_i: the rows of the generators theta_1 Q, ...,
 theta_n Q, Q with theta_j in place of d_j.  L has degree n+1 in P, so
-det E = x_1*...*x_n*den^(n+1)*L(x), and likewise det T =
-x_1*...*x_n*den^n*ma_lhs_flat(P)(x).  Over the term values v = c*x^e of
+det E = x_1*...*x_n*den^(n+1)*L(x).  Over the term values v = c*x^e of
 Q these are V = sum v, U_i = sum e_i*v and T_ij = sum e_i*e_j*v, so
 E = sum v*w*w^T with w = (e, 1) and needs no polynomial product.  It is
 taken at the test point x_i = 1/(2i+3), i = 0..n-1, modulo the prime
@@ -161,22 +177,20 @@ class DlogRefutation(NamedTuple):
     e = deg L/deg P is a rational in [0, n+1] whose denominator is at most
     deg P.  The residues, modulo a prime that divides no denominator
     involved, certify that no such e exists: the two vectors are not
-    proportional, or their ratio is no such rational.  For the flat-type
-    left side e is 0, so any nonzero dlog_lhs certifies, and dlog_p is
-    None.
+    proportional, or their ratio is no such rational.
     """
 
     point: tuple  # Fractions
     modulus: int
     dlog_lhs: tuple
-    dlog_p: Optional[tuple]
+    dlog_p: tuple
 
     def to_json_dict(self) -> dict:
         return {
             "point": [fraction_to_str(v) for v in self.point],
             "modulus": str(self.modulus),
             "dlog_lhs": [str(v) for v in self.dlog_lhs],
-            "dlog_p": None if self.dlog_p is None else [str(v) for v in self.dlog_p],
+            "dlog_p": [str(v) for v in self.dlog_p],
         }
 
 
@@ -230,13 +244,10 @@ def _euler(p: MultiPoly):
     return den, (columns, values), rows
 
 
-def _front_end(p: MultiPoly, kind: str = "log"):
-    """(den, values, E) of P (see _euler), once the kind and, for "log", P(0) = +-1 hold."""
-    if kind == "log":
-        if p.constant_term() not in (1, -1):
-            raise ValueError("log-type candidate needs constant term +-1")
-    elif kind != "poly":
-        raise ValueError(f"unknown potential kind {kind!r}")
+def _front_end(p: MultiPoly):
+    """(den, values, E) of P (see _euler), once P(0) = +-1 holds."""
+    if p.constant_term() not in (1, -1):
+        raise ValueError("log-type candidate needs constant term +-1")
     return _euler(p)
 
 
@@ -301,13 +312,12 @@ def _point_refutation(den: int, euler: list) -> Optional[PointRefutation]:
 def _dlog_lhs(terms: tuple, rows: list) -> Optional[list]:
     """theta_i log L at the test point, i = 1..n, or None where L is 0 there.
 
-    rows is sum v*w*w^T over the terms (columns, values) of _euler, with
-    w = (e, 1) for the Euler matrix E or w = e for its block T, and its
-    determinant is x_1*...*x_n times a constant times the left side L,
-    log-type for E and flat-type for T.  theta_i rows = sum e_i*v*w*w^T,
-    one more factor e_i per term, so by Jacobi's formula theta_i log L =
-    tr(rows^-1*theta_i rows) - 1 = sum e_i*v*(w^T*rows^-1*w) - 1.  The
-    forms w^T*rows^-1*w are summed over the pairs a <= b of columns of w.
+    rows is the Euler matrix E = sum v*w*w^T, w = (e, 1), over the terms
+    (columns, values) of _euler, and det E is x_1*...*x_n times a
+    constant times L.  theta_i E = sum e_i*v*w*w^T, one more factor e_i
+    per term, so by Jacobi's formula theta_i log L = tr(E^-1*theta_i E) -
+    1 = sum e_i*v*(w^T*E^-1*w) - 1.  The forms w^T*E^-1*w are summed over
+    the pairs a <= b of columns of w.
     """
     q = _TEST_PRIME
     inv = _eliminate(rows, inverse=True)[1]
@@ -315,8 +325,7 @@ def _dlog_lhs(terms: tuple, rows: list) -> Optional[list]:
         return None
     columns, values = terms
     n = len(columns)
-    w = [[k % q for k in column] for column in columns]
-    w += [[1] * len(values)] * (len(rows) - n)
+    w = [[k % q for k in column] for column in columns] + [[1] * len(values)]
     form = [0] * len(values)
     for a, wa in enumerate(w):
         for b in range(a, len(w)):
@@ -569,28 +578,19 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
     and the point test (_exponent_at_point) runs only when they need it,
     before the first symbolic block, where it refutes with a certificate
     or proposes e, or after a refutation, for its certificate.  Kind
-    "poly": an affine P needs no determinant; otherwise the point test on
-    the block T of the Euler matrix refutes unless theta_i log det T reads
-    zero for every i, and ma_lhs_flat(P), metered likewise, decides.
+    "poly": the degree decides, by the module docstring's theorem.
     """
-    den, values, euler = _front_end(p, kind)
+    if kind == "log":
+        den, values, euler = _front_end(p)
+    elif kind != "poly":
+        raise ValueError(f"unknown potential kind {kind!r}")
     c = origin_value(p, kind)
     if not c:
         raise DomainError("metric degenerate at the origin")
-    n = p.nvars
     if kind == "poly":
-        if p.degree() <= 1:
-            return EinsteinExponent(c, Fraction(0))
-        block = [row[:n] for row in euler[:n]]
-        dlog = None if den % _TEST_PRIME == 0 else _dlog_lhs(values, block)
-        if dlog is not None and any(dlog):
-            return EinsteinExponent(None, None, DlogRefutation(
-                _test_point(n), _TEST_PRIME, tuple(dlog), None))
-        with symbolic_budget():
-            flat = ma_engine.ma_lhs_flat(p)
-        if flat.is_constant():
-            return EinsteinExponent(c, Fraction(0))
-        return EinsteinExponent(None, None)
+        if p.degree() > 1:
+            return EinsteinExponent(None, None)
+        return EinsteinExponent(c, Fraction(0))
     point = functools.cache(lambda: _exponent_at_point(p, den, values, euler))
-    e = _block_loop(n, _product_blocks(p, euler)[1], None, point)
+    e = _block_loop(p.nvars, _product_blocks(p, euler)[1], None, point)
     return EinsteinExponent(None, None, point()[0]) if e is None else EinsteinExponent(c, e)

@@ -11,10 +11,11 @@ bordered matrix has the rows (d_1 G, ..., d_n G, G) for G = theta_1 Q,
 polynomial P with P(0) = +-1 is a solution of the normalized equation
 when the log-type left side equals +-P^n exactly.
 
-verify_ma_star and classify_flat are cases of the one decision whether
-the left side is C*(eps*P)^e, which toricpke.einstein owns: its module
-docstring derives the value at the origin, the Euler matrix of P at the
-test point, the point certificates, the blocks and the block check.
+verify_ma_star is a case of the one decision whether the left side is
+C*(eps*P)^e, which toricpke.einstein owns: its module docstring derives
+the value at the origin, the Euler matrix of P at the test point, the
+point certificates, the blocks, the block check and the theorem by
+which classify_flat decides from the degree.
 
 Classification in one and two variables proceeds exactly, and every
 produced candidate is verified by verify_ma_star.  In one variable the
@@ -95,21 +96,21 @@ class FlatClassification(NamedTuple):
 
 
 def ma_lhs_flat(d0: MultiPoly) -> MultiPoly:
-    """Exact determinant of the flat-type Monge-Ampere matrix."""
+    """Exact determinant of the flat-type Monge-Ampere matrix (the tests' oracle)."""
     return determinant_cofactor(toric_hessian_matrix(d0))
 
 
 def classify_flat(d0: MultiPoly) -> FlatClassification:
     """Accept exactly the d0 whose flat-type left side is +-1.
 
-    A left side other than +-1 at the origin refutes with no determinant;
-    otherwise einstein_exponent(d0, "poly") decides whether the left side
-    is that constant (see toricpke.einstein).
+    Its value at the origin is the product of the linear coefficients,
+    which must be +-1, and by the theorem of toricpke.einstein it is
+    constant exactly when d0 is affine, so no determinant is taken.
     """
     from toricpke import einstein
 
     product = einstein.origin_value(d0, "poly")
-    if product not in (1, -1) or einstein.einstein_exponent(d0, "poly").e is None:
+    if product not in (1, -1) or d0.degree() > 1:
         return FlatClassification(False, None, None)
     return FlatClassification(True, tuple(einstein.linear_coefficients(d0)), product)
 

@@ -132,8 +132,8 @@ def euler_by_terms(p: MultiPoly):
 
 
 def dlog_by_terms(values: list, rows: list):
-    """sum e_i*v*(w^T*rows^-1*w) - 1 for each i, one term at a time, or
-    None where rows is singular; w = (e, 1) or e, as rows is n+1 or n wide."""
+    """sum e_i*v*(w^T*rows^-1*w) - 1 for each i, w = (e, 1), one term at a
+    time, or None where rows is singular."""
     q = _TEST_PRIME
     inv = _eliminate(rows, inverse=True)[1]
     if inv is None:
@@ -141,7 +141,7 @@ def dlog_by_terms(values: list, rows: list):
     n = len(values[0][0])
     acc = [-1] * n
     for e, v in values:
-        w = [k % q for k in e] + [1] * (len(rows) - n)
+        w = [k % q for k in e] + [1]
         form = sum(wa * sum(map(operator.mul, row, w)) for wa, row in zip(w, inv))
         for i in range(n):
             acc[i] += w[i] * v * form

@@ -783,9 +783,8 @@ def flat_inconclusive_input(n, extra):
     """x1 + ... + xn plus extra random terms of degree >= 2, exponents 0-2.
 
     One of those terms has the coefficient 1/(2^61 - 1): the test prime
-    divides the denominator, so the point test cannot decide, and
-    classify-flat and einstein-check (kind "poly") need the symbolic
-    flat-type left side.
+    divides the denominator, so no point test modulo that prime decides
+    the flat-type left side, and its determinant grows fast with n.
     """
     rng = random.Random(0)
     pool = [e for e in itertools.product(range(3), repeat=n) if sum(e) >= 2]
@@ -796,28 +795,38 @@ def flat_inconclusive_input(n, extra):
     return MultiPoly(n, terms)
 
 
-def test_flat_fallback_decides_within_its_limit(tmp_path, capsys, monkeypatch):
-    # deterministic work gate: the memoized cofactor expansion of the
-    # 5-variable flat-type matrix multiplies 36,320 term pairs here, where
-    # Bareiss elimination took 827,918, and of the 6-variable one 308,134,
-    # within MAX_SYMBOLIC_PAIRS; a size estimate of 9,879,732 pairs made
-    # both commands exit 2 on the larger input
-    cases = []
-    for n, extra, budget in ((5, 10, 40_000), (6, 12, 320_000)):
-        p = flat_inconclusive_input(n, extra)
-        cases.append((write_poly(tmp_path, p, f"flat{n}.json"),
-                      write_potential(tmp_path, ToricPotential("poly", p), f"pot{n}.json"),
-                      budget))
-    assert len(flat_inconclusive_input(6, 12).terms) == 18
+def test_flat_type_is_decided_with_no_product(tmp_path, capsys, monkeypatch):
+    # deterministic work gate: by the flat theorem of toricpke.einstein
+    # the degree decides, so neither command builds the Euler matrix or
+    # hands the kernel a term pair, although the flat-type determinant of
+    # the 36-term input would take more than MAX_SYMBOLIC_PAIRS
+    from toricpke import einstein
+
+    def refuse(p):
+        raise AssertionError("the Euler matrix was built")
+
+    monkeypatch.setattr(einstein, "_euler", refuse)
     pairs = count_term_pairs(monkeypatch)
-    for flat, pot, budget in cases:
-        for argv in (["classify-flat", "--poly", flat],
-                     ["einstein-check", "--potential", pot]):
+    # (D0, exit code of classify-flat, exit code of einstein-check)
+    cases = [(flat_inconclusive_input(n, extra), EXIT_REFUTED, EXIT_REFUTED)
+             for n, extra in ((5, 10), (6, 12), (6, 30))]
+    assert len(cases[-1][0].terms) == 36
+    x = [MultiPoly.variable(2, i) for i in range(2)]
+    cases += [(space_form_potential(0, 6).P, EXIT_REFUTED, EXIT_OK),
+              (2 * x[0] + x[1] * Fraction(1, 2) - 5, EXIT_OK, EXIT_OK)]
+    for p, flat_code, einstein_code in cases:
+        flat = write_poly(tmp_path, p, "flat.json")
+        pot = write_potential(tmp_path, ToricPotential("poly", p), "pot.json")
+        for argv, code in ((["classify-flat", "--poly", flat], flat_code),
+                           (["einstein-check", "--potential", pot, "--json"], einstein_code)):
             pairs[0] = 0
-            start = time.perf_counter()
-            assert main(argv) == EXIT_REFUTED, argv
-            assert time.perf_counter() - start < 1.0, argv
-            assert 0 < pairs[0] <= budget, argv
+            assert main(argv) == code, (argv, p)
+            assert pairs == [0], (argv, p)
+            out, err = capsys.readouterr()
+            assert err == ""
+        verdict = json.loads(out)["verdict"]
+        assert verdict["einstein"] == (code == EXIT_OK)
+        assert verdict["refuted_at"] is None
 
 
 def test_no_command_path_runs_bareiss(tmp_path, capsys, monkeypatch):
@@ -829,12 +838,21 @@ def test_no_command_path_runs_bareiss(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("Bareiss elimination ran")
 
+    cofactor = []
+    counted = algebra.determinant_cofactor
     monkeypatch.setattr(algebra, "determinant", refuse)
     monkeypatch.setattr(ma_engine, "determinant", refuse)
-    for p in (flat_inconclusive_input(3, 4), flat_inconclusive_input(5, 10)):
-        assert main(["classify-flat", "--poly", write_poly(tmp_path, p)]) == EXIT_REFUTED
-        pot = write_potential(tmp_path, ToricPotential("poly", p))
-        assert main(["einstein-check", "--potential", pot]) == EXIT_REFUTED
+    monkeypatch.setattr(ma_engine, "determinant_cofactor",
+                        lambda rows: cofactor.append(1) or counted(rows))
+    # a general block that the point test does not refute: einstein-check
+    # and verify --witness take its symbolic left side
+    p = MultiPoly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): -23})
+    pot = write_potential(tmp_path, ToricPotential("log", p))
+    assert main(["einstein-check", "--potential", pot]) == EXIT_REFUTED
+    assert main(["verify", "--poly", write_poly(tmp_path, p), "--witness"]) == EXIT_REFUTED
+    assert len(cofactor) >= 2
+    p = flat_inconclusive_input(5, 10)
+    assert main(["classify-flat", "--poly", write_poly(tmp_path, p)]) == EXIT_REFUTED
     for part in (part for n in range(1, 4) for part in partitions(n)):
         path = write_poly(tmp_path, product_solution(part), "product.json")
         assert main(["verify", "--poly", path]) == EXIT_OK, part
