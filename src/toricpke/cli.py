@@ -72,12 +72,14 @@ MAX_EINSTEIN_NVARS = 6
 MAX_EINSTEIN_TERMS = 3_000
 # Most variables of a polynomial read by verify, classify-flat, axis or
 # report: work grows with nvars even when the polynomial has few or no
-# terms, as verify's point test has an Euler matrix of (nvars+1)^2
-# entries and the linear coefficients are nvars exponents of nvars
-# entries each.  In 600 variables classify-flat takes at most 0.13 s on
-# x1 + ... + x600, with or without x1*x2, and verify 0.09 s on a 10-term
-# sparse cubic; at 32 each of the four commands takes at most 0.015 s on
-# an empty and on a 10-term sparse input (2 cores, Python 3.11).
+# terms, as verify splits P into blocks on an Euler matrix of
+# (nvars+1)^2 entries, on which its point test runs only after a
+# refutation or before a symbolic block, and the linear coefficients are
+# nvars exponents of nvars entries each.  In 600 variables classify-flat
+# takes at most 0.14 s on x1 + ... + x600, with or without x1*x2, and
+# verify 0.13 s on a 10-term sparse cubic; at 32 each of the four
+# commands takes at most 0.002 s on an empty and on a 10-term sparse
+# input (2 cores, Python 3.11).
 MAX_NVARS = 32
 # Most digits of an --r or --grid value: every integer of the value, the
 # denominator 10^d of a decimal included, stays within the 4,300 digits

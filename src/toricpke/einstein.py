@@ -56,11 +56,13 @@ proportional, with a ratio that rational reconstruction turns into an e
 in [0, n+1]; the residues refute otherwise (DlogRefutation).  By the
 Schwartz-Zippel lemma a nonzero polynomial rarely vanishes at a point;
 a test that reads zero, or a prime that divides den, leaves the
-decision to the symbolic check.  The test for a free e is sound, so on
-an Einstein P it can only propose the one e = deg L/deg P that the
-blocks derive; einstein_exponent therefore runs it only where it adds
-something: to supply the certificate once a block has refuted, and
-before the first block that needs the symbolic check, whose e it fixes.
+decision to the symbolic check.  Both tests are sound: on a solution
+the residues for e = n are equal or opposite, and on an Einstein P the
+test for a free e can only propose the one e = deg L/deg P that the
+blocks derive.  So both decisions run their test only where it adds
+something: to supply the certificate once the blocks have refuted, and
+before the first block that needs the symbolic check, which it may
+refute or, for a free e, whose e it fixes.
 
 The blocks.  If P*P_ij - P_i*P_j (P^2 times the mixed partial of log P)
 vanishes for every i and j in different blocks, then P =
@@ -74,7 +76,11 @@ determinant.  At the test point x_i*x_j*(Q*Q_ij - Q_i*Q_j) is
 V*T_ij - U_i*U_j for i != j: a nonzero residue certifies a coupling, a
 zero one may be an accident, so the split is certified by comparing P
 with eps^(1-m)*prod P_b exactly, and falls back to one block of all
-variables when the comparison fails or P vanishes at the point.
+variables when the comparison fails or P vanishes at the point.  The
+factors have disjoint variables and nonzero coefficients, so their
+product has exactly prod |P_b| terms: the comparison first counts
+terms, and takes the product, then of |P| terms, only when the counts
+agree.
 
 The block check.  Let f be a block of N variables with f(0) = eps and
 nonzero linear coefficients a_i.  It is a linear form f = u(<a, x>)
@@ -113,12 +119,13 @@ the variables but x_1 set to 0, which rescales t and so keeps k: a
 NotBinomialPowerError refutes, and otherwise e_b = (k-1)(N+1)/k, with no
 product.  Any other block is decided by that identity for f and
 ma_lhs_log(f) themselves, metered by algebra.symbolic_budget.  One loop
-over the blocks serves every case (_block_loop).  It decides the
+over the blocks serves both decisions (_block_loop).  It decides the
 one-variable and linear-form blocks first, so a product of such blocks,
-every catalog potential among them, is decided with no point test and
-no product past the split's, and the point test of einstein_exponent
-runs, at most once, only when a block refutes or before the first
-symbolic block.  ma_engine imports this module inside the functions that
+every catalog product and potential among them, is decided with no
+point test and no product past the split's, and the point test of
+either decision runs, at most once, only when the blocks refute (a
+sign of L = +-P^n off +-1 included) or before the first symbolic
+block.  ma_engine imports this module inside the functions that
 use it, as this module imports ma_engine.
 """
 
@@ -212,9 +219,16 @@ def linear_coefficients(p: MultiPoly) -> list:
 
 
 def origin_value(p: MultiPoly, kind: str = "log") -> Fraction:
-    """L(0): eps*prod a_i for kind "log", eps = P(0), and prod a_i for "poly"."""
-    c = math.prod(linear_coefficients(p), start=Fraction(1))
-    return c * p.constant_term() if kind == "log" else c
+    """L(0): eps*prod a_i for kind "log", eps = P(0), and prod a_i for "poly".
+
+    The product is taken over P's integer numerators, with one division.
+    """
+    n = p.nvars
+    den, c = p.integer_terms
+    factors = [c.get(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+    if kind == "log":
+        factors.append(c.get((0,) * n, 0))
+    return Fraction(math.prod(factors), den ** len(factors))
 
 
 def _euler(p: MultiPoly):
@@ -229,8 +243,8 @@ def _euler(p: MultiPoly):
     den, numerators = p.integer_terms
     columns = list(zip(*numerators))
     values = list(numerators.values())
-    for i, column in enumerate(columns):
-        x = pow(2 * i + 3, -1, q)
+    for column, x in zip(columns, _test_point(n)):
+        x = x.numerator * pow(x.denominator, -1, q) % q
         power = {k: pow(x, k, q) for k in set(column)}
         values = list(map(operator.mul, values, map(power.__getitem__, column)))
     values = [v % q for v in values]
@@ -300,13 +314,14 @@ def _point_refutation(den: int, euler: list) -> Optional[PointRefutation]:
     if den % q == 0:
         return None
     n = len(euler) - 1
+    point = _test_point(n)
     lhs = _eliminate(euler)[0] * pow(den, -(n + 1), q) % q
-    for i in range(n):
-        lhs = lhs * (2 * i + 3) % q  # 1/x_i
+    for x in point:
+        lhs = lhs * x.denominator * pow(x.numerator, -1, q) % q  # 1/x_i
     rhs = pow(euler[n][n] * pow(den, -1, q), n, q)
     if lhs in (rhs, -rhs % q):
         return None
-    return PointRefutation(_test_point(n), q, lhs, rhs)
+    return PointRefutation(point, q, lhs, rhs)
 
 
 def _dlog_lhs(terms: tuple, rows: list) -> Optional[list]:
@@ -422,7 +437,8 @@ def _product_blocks(p: MultiPoly, euler: list):
     P_b is P with the variables outside b set to 0, in b's own variables,
     eps = P(0) must be +-1, and euler is P's Euler matrix.  When the
     coupling test finds one block, or the product does not reproduce P,
-    the one block of all variables is returned.
+    the one block of all variables is returned; the product is taken
+    only when it has as many terms as P (see the module docstring).
     """
     n = p.nvars
     blocks = _coupling_blocks(euler)
@@ -431,7 +447,8 @@ def _product_blocks(p: MultiPoly, euler: list):
     factors = [p.restrict(b) for b in blocks]
     # eps^(1-m)*prod P_b = P  <=>  prod P_b = eps^(m-1)*P, as eps = +-1
     target = p if p.constant_term() ** (len(blocks) - 1) == 1 else -p
-    if disjoint_product(n, blocks, factors) != target:
+    if (len(p.integer_terms[1]) != math.prod(len(f.integer_terms[1]) for f in factors)
+            or disjoint_product(n, blocks, factors) != target):
         return [tuple(range(n))], [p]
     return blocks, factors
 
@@ -489,8 +506,7 @@ def _power_exponent(u: MultiPoly, g: MultiPoly, e: Optional[Fraction]) -> Option
     return e
 
 
-def _block_loop(n: int, factors: list, e: Optional[Fraction],
-                point=None) -> Optional[Fraction]:
+def _block_loop(n: int, factors: list, e: Optional[Fraction], point) -> Optional[Fraction]:
     """The e with L = C*(eps*P)^e over P's blocks, or None; e, if given, is the only one tried.
 
     Each block must have L_b = C_b*(eps*P_b)^(e-n+n_b); with no e given,
@@ -498,11 +514,10 @@ def _block_loop(n: int, factors: list, e: Optional[Fraction],
     decides them all.  One-variable and linear-form factors come first,
     decided by their binomial profiles (_profile_exponent); any other
     factor f by g = C*f^(e-n+n_b) for g = ma_lhs_log(f), metered within
-    MAX_SYMBOLIC_PAIRS kernel term pairs (_power_exponent).  point, if
-    given, is called once, before the first such factor, and returns the
-    point test's (refuted_at, e): a refutation decides, and an e it
-    proposes is the only one tried.  Every linear coefficient of P must
-    be nonzero.
+    MAX_SYMBOLIC_PAIRS kernel term pairs (_power_exponent).  point, a
+    cached hook, is called before each such factor and returns the point
+    test's (refuted_at, e): a refutation decides, and an e it proposes is
+    the only one tried.  Every linear coefficient of P must be nonzero.
     """
     closed = {f: f.nvars == 1 or _is_linear_form(f) for f in dict.fromkeys(factors)}
     for f in sorted(closed, key=lambda f: not closed[f]):
@@ -512,15 +527,13 @@ def _block_loop(n: int, factors: list, e: Optional[Fraction],
             if e is not None and eb != e - n + nb:
                 return None
         else:
-            if point is not None:
-                refuted_at, proposed = point()
-                point = None
-                if refuted_at is not None:
+            refuted_at, proposed = point()
+            if refuted_at is not None:
+                return None
+            if proposed is not None:
+                if e not in (None, proposed):
                     return None
-                if proposed is not None:
-                    if e not in (None, proposed):
-                        return None
-                    e = proposed
+                e = proposed
             with symbolic_budget():
                 eb = _power_exponent(f, ma_engine.ma_lhs_log(f),
                                      None if e is None else e - n + nb)
@@ -531,23 +544,24 @@ def _block_loop(n: int, factors: list, e: Optional[Fraction],
 
 
 def star_decision(p: MultiPoly):
-    """(sign, refuted_at) for L = sign*P^n, the case e = n.
+    """(sign, refuted_at) for L = sign*P^n, the case e = n of einstein_exponent's order.
 
-    sign is eps^n*L(0) when that is +-1 and the blocks hold, else None;
-    refuted_at is the PointRefutation when the point test found one.
-    ValueError when P(0) is not +-1.
+    sign is eps^n*L(0) when that is +-1 and the blocks hold at e = n
+    (_block_loop), else None.  The determinant point test
+    (_point_refutation) runs only when the blocks need it, before the
+    first symbolic block or after a refutation, a sign off +-1 included;
+    refuted_at is its PointRefutation, when it found one.  ValueError
+    when P(0) is not +-1.
     """
     den, _, euler = _front_end(p)
-    refuted_at = _point_refutation(den, euler)
-    if refuted_at is not None:
-        return None, refuted_at
     n = p.nvars
     sign = p.constant_term() ** n * origin_value(p)
+    point = functools.cache(lambda: (_point_refutation(den, euler), None))
     # a +-1 sign makes every linear coefficient nonzero
     if sign in (1, -1) and _block_loop(
-            n, _product_blocks(p, euler)[1], Fraction(n)) is not None:
+            n, _product_blocks(p, euler)[1], Fraction(n), point) is not None:
         return int(sign), None
-    return None, None
+    return None, point()[0]
 
 
 def star_witness(p: MultiPoly, sign: Optional[int]) -> MultiPoly:
@@ -577,8 +591,9 @@ def einstein_exponent(p: MultiPoly, kind: str = "log") -> EinsteinExponent:
     is degenerate there.  Kind "log": the blocks decide (_block_loop),
     and the point test (_exponent_at_point) runs only when they need it,
     before the first symbolic block, where it refutes with a certificate
-    or proposes e, or after a refutation, for its certificate.  Kind
-    "poly": the degree decides, by the module docstring's theorem.
+    or proposes e, or after a refutation, for its certificate;
+    star_decision is the case e = n in the same order.  Kind "poly": the
+    degree decides, by the module docstring's theorem.
     """
     if kind == "log":
         den, values, euler = _front_end(p)

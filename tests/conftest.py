@@ -13,9 +13,10 @@ count_term_pairs wraps the kernel entry to count the work handed to it,
 independently of algebra's own meter.  euler_by_terms and dlog_by_terms
 build the point test's Euler matrix and log-derivatives one term at a
 time, where einstein sums them over columns of exponents.
-point_first_exponent decides L = C*(eps*P)^e in the order where the
-point test always runs first, against which einstein_exponent's lazy
-point test is checked.
+point_first_exponent and point_first_star decide L = C*(eps*P)^e and
+L = +-P^n in the order where the point test always runs first, against
+which the lazy point tests of einstein_exponent and star_decision are
+checked.
 """
 
 import math
@@ -50,9 +51,9 @@ def point_first_exponent(p: MultiPoly) -> EinsteinExponent:
     """einstein_exponent of kind "log" with the point test run first.
 
     The point test refutes with its certificate, or its e (None where it
-    is inconclusive) is the one _block_loop tries on every block, with no
-    point hook; einstein_exponent runs the test only when a block refutes
-    or before the first symbolic block.
+    is inconclusive) is the one _block_loop tries on every block, with a
+    point hook that returns that e again; einstein_exponent runs the test
+    only when a block refutes or before the first symbolic block.
     """
     den, values, euler = einstein._front_end(p)
     c = einstein.origin_value(p)
@@ -61,8 +62,30 @@ def point_first_exponent(p: MultiPoly) -> EinsteinExponent:
     refuted_at, e = einstein._exponent_at_point(p, den, values, euler)
     if refuted_at is not None:
         return EinsteinExponent(None, None, refuted_at)
-    e = einstein._block_loop(p.nvars, einstein._product_blocks(p, euler)[1], e)
+    e = einstein._block_loop(p.nvars, einstein._product_blocks(p, euler)[1], e,
+                             lambda: (None, e))
     return EinsteinExponent(None, None) if e is None else EinsteinExponent(c, e)
+
+
+def point_first_star(p: MultiPoly):
+    """star_decision's (sign, refuted_at) with the point test run first.
+
+    The determinant point test refutes with its certificate; otherwise the
+    sign eps^n*L(0) must be +-1 and every block hold at e = n, with a
+    point hook that decides nothing.  star_decision runs the test only
+    when the blocks refute or before the first symbolic block.
+    """
+    den, _, euler = einstein._front_end(p)
+    refuted_at = einstein._point_refutation(den, euler)
+    if refuted_at is not None:
+        return None, refuted_at
+    n = p.nvars
+    sign = p.constant_term() ** n * einstein.origin_value(p)
+    if sign in (1, -1) and einstein._block_loop(
+            n, einstein._product_blocks(p, euler)[1], Fraction(n),
+            lambda: (None, None)) is not None:
+        return int(sign), None
+    return None, None
 
 
 def naive_mul(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -769,7 +769,7 @@ def test_a_refuting_closed_form_block_is_decided_before_a_metered_one(tmp_path, 
     monkeypatch.setattr(einstein, "_exponent_at_point", lambda *args: (None, None))
     monkeypatch.setattr(algebra, "MAX_SYMBOLIC_PAIRS", 10)
     with pytest.raises(algebra.SymbolicLimitError):
-        einstein._block_loop(2, [g], None)
+        einstein._block_loop(2, [g], None, lambda: (None, None))
     path = write_potential(tmp_path, ToricPotential("log", p, 1))
     pairs = count_term_pairs(monkeypatch)
     assert main(["einstein-check", "--potential", path, "--json"]) == EXIT_REFUTED

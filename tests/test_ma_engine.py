@@ -15,6 +15,7 @@ from conftest import (
     dlog_by_terms,
     euler_by_terms,
     point_first_exponent,
+    point_first_star,
     naive_pow,
     random_poly,
 )
@@ -48,6 +49,7 @@ from toricpke.einstein import (
     _rational_reconstruction,
     einstein_exponent,
     linear_coefficients,
+    star_decision,
     star_witness,
 )
 from toricpke.geometry import DomainError
@@ -78,6 +80,11 @@ THIRD = Fraction(1, 3)
 
 def x(nvars, i):
     return MultiPoly.variable(nvars, i)
+
+
+def no_point():
+    """A point hook for _block_loop that neither refutes nor proposes an e."""
+    return None, None
 
 
 def symmetric_cube():
@@ -490,6 +497,22 @@ def test_a_split_the_product_does_not_reproduce_falls_back_to_one_block():
     assert coupling_of(p) == [(0,), (1,)]
     assert blocks_of(p) == ([(0, 1)], [p])
     assert_routes_agree(p)
+
+
+def test_a_split_with_another_term_count_multiplies_nothing(monkeypatch):
+    # P = 1 + x1 + ... + x12 + x1*...*x12/(2^61 - 1): the test prime
+    # divides the denominator, so the Euler matrix sees only the last term,
+    # reads no coupling and proposes 12 one-variable blocks, whose product
+    # has 2^12 terms against P's 14; the term counts reject the split
+    # before that product is taken
+    n = 12
+    unit = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    p = MultiPoly(n, {(0,) * n: 1, (1,) * n: Fraction(1, _TEST_PRIME),
+                      **{e: 1 for e in unit}})
+    assert coupling_of(p) == [(i,) for i in range(n)]
+    pairs = count_term_pairs(monkeypatch)
+    assert blocks_of(p) == ([tuple(range(n))], [p])
+    assert pairs == [0]
 
 
 def test_a_variable_absent_from_p_is_its_own_block():
@@ -1013,7 +1036,7 @@ def test_linear_form_left_side_matches_the_whole_route(u, a, drawn):
         f = u if n == 1 else linear_form(u, a[:n])
         lhs = ma_lhs_log(f)
         for e in (None, Fraction(n), drawn):
-            assert _block_loop(n, [f], e) == _power_exponent(f, lhs, e), (f, e)
+            assert _block_loop(n, [f], e, no_point) == _power_exponent(f, lhs, e), (f, e)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1068,8 +1091,8 @@ def test_blocks_agree_with_one_block_of_all_variables():
             for K in (1, 2) if n < 3 else (1,):
                 p = potential_for_power(part, K).P
                 e = einstein_exponent(p).e
-                assert _block_loop(n, [p], None) == e, (part, K)
-                assert _block_loop(n, [p], e + Fraction(1, 2)) is None
+                assert _block_loop(n, [p], None, no_point) == e, (part, K)
+                assert _block_loop(n, [p], e + Fraction(1, 2), no_point) is None
 
 
 def test_equal_block_factors_are_checked_once(monkeypatch):
@@ -1108,15 +1131,17 @@ def bump(p, rng):
     return p + MultiPoly(p.nvars, {exp: step})
 
 
-def count_point_tests(monkeypatch) -> list:
+def count_point_tests(monkeypatch, name="_exponent_at_point") -> list:
+    """Count the calls of einstein's point test name: the theta log test of
+    einstein_exponent by default, or star_decision's _point_refutation."""
     calls = [0]
-    at_point = einstein._exponent_at_point
+    at_point = getattr(einstein, name)
 
     def counting(*args):
         calls[0] += 1
         return at_point(*args)
 
-    monkeypatch.setattr(einstein, "_exponent_at_point", counting)
+    monkeypatch.setattr(einstein, name, counting)
     return calls
 
 
@@ -1241,6 +1266,45 @@ def test_the_point_test_runs_before_the_first_symbolic_block(monkeypatch):
         assert (calls, symbolic) == ([1], runs), point
 
 
+def test_verify_runs_no_point_test_on_catalog_products(monkeypatch):
+    # work gate: every catalog product with n <= 4, as built, negated and
+    # under seeded permutations with sign flips, is a product of
+    # linear-form blocks, which decide it with no determinant point test
+    rng = random.Random(31)
+    calls = count_point_tests(monkeypatch, "_point_refutation")
+    for n in (1, 2, 3, 4):
+        for part in partitions(n):
+            p = product_solution(part)
+            for q in (p, -p, seeded_image(p, rng), seeded_image(-p, rng)):
+                assert verify_ma_star(q).is_solution, (part, q)
+    assert calls == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_products(), st.randoms(use_true_random=False))
+def test_star_decision_matches_the_point_first_order(p, rng):
+    # on a block product and on it with one coefficient bumped, the sign
+    # and the certificate agree with the order that runs the determinant
+    # point test first; star_decision runs that test at most once, and
+    # not when it accepts a product of closed-form blocks
+    def outcome(decide, q):
+        try:
+            return decide(q)
+        except SymbolicLimitError:
+            return SymbolicLimitError
+
+    for q in (p, bump(p, rng)):
+        want = outcome(point_first_star, q)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_point_tests(mp, "_point_refutation")
+            found = outcome(star_decision, q)
+        assert found == want, q
+        assert calls[0] <= 1
+        if found is not SymbolicLimitError and found[0] is not None and all(
+                f.nvars == 1 or _is_linear_form(f) for f in blocks_of(q)[1]):
+            assert calls == [0]
+
+
 def test_a_general_block_refuted_at_the_point_multiplies_nothing(monkeypatch):
     # work gate: x1*x3 couples the blocks of the (2,1) product into one
     # block that is not a linear form; the point test, run before its
@@ -1314,7 +1378,7 @@ def test_symbolic_check_beyond_its_limit_is_rejected():
     p = MultiPoly(6, terms)
     assert len(p.terms) == 84
     with pytest.raises(SymbolicLimitError, match="MAX_SYMBOLIC_PAIRS"):
-        _block_loop(6, [p], None)
+        _block_loop(6, [p], None, no_point)
 
 
 def test_reduce_fourth_power():
